@@ -55,7 +55,7 @@ from .prime_sums import (
     theta_chi4,
     weighted_prime_sum,
 )
-from .primes import PrimeTable, factorize, prime_table, spf_table
+from .primes import PrimeTable, factorize, prime_table
 from .saddle import SaddleResult, alpha_bounds_check, alpha_xi_approx, solve_alpha
 
 __all__ = [
@@ -103,7 +103,6 @@ __all__ = [
     "PrimeTable",
     "factorize",
     "prime_table",
-    "spf_table",
     "SaddleResult",
     "alpha_bounds_check",
     "alpha_xi_approx",

@@ -42,11 +42,19 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(f"{self.format_usage()}error: {message}")
 
 
-def _float_list(text: str) -> list[float]:
+def _finite_float(text: str) -> float:
+    """A float option value; nan, inf and literals that overflow are input errors."""
     try:
-        return [float(tok) for tok in text.split(",") if tok]
-    except ValueError as exc:
-        raise CliInputError(f"bad numeric list {text!r}: {exc}") from exc
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _float_list(text: str) -> list[float]:
+    return [_finite_float(tok) for tok in text.split(",") if tok]
 
 
 def _int_list(text: str) -> list[int]:
@@ -54,9 +62,9 @@ def _int_list(text: str) -> list[int]:
     for tok in text.split(","):
         if not tok:
             continue
-        f = float(tok)
+        f = _finite_float(tok)
         if not f.is_integer():
-            raise CliInputError(f"expected integers, got {tok!r}")
+            raise argparse.ArgumentTypeError(f"expected integers, got {tok!r}")
         vals.append(int(f))
     return vals
 
@@ -90,18 +98,18 @@ def build_parser() -> _Parser:
     sp.add_argument("--method", choices=("auto", "sieve", "recursive"), default="auto")
 
     sp = add_parser("alpha", "solve the saddle-point equation")
-    sp.add_argument("--x", type=float)
-    sp.add_argument("--u", type=float, help="alternative to --x: x = y**u")
+    sp.add_argument("--x", type=_finite_float)
+    sp.add_argument("--u", type=_finite_float, help="alternative to --x: x = y**u")
     sp.add_argument("--y", type=int, required=True)
 
     sp = add_parser("hval", "Euler product H(s; y) and log-derivatives")
-    sp.add_argument("--sigma", type=float, required=True)
-    sp.add_argument("--t", type=float, default=0.0)
+    sp.add_argument("--sigma", type=_finite_float, required=True)
+    sp.add_argument("--t", type=_finite_float, default=0.0)
     sp.add_argument("--y", type=int, required=True)
 
     sp = add_parser("estimate", "asymptotic estimates for one cell")
-    sp.add_argument("--x", type=float)
-    sp.add_argument("--u", type=float)
+    sp.add_argument("--x", type=_finite_float)
+    sp.add_argument("--u", type=_finite_float)
     sp.add_argument("--y", type=int, required=True)
     sp.add_argument("--with-exact", action="store_true")
 
@@ -111,9 +119,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--with-exact", action="store_true")
 
     sp = add_parser("perron", "truncated Perron integral vs the exact sum")
-    sp.add_argument("--x", type=float, required=True)
+    sp.add_argument("--x", type=_finite_float, required=True)
     sp.add_argument("--y", type=int, required=True)
-    sp.add_argument("--T", type=float, required=True)
+    sp.add_argument("--T", type=_finite_float, required=True)
 
     sp = add_parser("xi", "xi(u): nonzero root of e^xi = 1 + u xi")
     sp.add_argument("--u", type=_float_list, required=True)
@@ -124,13 +132,13 @@ def build_parser() -> _Parser:
     sp = add_parser("primesums", "weighted prime sums with main terms")
     sp.add_argument("--x", type=_float_list, help="threshold(s)")
     sp.add_argument("--grid-x", type=_float_list, help="alias list form of --x")
-    sp.add_argument("--sigma", type=float, default=0.0)
+    sp.add_argument("--sigma", type=_finite_float, default=0.0)
     sp.add_argument("--twist", action="store_true")
 
     sp = add_parser("diffcheck", "short-interval increment diagnostic")
     sp.add_argument("--x", type=int, required=True)
     sp.add_argument("--y", type=int, required=True)
-    sp.add_argument("--z", type=float, required=True)
+    sp.add_argument("--z", type=_finite_float, required=True)
     return p
 
 
@@ -138,7 +146,10 @@ def _resolve_x(args) -> float:
     if args.x is not None:
         return args.x
     if getattr(args, "u", None) is not None:
-        return float(args.y) ** args.u
+        try:
+            return float(args.y) ** args.u
+        except OverflowError:
+            raise DomainError(f"x = y**u overflows at y={args.y}, u={args.u}") from None
     raise CliInputError("one of --x or --u is required")
 
 

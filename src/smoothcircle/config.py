@@ -21,7 +21,6 @@ class Config:
     residual_tol: float = 1e-12
     epsilon0: float = 0.1
     lambda_: float = 0.25
-    cache_dir: str | None = None
     output_format: str = "csv"
 
     def __post_init__(self) -> None:
@@ -38,7 +37,6 @@ _KEY_MAP = {
     "residual_tol": ("residual_tol", float),
     "epsilon0": ("epsilon0", float),
     "lambda": ("lambda_", float),
-    "cache_dir": ("cache_dir", str),
     "output_format": ("output_format", str),
 }
 

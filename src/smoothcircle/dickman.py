@@ -270,16 +270,19 @@ def rho(u: float, *, step_inv: int = DEFAULT_RHO_STEP_INV) -> float:
     return _table_for(u, step_inv).value_at(u)
 
 
-def rho_saddle_form(u: float) -> float:
-    """Saddle-point approximation to rho(u) for u > 1:
+def log_rho_saddle_form(u: float) -> float:
+    """log of the saddle-point approximation to rho(u) for u > 1:
 
-    sqrt(xi'(u) / (2 pi)) * exp(gamma - u xi(u) + I(xi(u))),
-    I(v) = int_0^v (e^s - 1)/s ds.  Relative accuracy improves like 1/u.
+    log sqrt(xi'(u) / (2 pi)) + gamma - u xi(u) + I(xi(u)),
+    I(v) = int_0^v (e^s - 1)/s ds.  Finite wherever xi is.
     """
     if u <= 1.0:
-        raise DomainError(f"rho_saddle_form needs u > 1, got {u}")
+        raise DomainError(f"the saddle form of rho needs u > 1, got {u}")
     v = xi(u)
-    exponent = EULER_GAMMA - u * v + exp_integral(v)
-    if exponent < -700.0:
-        return 0.0
-    return math.sqrt(xi_prime(u) / (2.0 * math.pi)) * math.exp(exponent)
+    return 0.5 * math.log(xi_prime(u) / (2.0 * math.pi)) + EULER_GAMMA - u * v + exp_integral(v)
+
+
+def rho_saddle_form(u: float) -> float:
+    """Saddle-point approximation to rho(u) for u > 1, exp of log_rho_saddle_form;
+    relative accuracy improves like 1/u."""
+    return math.exp(log_rho_saddle_form(u))

@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .counting import DEFAULT_NODE_BUDGET, exact_circle_sum
-from .dickman import rho, rho_saddle_form
+from .dickman import log_rho_saddle_form, rho
+from .dickman import rho_saddle_form  # noqa: F401  (bench/spans.py wraps it by this name)
 from .errors import DomainError, ResourceBudgetError, SmoothCircleError
-from .euler import h_log_real, phi_derivatives
+from .euler import h_log_real, phi_derivatives, prime_terms
 from .numutil import integrate_panels
 from .saddle import solve_alpha
 
@@ -25,6 +26,12 @@ FLAG_OUTSIDE_THM1 = "outside-thm1-range"
 FLAG_OUTSIDE_THM2 = "outside-thm2-range"
 FLAG_ORACLE_SKIPPED = "oracle-skipped"
 FLAG_OVERFLOW = "overflow-logspace"
+FLAG_RHO_UNDERFLOW = "rho-underflow"
+
+
+def _exp_or_inf(log_value: float) -> float:
+    """exp of a log-space estimate, inf where it leaves float range."""
+    return math.exp(log_value) if log_value < 709.0 else math.inf
 
 
 def log_saddle_point_estimate(x: float, y: int) -> float:
@@ -47,24 +54,24 @@ def saddle_point_estimate(x: float, y: int) -> float:
     Assembled fully in log space; returns inf when the value exceeds float
     range (the log form above stays finite).
     """
-    lv = log_saddle_point_estimate(x, y)
-    return math.exp(lv) if lv < 709.0 else math.inf
+    return _exp_or_inf(log_saddle_point_estimate(x, y))
 
 
 def closed_form_estimate(x: float, y: int) -> float:
     """Closed-form estimate pi x sqrt(xi'(u)/2pi) exp(gamma - u xi(u) + I(xi(u))).
 
     Composition of the saddle-form Dickman approximation with the trivial
-    factor pi x; requires u > 1 (x > y).
+    factor pi x, assembled in log space; requires u > 1 (x > y).
     """
     u = math.log(x) / math.log(y)
     if u <= 1.0:
         raise DomainError(f"closed_form_estimate needs x > y (u > 1), got u={u}")
-    return math.pi * x * rho_saddle_form(u)
+    return _exp_or_inf(math.log(math.pi) + math.log(x) + log_rho_saddle_form(u))
 
 
 def dickman_estimate(x: float, y: int) -> float:
-    """The first-order density estimate pi rho(u) x, u = log x / log y."""
+    """The first-order density estimate pi rho(u) x, u = log x / log y;
+    0 where the rho table is clamped (rho below dickman.RHO_UNDERFLOW)."""
     u = math.log(x) / math.log(y)
     if u < 1.0:
         raise DomainError(f"dickman_estimate needs x >= y, got u={u}")
@@ -121,17 +128,9 @@ def perron_verify(
     a = res.alpha
     logx = math.log(x)
 
-    from .primes import prime_table
-
-    tab = prime_table(y)
-    lp = tab.logp[None, :]
-    chi = tab.chi.astype(np.float64)[None, :]
-
     def f(ts: np.ndarray) -> np.ndarray:
-        s = a + 1j * ts[:, None]
-        w = np.exp(-s * lp)
-        logh = np.sum(-np.log(1.0 - w) - np.where(chi == 0.0, 0.0, np.log(1.0 - chi * w)), axis=1)
         sv = a + 1j * ts
+        logh = np.sum(prime_terms(sv[:, None], y, 0), axis=-1)
         return (np.exp(logh + sv * logx) / sv).real
 
     integral = 4.0 / math.pi * integrate_panels(
@@ -254,20 +253,21 @@ def compare_cell(
 
     log1 = log_saddle_point_estimate(x, y)
     logr = log_rankin_bound(x, y)
-    thm1 = math.exp(log1) if log1 < 709.0 else math.inf
-    rankin = math.exp(logr) if logr < 709.0 else math.inf
-    if math.isinf(thm1) or math.isinf(rankin):
-        flags.append(FLAG_OVERFLOW)
-    if not _thm1_window(u, y, epsilon0):
-        flags.append(FLAG_OUTSIDE_THM1)
-
+    thm1 = _exp_or_inf(log1)
+    rankin = _exp_or_inf(logr)
     try:
         thm2 = closed_form_estimate(x, y)
     except DomainError:
         thm2 = None
+    if math.isinf(thm1) or math.isinf(rankin) or thm2 == math.inf:
+        flags.append(FLAG_OVERFLOW)
+    if not _thm1_window(u, y, epsilon0):
+        flags.append(FLAG_OUTSIDE_THM1)
     if not _thm2_window(x, y, epsilon0):
         flags.append(FLAG_OUTSIDE_THM2)
     goswami = dickman_estimate(x, y) if u >= 1.0 else None
+    if goswami == 0.0:
+        flags.append(FLAG_RHO_UNDERFLOW)
 
     exact: int | None = None
     if with_exact:

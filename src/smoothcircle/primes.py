@@ -1,19 +1,15 @@
-"""Prime tables with the mod-4 character attached, plus smallest-prime-factor
-sieves and their optional binary disk cache."""
+"""Prime tables with the mod-4 character attached, and trial-division
+factorization."""
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
-from pathlib import Path
 
 import numpy as np
 
 from .errors import CacheFormatError, DomainError
-
-SPF_MAGIC = b"SPFTAB01"  # 8 bytes, then u64 count, then u32 entries (little endian)
 
 
 def sieve_primes(limit: int) -> np.ndarray:
@@ -43,11 +39,6 @@ class PrimeTable:
 
     def __len__(self) -> int:
         return int(self.p.size)
-
-    def entries(self):
-        """Yield (p, chi, logp) tuples in increasing order of p."""
-        for i in range(self.p.size):
-            yield int(self.p[i]), int(self.chi[i]), float(self.logp[i])
 
     def restrict(self, limit: int) -> "PrimeTable":
         """View of the table truncated to primes <= limit."""
@@ -79,80 +70,11 @@ def prime_table(y: int) -> PrimeTable:
     return PrimeTable(y, p, chi, logp)
 
 
-def smallest_prime_factors(limit: int) -> np.ndarray:
-    """uint32 array spf with spf[n] = least prime factor of n (spf[0]=0, spf[1]=1)."""
-    if limit < 1:
-        raise DomainError(f"spf table needs limit >= 1, got {limit}")
-    if limit >= 2**32:
-        raise DomainError("spf table entries are u32; limit too large")
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    if limit >= 1:
-        spf[1] = 1
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == 0:
-            spf[p] = p
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
-    rest = np.flatnonzero(spf == 0)
-    spf[rest] = rest  # primes above sqrt(limit)
-    return spf
-
-
-def write_spf_cache(path: str | Path, spf: np.ndarray) -> None:
-    data = np.ascontiguousarray(spf, dtype="<u4")
-    with open(path, "wb") as fh:
-        fh.write(SPF_MAGIC)
-        fh.write(struct.pack("<Q", data.size))
-        fh.write(data.tobytes())
-
-
-def read_spf_cache(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != SPF_MAGIC:
-            raise CacheFormatError(f"bad magic {magic!r} in {path}")
-        (count,) = struct.unpack("<Q", fh.read(8))
-        raw = fh.read(4 * count)
-        if len(raw) != 4 * count:
-            raise CacheFormatError(f"truncated spf cache {path}")
-        return np.frombuffer(raw, dtype="<u4").astype(np.uint32)
-
-
-def spf_table(limit: int, cache_dir: str | Path | None = None) -> np.ndarray:
-    """Smallest-prime-factor table, served from a disk cache when one is configured.
-
-    A cache file larger than requested is sliced; a smaller or corrupt one is
-    rebuilt and overwritten.
-    """
-    path = Path(cache_dir) / f"spf_{limit}.bin" if cache_dir is not None else None
-    if path is not None and path.exists():
-        try:
-            cached = read_spf_cache(path)
-            if cached.size >= limit + 1:
-                return cached[: limit + 1]
-        except CacheFormatError:
-            pass
-    spf = smallest_prime_factors(limit)
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_spf_cache(path, spf)
-    return spf
-
-
-def factorize(n: int, spf: np.ndarray | None = None) -> list[tuple[int, int]]:
+def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as an ascending list of (p, exponent)."""
     if n < 1:
         raise DomainError(f"factorize needs n >= 1, got {n}")
     out: list[tuple[int, int]] = []
-    if spf is not None and n < spf.size:
-        while n > 1:
-            p = int(spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
     for p in (2, 3):
         if n % p == 0:
             e = 0

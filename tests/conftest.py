@@ -2,18 +2,13 @@ import numpy as np
 import pytest
 
 from smoothcircle.counting import lattice_r_table
-from smoothcircle.primes import prime_table, spf_table
+from smoothcircle.primes import prime_table
 
 
 @pytest.fixture(scope="session")
 def lattice_1e6():
     """r(n) for n <= 10^6 by direct lattice enumeration (the exact oracle)."""
     return lattice_r_table(10**6)
-
-
-@pytest.fixture(scope="session")
-def spf_1e6():
-    return spf_table(10**6)
 
 
 @pytest.fixture(scope="session")

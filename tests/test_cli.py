@@ -255,3 +255,30 @@ def test_undecodable_config_file_exit1(tmp_path):
     code, out, err = run_cli("--config", str(cfgfile), "xi", "--u", "2")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and str(cfgfile) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rho", "--u", "nan"),
+        ("compare", "--grid-x", "1e400", "--grid-y", "10"),
+        ("alpha", "--x", "inf", "--y", "100"),
+        ("hval", "--sigma", "nan", "--y", "100"),
+        ("alpha", "--u", "1000", "--y", "1000000"),  # x = y**u overflows
+    ],
+)
+def test_non_finite_input_exit1(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 1
+    assert out == ""
+    assert sum(ln.startswith("error:") for ln in err.splitlines()) == 1
+
+
+def test_compare_far_tail_thm2_finite_and_goswami_flagged():
+    # u = 150: rho(u) is clamped below 1e-300, the saddle form of rho is not
+    code, out, _ = run_cli("compare", "--grid-x", "1e300", "--grid-y", "100")
+    assert code == 0
+    row = parse_csv(out)[0]
+    thm2 = float(row["thm2"])
+    assert math.isfinite(thm2) and thm2 > 0
+    assert float(row["goswami"]) > 0 or "rho-underflow" in row["flags"].split(";")

@@ -48,13 +48,35 @@ def test_phi_closed_forms_single_prime():
     assert d.d[1] == pytest.approx(2 * math.log(2) ** 2, rel=1e-13)
 
 
+def _assert_matches_series(sigma, y):
+    d = phi_derivatives(sigma, y)
+    want = _phi_series_longdouble(sigma, y, kmax=4)
+    for got, ref in zip((d.phi, *d.d), want):
+        assert got == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("sigma", [0.4, 0.8, 1.3])
 @pytest.mark.parametrize("y", [100, 10**4])
 def test_phi_series_matches_closed_forms(sigma, y):
-    d = phi_derivatives(sigma, y)
-    assert d.d[0] == pytest.approx(phi1_closed(sigma, y), rel=1e-12)
-    assert d.d[1] == pytest.approx(phi2_closed(sigma, y), rel=1e-12)
-    assert d.truncation_error_bound < 1e-12 * max(abs(v) for v in d.d)
+    _assert_matches_series(sigma, y)
+    assert phi_derivatives(sigma, y).d[:2] == (phi1_closed(sigma, y), phi2_closed(sigma, y))
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [
+        0.05,  # q = 2^-sigma near 1: the closed forms divide by expm1(sigma log 2)
+        math.log(2 + math.sqrt(3)) / math.log(3),  # chi = -1 at p = 3: 1 - 4q + q^2 = 0 in Li_-3
+    ],
+)
+def test_phi_closed_forms_near_cancellation(sigma):
+    _assert_matches_series(sigma, 100)
+
+
+@pytest.mark.parametrize("sigma, y", [(60.0, 10**6), (1000.0, 100)])
+def test_phi_closed_forms_where_p_sigma_overflows(sigma, y):
+    # p^sigma passes 1e150 (and float range for the largest p at y = 10^6)
+    _assert_matches_series(sigma, y)
 
 
 def test_phi_vanishes_at_large_sigma():
@@ -92,31 +114,37 @@ def test_finite_difference_consistency_spot():
     # full grid lives in the acceptance suite; one extended-precision spot here
     y, sigma = 1000, 0.8
     h = np.longdouble(1e-4)
-    f = [_phi_longdouble(float(np.longdouble(sigma) + k * h), y) for k in (-2, -1, 0, 1, 2)]
+    f = [_phi_series_longdouble(float(np.longdouble(sigma) + k * h), y)[0] for k in (-2, -1, 0, 1, 2)]
     d = phi_derivatives(sigma, y)
     assert float((f[3] - f[1]) / (2 * h)) == pytest.approx(d.d[0], rel=1e-5)
     assert float((f[3] - 2 * f[2] + f[1]) / h**2) == pytest.approx(d.d[1], rel=1e-5)
 
 
-def _phi_longdouble(sigma, y):
-    """Independent phi oracle in 80-bit arithmetic (for finite differencing)."""
+def _phi_series_longdouble(sigma, y, kmax=0):
+    """Independent oracle for phi_0..phi_kmax in 80-bit arithmetic: the
+    prime-power series phi_k = sum_p sum_nu (1 + chi4(p)^nu) (-nu log p)^k p^(-nu sigma) / nu,
+    summed until every block falls below 1e-26 of its running total."""
     from smoothcircle.primes import prime_table
 
     tab = prime_table(y)
     lp = tab.logp.astype(np.longdouble)
     chi = tab.chi.astype(np.longdouble)
     base = np.exp(-np.longdouble(sigma) * lp)
-    total = np.longdouble(0)
+    totals = [np.longdouble(0)] * (kmax + 1)
     pv = np.ones_like(base)
     chin = np.ones_like(chi)
-    for nu in range(1, 600):
+    for nu in range(1, 100_000):
         pv = pv * base
         chin = chin * chi
-        block = ((1 + chin) * pv / nu).sum()
-        total += block
-        if block < np.longdouble(1e-26) * total:
-            break
-    return total
+        w = (1 + chin) * pv / nu
+        small = True
+        for k in range(kmax + 1):
+            block = (w * (-nu * lp) ** k).sum()
+            totals[k] += block
+            small = small and abs(block) < np.longdouble(1e-26) * abs(totals[k])
+        if small:
+            return totals
+    raise AssertionError("series oracle did not converge")
 
 
 def test_dirichlet_series_cross_check():
@@ -170,11 +198,25 @@ def test_h_ratio_small_t_boundary():
 
 
 def test_h_abs_ratio_matches_complex_route():
+    from smoothcircle.primes import prime_table
     from smoothcircle.saddle import solve_alpha
 
     alpha = solve_alpha(10**5, 300).alpha
+    tab = prime_table(300)
+    c = np.exp(-alpha * tab.logp)
+    chi = tab.chi.astype(np.float64)
+
+    def modulus_ratio(t):
+        # real logs only: log |1 - z p^-s|^2 = log(1 - 2 z c cos(t log p) + z^2 c^2), z in {1, chi}
+        cosv = np.cos(t * tab.logp)
+        num = np.log1p(c * (c - 2.0 * cosv)) + np.log1p(chi * c * (chi * c - 2.0 * cosv))
+        den = np.log1p(c * (c - 2.0)) + np.log1p(chi * c * (chi * c - 2.0))
+        return math.exp(-0.5 * (math.fsum(num) - math.fsum(den)))
+
     for t in (0.25, 3.0, 11.0):
         direct = abs(np.exp(h_log_value(complex(alpha, t), 300))) / math.exp(
             h_log_real(alpha, 300)
         )
         assert h_abs_ratio(alpha, 300, t) == pytest.approx(direct, rel=1e-12)
+        assert h_abs_ratio(alpha, 300, t) == pytest.approx(modulus_ratio(t), rel=1e-12)
+    assert h_abs_ratio(alpha, 300, 0.0) == 1.0

@@ -1,18 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import PRIMES_BELOW_100
-from smoothcircle.errors import CacheFormatError, DomainError
-from smoothcircle.primes import (
-    SPF_MAGIC,
-    factorize,
-    prime_table,
-    read_spf_cache,
-    sieve_primes,
-    smallest_prime_factors,
-    spf_table,
-    write_spf_cache,
-)
+from smoothcircle.errors import DomainError
+from smoothcircle.primes import factorize, prime_table, sieve_primes
 
 
 def test_sieve_small():
@@ -43,7 +36,7 @@ def test_prime_count_1e6(table_1e6):
 def test_prime_table_chi_and_log(table_1e6):
     table_1e6.validate()
     tab = prime_table(50)
-    for p, chi, logp in tab.entries():
+    for p, chi, logp in zip(tab.p.tolist(), tab.chi.tolist(), tab.logp.tolist()):
         if p == 2:
             assert chi == 0
         elif p % 4 == 1:
@@ -63,60 +56,15 @@ def test_prime_table_rejects_y1():
         prime_table(1)
 
 
-def test_spf_correctness():
-    spf = smallest_prime_factors(10**4)
-    assert spf[0] == 0 and spf[1] == 1
-    for n in range(2, 10**4 + 1):
-        p = int(spf[n])
-        assert n % p == 0
-        for d in range(2, p):
-            assert n % d != 0
-
-
-def test_spf_cache_roundtrip(tmp_path):
-    spf = smallest_prime_factors(5000)
-    path = tmp_path / "spf.bin"
-    write_spf_cache(path, spf)
-    back = read_spf_cache(path)
-    assert np.array_equal(spf, back)
-
-
-def test_spf_cache_binary_layout(tmp_path):
-    # 8-byte magic, u64 length, then little-endian u32 entries
-    spf = smallest_prime_factors(10)
-    path = tmp_path / "spf.bin"
-    write_spf_cache(path, spf)
-    raw = path.read_bytes()
-    assert raw[:8] == SPF_MAGIC
-    count = int.from_bytes(raw[8:16], "little")
-    assert count == 11
-    assert len(raw) == 16 + 4 * count
-    assert int.from_bytes(raw[16 + 4 * 9 : 16 + 4 * 10], "little") == 3  # spf[9]
-
-
-def test_spf_cache_bad_magic(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTMAGIC" + b"\0" * 16)
-    with pytest.raises(CacheFormatError):
-        read_spf_cache(path)
-
-
-def test_spf_table_uses_cache_dir(tmp_path):
-    first = spf_table(1000, cache_dir=tmp_path)
-    assert (tmp_path / "spf_1000.bin").exists()
-    again = spf_table(1000, cache_dir=tmp_path)
-    assert np.array_equal(first, again)
-    sliced = spf_table(500, cache_dir=tmp_path)  # larger cache still unusable here
-    assert np.array_equal(sliced, smallest_prime_factors(500))
-
-
 def test_factorize():
     assert factorize(1) == []
     assert factorize(12) == [(2, 2), (3, 1)]
     assert factorize(97) == [(97, 1)]
     assert factorize(75) == [(3, 1), (5, 2)]
-    spf = smallest_prime_factors(1000)
+    primes = set(sieve_primes(1000).tolist())
     for n in range(1, 1000):
-        assert factorize(n, spf) == factorize(n)
+        fac = factorize(n)
+        assert math.prod(p**e for p, e in fac) == n
+        assert all(p in primes for p, _ in fac)
     with pytest.raises(DomainError):
         factorize(0)
