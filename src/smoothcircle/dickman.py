@@ -262,11 +262,18 @@ def _table_for(u: float, step_inv: int) -> DickmanTable:
 
 
 def rho(u: float, *, step_inv: int = DEFAULT_RHO_STEP_INV) -> float:
-    """The Dickman function rho(u) for u >= 0 (1 on [0, 1], cached table beyond)."""
+    """The Dickman function rho(u) for u >= 0 (1 on [0, 1], cached table beyond).
+
+    0.0, the table's clamp value, without building a table once the bound
+    rho(u) <= 1/Gamma(u + 1) is below RHO_UNDERFLOW: u rho(u) is the integral
+    of rho over [u - 1, u], which is at most rho(u - 1).
+    """
     if u < 0:
         raise DomainError(f"rho needs u >= 0, got {u}")
     if u <= 1.0:
         return 1.0
+    if math.lgamma(u + 1.0) > -math.log(RHO_UNDERFLOW):
+        return 0.0
     return _table_for(u, step_inv).value_at(u)
 
 

@@ -137,7 +137,12 @@ def phi_derivatives(sigma: float, y: int, kmax: int = 4) -> PhiDerivatives:
         raise DomainError(f"phi_derivatives needs sigma > 0, got {sigma}")
     if not 1 <= kmax <= 4:
         raise DomainError(f"kmax must be in 1..4, got {kmax}")
-    d = tuple((-1.0) ** k * csum(prime_terms(sigma, y, k)) for k in range(1, kmax + 1))
+    terms = [prime_terms(sigma, y, k) for k in range(1, kmax + 1)]
+    if not terms[0].any():
+        raise DomainError(
+            f"sigma={sigma} is out of range for y={y}: every term of phi_1 underflows to 0"
+        )
+    d = tuple((-1.0) ** k * csum(t) for k, t in enumerate(terms, 1))
     return PhiDerivatives(sigma=sigma, y=y, phi=csum(prime_terms(sigma, y, 0)), d=d)
 
 

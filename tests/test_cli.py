@@ -282,3 +282,20 @@ def test_compare_far_tail_thm2_finite_and_goswami_flagged():
     thm2 = float(row["thm2"])
     assert math.isfinite(thm2) and thm2 > 0
     assert float(row["goswami"]) > 0 or "rho-underflow" in row["flags"].split(";")
+
+
+def test_hval_sigma_out_of_range_exit1():
+    # every term of phi_1 underflows to 0: a bad input, not a failed convergence
+    code, out, err = run_cli("hval", "--sigma", "2000", "--y", "100")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "sigma" in err
+
+
+def test_compare_huge_u_keeps_the_row():
+    # u = 1023: rho is below the underflow clamp by its Gamma bound, no table
+    code, out, _ = run_cli("compare", "--grid-x", "1e308", "--grid-y", "2")
+    assert code == 0
+    row = parse_csv(out)[0]
+    assert float(row["goswami"]) == 0.0
+    assert "rho-underflow" in row["flags"].split(";")

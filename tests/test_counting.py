@@ -1,12 +1,16 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smoothcircle.counting import (
     ExactCount,
+    _isqrt_array,
+    _local_r4,
+    _QuotientPrimes,
     chi4,
     exact_circle_sum,
     lattice_r,
@@ -14,7 +18,32 @@ from smoothcircle.counting import (
     r_over_4,
 )
 from smoothcircle.errors import DomainError, ResourceBudgetError
-from smoothcircle.primes import factorize
+from smoothcircle.primes import factorize, sieve_primes
+
+
+def _plain_dfs(x, y):
+    """(value, terms) by visiting every y-smooth n <= x once, over descending
+    primes with its full exponent pattern: the walk without leaves, kept as
+    the oracle for cells the sieve cannot reach."""
+    ps = [int(p) for p in sieve_primes(y) if p <= x]
+    total = 0
+    terms = 0
+
+    def rec(hi, cur, w):
+        nonlocal total, terms
+        total += w
+        terms += 1
+        for i in range(min(hi, bisect_right(ps, x // cur) - 1), -1, -1):
+            p = ps[i]
+            v = cur * p
+            e = 1
+            while v <= x:
+                rec(i - 1, v, w * _local_r4(p, e))
+                v *= p
+                e += 1
+
+    rec(len(ps) - 1, 1, 1)
+    return 4 * total, terms
 
 
 def test_chi4_values():
@@ -134,10 +163,12 @@ def test_node_budget_enforced():
 
 
 def test_segment_size_does_not_change_result():
-    base = exact_circle_sum(54321, 50, "sieve")
-    for seg in (1 << 8, 1 << 12, 1 << 20):
-        got = exact_circle_sum(54321, 50, "sieve", segment_size=seg)
-        assert (got.value, got.terms) == (base.value, base.terms)
+    # At 2^8 the prime powers 2^9, 3^6 and the prime 997 exceed the segment.
+    for x, y in ((54321, 50), (10**5 + 7, 997)):
+        base = exact_circle_sum(x, y, "recursive")
+        for seg in (1 << 8, 1 << 12, 1 << 20):
+            got = exact_circle_sum(x, y, "sieve", segment_size=seg)
+            assert (got.value, got.terms) == (base.value, base.terms)
 
 
 def test_exact_count_is_plain_int():
@@ -145,3 +176,60 @@ def test_exact_count_is_plain_int():
     assert isinstance(c, ExactCount)
     assert isinstance(c.value, int)
     assert c.value % 4 == 0
+
+
+@given(st.integers(1, 2 * 10**5), st.integers(2, 5000))
+@settings(max_examples=60, deadline=None)
+@example(1000, 5000)  # y >= x: the root is a leaf, every n <= x counts
+@example(2, 2)
+@example(127, 11)  # x below the Buchstab-leaf bound
+@example(961, 31)  # m = p^2 exactly at the root
+@example(10201, 101)
+@example(10201, 102)
+def test_routes_agree_in_value_and_terms(x, y):
+    a = exact_circle_sum(x, y, "sieve")
+    b = exact_circle_sum(x, y, "recursive")
+    assert (a.value, a.terms) == (b.value, b.terms)
+
+
+@pytest.mark.parametrize("x", [1, 2, 3, 10, 10**5 + 3])
+def test_quotient_prime_counts(x):
+    ps = sieve_primes(x)
+    chi = np.where(ps % 4 == 1, 1, -1)
+    chi[ps == 2] = 0
+    quotients = {x // j for j in range(1, x + 1)}
+    for limit in (x, max(1, math.isqrt(x) // 2), max(1, x // 7)):
+        vs = np.array(sorted((v for v in quotients if v <= limit), reverse=True), dtype=np.int64)
+        pi, chi_sum = _QuotientPrimes(x, limit, ps).counts(vs)
+        k = np.searchsorted(ps, vs, side="right")
+        assert pi.tolist() == k.tolist()
+        assert chi_sum.tolist() == [int(chi[:i].sum()) for i in k]
+
+
+@pytest.mark.parametrize("x, y", [(10**15, 7), (10**12, 13)])
+def test_leaf_route_matches_plain_walk(x, y):
+    got = exact_circle_sum(x, y, "recursive")
+    assert (got.value, got.terms) == _plain_dfs(x, y)
+
+
+def test_root_leaf_fires_within_tiny_budget():
+    # (1e7, 1e4): p = 9973 has p^2 >= x, so the root is one Buchstab leaf
+    got = exact_circle_sum(10**7, 10**4, "recursive", node_budget=10)
+    want = exact_circle_sum(10**7, 10**4, "sieve")
+    assert (got.value, got.terms) == (want.value, want.terms)
+
+
+def test_isqrt_array_exact_near_squares():
+    # past 2^52 the float root of k^2 - 1 rounds up to k
+    k = np.array([3, 2**26 + 1, 2**30 + 3, 2**31 - 1], dtype=np.int64)
+    v = np.concatenate([k * k - 1, k * k, k * k + 1, np.arange(100, dtype=np.int64)])
+    assert _isqrt_array(v).tolist() == [math.isqrt(int(n)) for n in v]
+
+
+def test_x_beyond_int64():
+    x = 10**30
+    vs = np.arange(300, 0, -1, dtype=np.int64)  # every v <= sqrt x is a quotient of x
+    pi, _ = _QuotientPrimes(x, 300, sieve_primes(17)).counts(vs)
+    assert pi.tolist() == np.searchsorted(sieve_primes(300), vs, side="right").tolist()
+    got = exact_circle_sum(x, 5, "recursive")
+    assert (got.value, got.terms) == _plain_dfs(x, 5)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smoothcircle import dickman
 from smoothcircle.config import RHO_SADDLE_WINDOW, XI_LOGLOG_ENVELOPE
 from smoothcircle.dickman import (
     build_dickman_table,
@@ -147,6 +148,17 @@ def test_rho_underflow_clamp():
 
 def test_rho_auto_extends_table():
     assert 0.0 < rho(70.0) < 1e-100
+
+
+def test_rho_gamma_bound_and_cut():
+    # rho(u) <= 1/Gamma(u + 1); once that bound is below RHO_UNDERFLOW, rho
+    # is 0.0 without a table being built
+    for u in (2.5, 10.0, 40.0, 63.0):
+        assert rho(u) <= math.exp(-math.lgamma(u + 1.0))
+    before = dict(dickman._TABLE_CACHE)
+    assert rho(1023.15) == 0.0
+    assert dickman._TABLE_CACHE == before
+    assert math.lgamma(151.0) < -math.log(dickman.RHO_UNDERFLOW)  # u = 150 still tabulated
 
 
 def test_exp_integral_series_values():

@@ -98,6 +98,8 @@ def test_phi_domain():
         phi_derivatives(0.0, 100)
     with pytest.raises(DomainError):
         phi_derivatives(1.0, 100, kmax=5)
+    with pytest.raises(DomainError):  # 2^-2000 underflows: phi_1 would read -0.0
+        phi_derivatives(2000.0, 100)
 
 
 def test_convexity_on_grid():
