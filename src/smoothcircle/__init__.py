@@ -27,7 +27,6 @@ from .dickman import (
     xi_prime,
 )
 from .errors import (
-    CacheFormatError,
     ConvergenceError,
     DomainError,
     ResourceBudgetError,
@@ -74,7 +73,6 @@ __all__ = [
     "rho_saddle_form",
     "xi",
     "xi_prime",
-    "CacheFormatError",
     "ConvergenceError",
     "DomainError",
     "ResourceBudgetError",

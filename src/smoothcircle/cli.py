@@ -155,14 +155,11 @@ def _resolve_x(args) -> float:
 
 def _run(args, cfg: Config) -> tuple[tuple[str, ...], list[dict]]:
     if args.command == "exact":
-        c = exact_circle_sum(
-            args.x, args.y, args.method,
-            node_budget=cfg.node_budget, segment_size=cfg.sieve_segment_size,
-        )
+        c = exact_circle_sum(args.x, args.y, args.method, node_budget=cfg.node_budget)
         return ("x", "y", "value", "terms", "method"), [asdict(c)]
 
     if args.command == "alpha":
-        r = solve_alpha(_resolve_x(args), args.y, tol=cfg.residual_tol)
+        r = solve_alpha(_resolve_x(args), args.y)
         row = asdict(r)
         row["bracket_lo"], row["bracket_hi"] = row.pop("bracket")
         cols = ("x", "y", "u", "alpha", "residual", "iters", "bracket_lo", "bracket_hi")
@@ -188,13 +185,7 @@ def _run(args, cfg: Config) -> tuple[tuple[str, ...], list[dict]]:
             xs, ys, args.with_exact,
             node_budget=cfg.node_budget, epsilon0=cfg.epsilon0,
         )
-        dicts = []
-        for r in rows:
-            d = asdict(r)
-            d.pop("log_thm1")
-            d.pop("log_rankin")
-            dicts.append(d)
-        return COMPARE_COLUMNS, dicts
+        return COMPARE_COLUMNS, [asdict(r) for r in rows]
 
     if args.command == "perron":
         r = perron_verify(args.x, args.y, args.T, node_budget=cfg.node_budget)

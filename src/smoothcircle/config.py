@@ -16,15 +16,13 @@ ENV_VAR = "SMOOTHCIRCLE_CONFIG"
 
 @dataclass(frozen=True)
 class Config:
-    sieve_segment_size: int = 1 << 20
     node_budget: int = 10**9
-    residual_tol: float = 1e-12
     epsilon0: float = 0.1
     lambda_: float = 0.25
     output_format: str = "csv"
 
     def __post_init__(self) -> None:
-        for name in ("sieve_segment_size", "node_budget", "residual_tol", "epsilon0", "lambda_"):
+        for name in ("node_budget", "epsilon0", "lambda_"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"config field {name} must be positive")
         if self.output_format not in ("csv", "json"):
@@ -32,9 +30,7 @@ class Config:
 
 
 _KEY_MAP = {
-    "sieve_segment_size": ("sieve_segment_size", int),
     "node_budget": ("node_budget", int),
-    "residual_tol": ("residual_tol", float),
     "epsilon0": ("epsilon0", float),
     "lambda": ("lambda_", float),
     "output_format": ("output_format", str),

@@ -4,25 +4,24 @@ function rho(u), and the entire integral int_0^v (e^s - 1)/s ds.
 rho solves u rho'(u) + rho(u-1) = 0 with rho = 1 on [0, 1].  It decays like
 u^-u while perturbations of the delay equation decay only polynomially, so
 any fixed-order forward quadrature leaves an absolute error floor that
-swamps rho(u) beyond u of about 15.  The table is therefore built from
-per-interval Taylor expansions about the interval midpoints: the delay
-equation turns into an exact coefficient recurrence, advanced interval by
-interval in decimal arithmetic with precision scaled to the requested range.
+swamps rho(u) beyond u of about 15.  rho is therefore held as one Taylor
+series per unit interval, about its midpoint (the power-series method of
+Marsaglia, Zaman and Marsaglia, Math. Comp. 1989): the delay equation turns
+into an exact coefficient recurrence, advanced interval by interval in
+decimal arithmetic with precision scaled to the requested range, and rho(u)
+is the float Horner sum of its interval's series.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
-
-import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .numutil import EULER_GAMMA, bracketed_newton
 
-RHO_UNDERFLOW = 1e-300  # table values below this clamp to zero, flagged
-DEFAULT_RHO_STEP_INV = 1000
+RHO_UNDERFLOW = 1e-300  # rho values below this clamp to zero, flagged
 DEFAULT_RHO_UMAX = 64
 _SERIES_CAP = 4000
 
@@ -68,30 +67,23 @@ def xi_prime(u: float) -> float:
 def exp_integral(v: float) -> float:
     """int_0^v (e^s - 1)/s ds = sum_{k>=1} v^k / (k k!).
 
-    The series is summed for v <= 30; larger v falls back to panelwise
-    Gauss-Legendre quadrature of the (entire) integrand.
+    Every term is positive, so the float sum loses nothing to cancellation
+    at any v >= 0; it stops once a term drops below 1e-17 of the total.
     """
-    if v < 0:
+    if not v >= 0:
         raise DomainError(f"exp_integral needs v >= 0, got {v}")
     if v == 0.0:
         return 0.0
-    if v <= 30.0:
-        total = 0.0
-        m = 1.0
-        k = 0
-        while True:
-            k += 1
-            m *= v / k
-            term = m / k
-            total += term
-            if term <= 1e-17 * total:
-                return total
-    from .numutil import integrate_panels
-
-    def f(s: np.ndarray) -> np.ndarray:
-        return np.expm1(s) / s  # Gauss nodes are interior, s > 0
-
-    return integrate_panels(f, 0.0, v, 1.0, rtol=1e-13, atol=1e-13)
+    total = 0.0
+    m = 1.0
+    k = 0
+    while True:
+        k += 1
+        m *= v / k
+        term = m / k
+        total += term
+        if term <= 1e-17 * total:
+            return total
 
 
 def _rho_digits(u_max: float) -> int:
@@ -150,131 +142,74 @@ def _rho_interval_series(u_max: int, prec: int) -> list[list[Decimal]]:
     return out
 
 
-# Queries only need the default table; rebuilt larger on demand.
-_TABLE_CACHE: dict[int, "DickmanTable"] = {}
-
-
 @dataclass(frozen=True)
 class DickmanTable:
-    """rho sampled on the uniform grid u = j/step_inv, j = 0..u_max*step_inv.
+    """rho on [0, u_max] as one float Taylor series per unit interval.
 
-    values[j] = 1 exactly for u <= 1, then strictly decreasing; entries that
-    underflow RHO_UNDERFLOW are clamped to 0 and `clamped` is set.  Built
-    once, then immutable and shareable.
+    coeffs[k - 1] is the series of rho about k + 1/2 on [k, k + 1], highest
+    power first (k = 1 .. u_max - 1); values below RHO_UNDERFLOW read 0.
     """
 
-    step_inv: int
     u_max: int
-    values: np.ndarray
-    clamped: bool
-
-    @property
-    def step(self) -> float:
-        return 1.0 / self.step_inv
+    coeffs: tuple[tuple[float, ...], ...] = field(repr=False)
 
     def value_at(self, u: float) -> float:
-        """Cubic interpolation of rho at 0 <= u <= u_max; the four-node
-        stencil never straddles an integer knot (rho is only piecewise
-        smooth there)."""
+        """rho(u) for 0 <= u <= u_max by Horner's rule on u's interval."""
         if u < 0:
             raise DomainError(f"rho needs u >= 0, got {u}")
         if u <= 1.0:
             return 1.0
         if u > self.u_max:
             raise DomainError(f"u={u} beyond table extent {self.u_max}")
-        N = self.step_inv
-        q = u * N
-        k0 = max(int(math.floor((q - 1e-9) / N)) * N, 0)
-        lo = min(max(int(math.floor(q)) - 1, k0), k0 + N - 3, self.values.size - 4)
-        t = q - lo
-        total = 0.0
-        for i in range(4):
-            w = 1.0
-            for j in range(4):
-                if i != j:
-                    w *= (t - j) / (i - j)
-            total += w * float(self.values[lo + i])
-        return total
-
-    def validate(self) -> None:
-        N = self.step_inv
-        if not np.all(self.values[: N + 1] == 1.0):
-            raise DomainError("rho table must be exactly 1 on [0, 1]")
-        live = self.values[N:]
-        if self.clamped:
-            live = live[live > 0.0]
-        if not np.all(np.diff(live) < 0.0):
-            raise DomainError("rho table must decrease strictly beyond u = 1")
-        if np.any(self.values > 1.0) or np.any(self.values < 0.0):
-            raise DomainError("rho values must lie in [0, 1]")
+        k = min(int(u), self.u_max - 1)
+        tau = u - (k + 0.5)
+        value = 0.0
+        for c in self.coeffs[k - 1]:
+            value = value * tau + c
+        return value if value >= RHO_UNDERFLOW else 0.0
 
 
-def build_dickman_table(
-    step_inv: int = DEFAULT_RHO_STEP_INV,
-    u_max: int = DEFAULT_RHO_UMAX,
-) -> DickmanTable:
-    """Tabulate rho on a uniform grid from the per-interval Taylor series.
+def build_dickman_table(u_max: int = DEFAULT_RHO_UMAX) -> DickmanTable:
+    """rho's per-interval series on [1, u_max] as float coefficients.
 
-    Coefficients are carried in decimal with enough digits that the final
-    float rounding dominates; each interval's grid slice is then a float
-    Horner evaluation of its own series (relative accuracy persists down to
-    the underflow clamp).
+    They are computed in decimal with enough digits that the float rounding
+    dominates.  A float series ends at its last term that reaches
+    2^-70 max(rho(k + 1/2), RHO_UNDERFLOW) at |tau| = 1/2: later terms shrink
+    like 3^-m (rho's continuation is analytic within 3/2 of the midpoint) and
+    rho falls by less than 2^10 within the interval, so the cut stays far
+    below an ulp of every unclamped value and keeps at most ~40 terms.
     """
-    if step_inv < 8:
-        raise DomainError(f"step_inv too coarse: {step_inv}")
     if u_max < 2:
         raise DomainError(f"u_max must be >= 2, got {u_max}")
-    N = step_inv
-    series = _rho_interval_series(u_max, _rho_digits(u_max))
-    values = np.ones(u_max * N + 1, dtype=np.float64)
-    clamped = False
-    for k in range(1, u_max):
-        coeffs = series[k - 1]
-        scale = float(abs(coeffs[0]))
-        j0, j1 = k * N, (k + 1) * N
-        if scale < RHO_UNDERFLOW:
-            values[j0 : j1 + 1] = 0.0
-            clamped = True
-            continue
-        # float coefficients keep full relative precision at this scale
-        cf = np.array([float(cm) for cm in coeffs])
-        tau = np.arange(j0, j1 + 1, dtype=np.float64) / N - (k + 0.5)
-        acc = np.zeros_like(tau)
-        for cm in cf[::-1]:
-            acc = acc * tau + cm
-        values[j0 : j1 + 1] = acc
-    under = values < RHO_UNDERFLOW
-    if under.any():
-        values[under] = 0.0
-        clamped = True
-    values[: N + 1] = 1.0
-    values.setflags(write=False)
-    return DickmanTable(step_inv=N, u_max=u_max, values=values, clamped=clamped)
+    coeffs = []
+    for a in _rho_interval_series(u_max, _rho_digits(u_max)):
+        cf = [float(am) for am in a]
+        floor = 2.0**-70 * max(abs(cf[0]), RHO_UNDERFLOW)
+        n = 1 + max((m for m, c in enumerate(cf) if abs(c) * 0.5**m >= floor), default=0)
+        coeffs.append(tuple(reversed(cf[:n])))
+    return DickmanTable(u_max, tuple(coeffs))
 
 
-def _table_for(u: float, step_inv: int) -> DickmanTable:
-    tab = _TABLE_CACHE.get(step_inv)
-    if tab is None or tab.u_max < u:
-        u_max = max(DEFAULT_RHO_UMAX, int(math.ceil(u)) + 2)
-        tab = build_dickman_table(step_inv, u_max)
-        _TABLE_CACHE[step_inv] = tab
-    return tab
+_table: DickmanTable | None = None  # rebuilt larger on demand
 
 
-def rho(u: float, *, step_inv: int = DEFAULT_RHO_STEP_INV) -> float:
+def rho(u: float) -> float:
     """The Dickman function rho(u) for u >= 0 (1 on [0, 1], cached table beyond).
 
     0.0, the table's clamp value, without building a table once the bound
     rho(u) <= 1/Gamma(u + 1) is below RHO_UNDERFLOW: u rho(u) is the integral
     of rho over [u - 1, u], which is at most rho(u - 1).
     """
+    global _table
     if u < 0:
         raise DomainError(f"rho needs u >= 0, got {u}")
     if u <= 1.0:
         return 1.0
     if math.lgamma(u + 1.0) > -math.log(RHO_UNDERFLOW):
         return 0.0
-    return _table_for(u, step_inv).value_at(u)
+    if _table is None or _table.u_max < u:
+        _table = build_dickman_table(max(DEFAULT_RHO_UMAX, int(math.ceil(u)) + 2))
+    return _table.value_at(u)
 
 
 def log_rho_saddle_form(u: float) -> float:

@@ -15,7 +15,3 @@ class ConvergenceError(SmoothCircleError, RuntimeError):
 
 class ResourceBudgetError(SmoothCircleError, RuntimeError):
     """An exact computation would exceed its configured work budget (CLI exit code 2)."""
-
-
-class CacheFormatError(SmoothCircleError, ValueError):
-    """A binary cache file has the wrong magic, size, or layout."""

@@ -7,7 +7,7 @@ integral, and the short-interval difference diagnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +26,13 @@ FLAG_OUTSIDE_THM1 = "outside-thm1-range"
 FLAG_OUTSIDE_THM2 = "outside-thm2-range"
 FLAG_ORACLE_SKIPPED = "oracle-skipped"
 FLAG_OVERFLOW = "overflow-logspace"
+FLAG_UNDERFLOW = "underflow-logspace"
 FLAG_RHO_UNDERFLOW = "rho-underflow"
 
 
 def _exp_or_inf(log_value: float) -> float:
-    """exp of a log-space estimate, inf where it leaves float range."""
+    """exp of a log-space estimate, inf where it leaves float range (and 0
+    where it underflows; compare_cell flags both)."""
     return math.exp(log_value) if log_value < 709.0 else math.inf
 
 
@@ -71,7 +73,7 @@ def closed_form_estimate(x: float, y: int) -> float:
 
 def dickman_estimate(x: float, y: int) -> float:
     """The first-order density estimate pi rho(u) x, u = log x / log y;
-    0 where the rho table is clamped (rho below dickman.RHO_UNDERFLOW)."""
+    0 where rho(u) is below dickman.RHO_UNDERFLOW and reads 0."""
     u = math.log(x) / math.log(y)
     if u < 1.0:
         raise DomainError(f"dickman_estimate needs x >= y, got u={u}")
@@ -190,8 +192,8 @@ class ComparisonRow:
     """One (x, y) cell of the estimate comparison sweep.
 
     exact is None when the oracle was skipped; ratios are estimate/exact.
-    Log-space values of the two product-form quantities are kept alongside
-    so overflowing cells remain meaningful (flagged overflow-logspace).
+    An estimate assembled in log space that leaves float range reads inf
+    (flagged overflow-logspace) or 0 (flagged underflow-logspace).
     """
 
     x: float
@@ -208,8 +210,6 @@ class ComparisonRow:
     ratio_thm2: float | None = None
     ratio_goswami: float | None = None
     flags: tuple[str, ...] = ()
-    log_thm1: float | None = field(default=None, repr=False)
-    log_rankin: float | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if (
@@ -251,16 +251,16 @@ def compare_cell(
         return ComparisonRow(x=x, y=y)
     u = res.u
 
-    log1 = log_saddle_point_estimate(x, y)
-    logr = log_rankin_bound(x, y)
-    thm1 = _exp_or_inf(log1)
-    rankin = _exp_or_inf(logr)
+    thm1 = _exp_or_inf(log_saddle_point_estimate(x, y))
+    rankin = _exp_or_inf(log_rankin_bound(x, y))
     try:
         thm2 = closed_form_estimate(x, y)
     except DomainError:
         thm2 = None
     if math.isinf(thm1) or math.isinf(rankin) or thm2 == math.inf:
         flags.append(FLAG_OVERFLOW)
+    if thm1 == 0.0 or rankin == 0.0 or thm2 == 0.0:
+        flags.append(FLAG_UNDERFLOW)
     if not _thm1_window(u, y, epsilon0):
         flags.append(FLAG_OUTSIDE_THM1)
     if not _thm2_window(x, y, epsilon0):
@@ -285,7 +285,7 @@ def compare_cell(
         x=x, y=y, u=u, alpha=res.alpha, residual=res.residual,
         exact=exact, thm1=thm1, thm2=thm2, goswami=goswami, rankin=rankin,
         ratio_thm1=ratio(thm1), ratio_thm2=ratio(thm2), ratio_goswami=ratio(goswami),
-        flags=tuple(flags), log_thm1=log1, log_rankin=logr,
+        flags=tuple(flags),
     )
 
 

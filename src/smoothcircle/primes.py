@@ -9,7 +9,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import CacheFormatError, DomainError
+from .errors import DomainError
 
 
 def sieve_primes(limit: int) -> np.ndarray:
@@ -46,14 +46,6 @@ class PrimeTable:
             return self
         k = int(np.searchsorted(self.p, limit, side="right"))
         return PrimeTable(limit, self.p[:k], self.chi[:k], self.logp[:k])
-
-    def validate(self) -> None:
-        if self.p.size and not np.all(np.diff(self.p) > 0):
-            raise CacheFormatError("prime table not strictly increasing")
-        expect = np.where(self.p % 4 == 1, 1, -1)
-        expect[self.p == 2] = 0
-        if not np.array_equal(self.chi, expect):
-            raise CacheFormatError("chi_4 column inconsistent with residues mod 4")
 
 
 @lru_cache(maxsize=16)

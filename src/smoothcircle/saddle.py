@@ -16,7 +16,7 @@ from .errors import DomainError
 from .euler import phi1_closed, phi2_closed
 from .numutil import bracketed_newton
 
-DEFAULT_RESIDUAL_TOL = 1e-12  # relative to log x
+RESIDUAL_TOL = 1e-12  # relative to log x
 DEFAULT_BOUNDS_FLOOR_Y = 1000  # inequality checks are asymptotic; skip tiny y
 
 
@@ -37,13 +37,12 @@ def solve_alpha(
     x: float,
     y: int,
     *,
-    tol: float = DEFAULT_RESIDUAL_TOL,
     max_iters: int = 200,
 ) -> SaddleResult:
     """Solve log x + phi_1(alpha; y) = 0 for the unique alpha > 0.
 
     The usual smooth-counting regime has x >= y, but any x > 1 is accepted.
-    The residual satisfies |log x + phi_1(alpha)| <= tol * log x; the
+    The residual satisfies |log x + phi_1(alpha)| <= RESIDUAL_TOL log x; the
     returned bracket strictly encloses alpha with a sign change across it.
     """
     if y < 2:
@@ -70,7 +69,7 @@ def solve_alpha(
         hi *= 2.0
     seed = math.log1p(y / logx) / logy  # closed-form approximant, good everywhere
     alpha, residual, iters, bracket = bracketed_newton(
-        f, fp, lo, hi, seed, ftol=0.25 * tol * logx, max_iters=max_iters
+        f, fp, lo, hi, seed, ftol=0.25 * RESIDUAL_TOL * logx, max_iters=max_iters
     )
     return SaddleResult(
         x=x, y=y, u=logx / logy, alpha=alpha, residual=residual,

@@ -186,6 +186,15 @@ def test_bad_config_key(tmp_path):
     assert "unknown config key" in err
 
 
+@pytest.mark.parametrize("line", ["residual_tol=1e-10", "sieve_segment_size=4096"])
+def test_removed_config_keys_exit1(tmp_path, line):
+    cfgfile = tmp_path / "old.cfg"
+    cfgfile.write_text(line + "\n")
+    code, out, err = run_cli("--config", str(cfgfile), "exact", "--x", "10", "--y", "2")
+    assert code == 1 and out == ""
+    assert "unknown config key" in err
+
+
 def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "smoothcircle", "exact", "--x", "10", "--y", "2"],
@@ -298,4 +307,7 @@ def test_compare_huge_u_keeps_the_row():
     assert code == 0
     row = parse_csv(out)[0]
     assert float(row["goswami"]) == 0.0
-    assert "rho-underflow" in row["flags"].split(";")
+    assert float(row["thm2"]) == 0.0  # log thm2 is about -7476
+    flags = row["flags"].split(";")
+    assert "rho-underflow" in flags
+    assert "underflow-logspace" in flags

@@ -17,6 +17,7 @@ from smoothcircle.dickman import (
     xi_prime,
 )
 from smoothcircle.errors import DomainError
+from smoothcircle.numutil import integrate_panels
 
 E = math.e
 
@@ -115,35 +116,44 @@ def _rho_quadrature(N, umax):
 
 
 def test_rho_strictly_decreasing():
-    us = np.linspace(1.01, 30, 300)
-    vals = [rho(float(u)) for u in us]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-    assert all(0 < v <= 1 for v in vals)
+    # in [0, 1], strictly decreasing while positive, 0 from the clamp on;
+    # taken from the top down, so the first call builds the one table needed
+    us = np.linspace(130, 1.01, 1200)
+    vals = [rho(float(u)) for u in us][::-1]
+    assert all(0.0 <= v <= 1.0 for v in vals)
+    live = [v for v in vals if v > 0.0]
+    assert 0 < len(live) < len(vals)
+    assert vals[: len(live)] == live
+    assert all(a > b for a, b in zip(live, live[1:]))
 
 
-def test_rho_table_step_consistency():
-    coarse = build_dickman_table(1000, 21)
-    fine = build_dickman_table(10000, 21)
-    for u in np.linspace(1.05, 20.0, 57):
-        a, b = coarse.value_at(float(u)), fine.value_at(float(u))
-        assert abs(a - b) <= 1e-8
-        assert abs(a - b) <= 1e-10 * max(a, b) + 1e-300
+def _dilog(z):
+    # Li2(z) for -2 <= z <= -1 by Landen's identity; the series at
+    # w in [1/2, 2/3] is far below float precision after 400 terms
+    w = z / (z - 1.0)
+    return -math.fsum(w**k / k**2 for k in range(1, 400)) - 0.5 * math.log1p(-z) ** 2
+
+
+def test_rho_matches_closed_forms_off_grid():
+    rng = np.random.default_rng(7)
+    for u in rng.uniform(1.0, 2.0, 250):
+        assert rho(float(u)) == pytest.approx(1.0 - math.log(u), rel=1e-14, abs=0)
+    for u in rng.uniform(2.0, 3.0, 250):
+        want = (1.0 - (1.0 - math.log(u - 1.0)) * math.log(u)
+                + _dilog(1.0 - u) + math.pi**2 / 12.0)
+        assert rho(float(u)) == pytest.approx(want, rel=5e-14, abs=0)
 
 
 def test_rho_table_validate_and_extent():
-    tab = build_dickman_table(1000, 8)
-    tab.validate()
-    assert tab.step == pytest.approx(1e-3)
+    tab = build_dickman_table(8)
+    assert tab.value_at(8.0) == pytest.approx(rho(8.0), rel=1e-15)
     with pytest.raises(DomainError):
         tab.value_at(9.0)
 
 
 def test_rho_underflow_clamp():
-    # rho(130) is far below 1e-300: the deep tail clamps to zero, flagged
-    tab = build_dickman_table(200, 131)
-    assert tab.clamped
-    assert tab.value_at(130.5) == 0.0
-    tab.validate()
+    # rho(130.5) is far below 1e-300: the deep tail clamps to zero, flagged
+    assert build_dickman_table(131).value_at(130.5) == 0.0
 
 
 def test_rho_auto_extends_table():
@@ -155,9 +165,9 @@ def test_rho_gamma_bound_and_cut():
     # is 0.0 without a table being built
     for u in (2.5, 10.0, 40.0, 63.0):
         assert rho(u) <= math.exp(-math.lgamma(u + 1.0))
-    before = dict(dickman._TABLE_CACHE)
+    before = dickman._table
     assert rho(1023.15) == 0.0
-    assert dickman._TABLE_CACHE == before
+    assert dickman._table is before
     assert math.lgamma(151.0) < -math.log(dickman.RHO_UNDERFLOW)  # u = 150 still tabulated
 
 
@@ -177,13 +187,16 @@ def test_exp_integral_series_values():
     # frozen: oracle(1) = 1.3179021514544038, oracle(2) = 3.6838715105404125
     assert exp_integral(1.0) == pytest.approx(1.3179021514544038, rel=1e-13)
     assert exp_integral(2.0) == pytest.approx(3.6838715105404125, rel=1e-13)
-    with pytest.raises(DomainError):
-        exp_integral(-1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(DomainError):
+            exp_integral(bad)
 
 
 def test_exp_integral_quadrature_branch():
-    # v > 30 switches to quadrature; the rational series is still valid there
-    def oracle(v, terms=220):
+    # large v needs no quadrature fallback: every term of the series is
+    # positive, and it matches both the exact rational series and a panel
+    # quadrature of the integrand
+    def oracle(v, terms=450):
         acc = Fraction(0)
         fact = 1
         for k in range(1, terms + 1):
@@ -191,7 +204,13 @@ def test_exp_integral_quadrature_branch():
             acc += Fraction(v) ** k / (k * fact)
         return float(acc)
 
-    assert exp_integral(35.0) == pytest.approx(oracle(35), rel=1e-11)
+    def integrand(s):
+        return np.expm1(s) / s  # Gauss nodes are interior, s > 0
+
+    for v in (35.0, 120.0):
+        assert exp_integral(v) == pytest.approx(oracle(int(v)), rel=1e-13)
+        quad = integrate_panels(integrand, 0.0, v, 1.0, rtol=1e-13, atol=1e-13)
+        assert exp_integral(v) == pytest.approx(quad, rel=1e-12)
 
 
 def test_rho_saddle_form_accuracy_trend():

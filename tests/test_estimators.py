@@ -189,12 +189,8 @@ def test_comparison_row_rejects_rankin_violation():
 
 def test_csv_and_json_rendering():
     rows = compare_grid([100.0], [10], with_exact=True)
-    dicts = []
-    for r in rows:
-        d = r.__dict__.copy()
-        d.pop("log_thm1")
-        d.pop("log_rankin")
-        dicts.append(d)
+    dicts = [r.__dict__.copy() for r in rows]
+    assert tuple(dicts[0]) == COMPARE_COLUMNS  # the row carries nothing unrendered
     csv_text = rows_to_csv(COMPARE_COLUMNS, dicts, "cafe01234567")
     lines = csv_text.strip().split("\n")
     assert lines[0].startswith("# smoothcircle ")

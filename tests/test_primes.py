@@ -34,7 +34,10 @@ def test_prime_count_1e6(table_1e6):
 
 
 def test_prime_table_chi_and_log(table_1e6):
-    table_1e6.validate()
+    assert np.all(np.diff(table_1e6.p) > 0)
+    expect = np.where(table_1e6.p % 4 == 1, 1, -1)
+    expect[table_1e6.p == 2] = 0
+    assert np.array_equal(table_1e6.chi, expect)
     tab = prime_table(50)
     for p, chi, logp in zip(tab.p.tolist(), tab.chi.tolist(), tab.logp.tolist()):
         if p == 2:
