@@ -24,6 +24,7 @@ from .numutil import EULER_GAMMA, bracketed_newton
 RHO_UNDERFLOW = 1e-300  # rho values below this clamp to zero, flagged
 DEFAULT_RHO_UMAX = 64
 _SERIES_CAP = 4000
+_LOG10_2 = math.log10(2.0)
 
 
 def xi(u: float) -> float:
@@ -178,13 +179,21 @@ def build_dickman_table(u_max: int = DEFAULT_RHO_UMAX) -> DickmanTable:
     like 3^-m (rho's continuation is analytic within 3/2 of the midpoint) and
     rho falls by less than 2^10 within the interval, so the cut stays far
     below an ulp of every unclamped value and keeps at most ~40 terms.
+    Only the decimals at or before a conservative cut, found from their
+    decimal exponents with a decade of slack, are converted to float.
     """
     if u_max < 2:
         raise DomainError(f"u_max must be >= 2, got {u_max}")
     coeffs = []
     for a in _rho_interval_series(u_max, _rho_digits(u_max)):
-        cf = [float(am) for am in a]
-        floor = 2.0**-70 * max(abs(cf[0]), RHO_UNDERFLOW)
+        floor = 2.0**-70 * max(abs(float(a[0])), RHO_UNDERFLOW)
+        # |a[m]| < 10^(adjusted + 1), so past `top` no term reaches floor / 10.
+        cut = math.log10(floor) - 1.0
+        top = max(
+            (m for m, am in enumerate(a) if am.adjusted() + 1 - m * _LOG10_2 >= cut),
+            default=0,
+        )
+        cf = [float(am) for am in a[: top + 1]]
         n = 1 + max((m for m, c in enumerate(cf) if abs(c) * 0.5**m >= floor), default=0)
         coeffs.append(tuple(reversed(cf[:n])))
     return DickmanTable(u_max, tuple(coeffs))

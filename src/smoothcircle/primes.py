@@ -40,13 +40,6 @@ class PrimeTable:
     def __len__(self) -> int:
         return int(self.p.size)
 
-    def restrict(self, limit: int) -> "PrimeTable":
-        """View of the table truncated to primes <= limit."""
-        if limit >= self.y_limit:
-            return self
-        k = int(np.searchsorted(self.p, limit, side="right"))
-        return PrimeTable(limit, self.p[:k], self.chi[:k], self.logp[:k])
-
 
 @lru_cache(maxsize=16)
 def prime_table(y: int) -> PrimeTable:

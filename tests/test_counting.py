@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from smoothcircle import counting
 from smoothcircle.counting import (
     ExactCount,
     _isqrt_array,
@@ -233,3 +234,20 @@ def test_x_beyond_int64():
     assert pi.tolist() == np.searchsorted(sieve_primes(300), vs, side="right").tolist()
     got = exact_circle_sum(x, 5, "recursive")
     assert (got.value, got.terms) == _plain_dfs(x, 5)
+
+
+def test_quotient_table_is_capped_for_huge_x(monkeypatch):
+    # sqrt(1e30) = 1e15, so without the cap the table would reach y^2 = 1e10.
+    limits = []
+
+    class Built(Exception):
+        pass
+
+    def record(x, limit, primes):
+        limits.append(limit)
+        raise Built
+
+    monkeypatch.setattr(counting, "_QuotientPrimes", record)
+    with pytest.raises(Built):
+        exact_circle_sum(10**30, 10**5, "recursive", node_budget=10)
+    assert limits and limits[0] <= counting._QUOTIENT_CAP

@@ -151,6 +151,18 @@ def test_rho_table_validate_and_extent():
         tab.value_at(9.0)
 
 
+@pytest.mark.parametrize("u_max", [2, 17, 64, 100])
+def test_rho_table_cuts_as_if_every_coefficient_were_converted(u_max):
+    # The oracle converts every decimal coefficient, then applies the cut.
+    want = []
+    for a in dickman._rho_interval_series(u_max, dickman._rho_digits(u_max)):
+        cf = [float(am) for am in a]
+        floor = 2.0**-70 * max(abs(cf[0]), dickman.RHO_UNDERFLOW)
+        n = 1 + max((m for m, c in enumerate(cf) if abs(c) * 0.5**m >= floor), default=0)
+        want.append(tuple(reversed(cf[:n])))
+    assert build_dickman_table(u_max).coeffs == tuple(want)
+
+
 def test_rho_underflow_clamp():
     # rho(130.5) is far below 1e-300: the deep tail clamps to zero, flagged
     assert build_dickman_table(131).value_at(130.5) == 0.0

@@ -49,11 +49,6 @@ def test_prime_table_chi_and_log(table_1e6):
         assert logp == pytest.approx(np.log(p), rel=1e-15)
 
 
-def test_prime_table_restrict(table_1e6):
-    sub = table_1e6.restrict(100)
-    assert sub.p.tolist() == PRIMES_BELOW_100
-
-
 def test_prime_table_rejects_y1():
     with pytest.raises(DomainError):
         prime_table(1)
