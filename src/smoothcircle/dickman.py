@@ -201,13 +201,19 @@ def build_dickman_table(u_max: int = DEFAULT_RHO_UMAX) -> DickmanTable:
 
 _table: DickmanTable | None = None  # rebuilt larger on demand
 
+# The first integer u with 1/Gamma(u + 1) < RHO_UNDERFLOW (167): rho reads 0
+# from the Gamma cut (about 166.92) on, so no table needs to pass _U_CUT + 2.
+_U_CUT = next(k for k in range(2, 1000) if math.lgamma(k + 1.0) > -math.log(RHO_UNDERFLOW))
+
 
 def rho(u: float) -> float:
     """The Dickman function rho(u) for u >= 0 (1 on [0, 1], cached table beyond).
 
     0.0, the table's clamp value, without building a table once the bound
     rho(u) <= 1/Gamma(u + 1) is below RHO_UNDERFLOW: u rho(u) is the integral
-    of rho over [u - 1, u], which is at most rho(u - 1).
+    of rho over [u - 1, u], which is at most rho(u - 1).  The first table
+    reaches max(DEFAULT_RHO_UMAX, ceil(u) + 2); a u past it rebuilds to
+    max(ceil(u) + 2, min(2 u_max, _U_CUT + 2)).
     """
     global _table
     if u < 0:
@@ -217,7 +223,10 @@ def rho(u: float) -> float:
     if math.lgamma(u + 1.0) > -math.log(RHO_UNDERFLOW):
         return 0.0
     if _table is None or _table.u_max < u:
-        _table = build_dickman_table(max(DEFAULT_RHO_UMAX, int(math.ceil(u)) + 2))
+        # Grow by doubling, capped at the Gamma cut, so an ascending sweep
+        # builds at most three tables.
+        grow = DEFAULT_RHO_UMAX if _table is None else min(2 * _table.u_max, _U_CUT + 2)
+        _table = build_dickman_table(max(grow, int(math.ceil(u)) + 2))
     return _table.value_at(u)
 
 

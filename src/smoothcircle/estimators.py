@@ -15,7 +15,7 @@ from .counting import DEFAULT_NODE_BUDGET, exact_circle_sum
 from .dickman import log_rho_saddle_form, rho
 from .dickman import rho_saddle_form  # noqa: F401  (bench/spans.py wraps it by this name)
 from .errors import DomainError, ResourceBudgetError, SmoothCircleError
-from .euler import h_log_real, phi_derivatives, prime_terms
+from .euler import h_log_line, h_log_real, phi_derivatives
 from .numutil import integrate_panels
 from .saddle import solve_alpha
 
@@ -120,7 +120,10 @@ def perron_verify(
     x must not be an integer (Perron's formula has a boundary jump there;
     work at half-integers).  The integrand is even in t after taking real
     parts, and is integrated over panels of width 1/log y, each refined
-    adaptively.
+    adaptively.  log H on the line Re s = a comes from euler.h_log_line,
+    set up once per call: a blocked product over the primes, one complex
+    log per block and node, correct modulo 2 pi i, which exp removes.
+    Each panel evaluates the integrand once, on both Gauss rules' nodes.
     """
     if float(x).is_integer():
         raise DomainError(f"perron_verify needs non-integer x; shift to {x} + 0.5")
@@ -129,11 +132,11 @@ def perron_verify(
     res = solve_alpha(x, y)
     a = res.alpha
     logx = math.log(x)
+    log_h = h_log_line(a, y)
 
     def f(ts: np.ndarray) -> np.ndarray:
         sv = a + 1j * ts
-        logh = np.sum(prime_terms(sv[:, None], y, 0), axis=-1)
-        return (np.exp(logh + sv * logx) / sv).real
+        return (np.exp(log_h(ts) + sv * logx) / sv).real
 
     integral = 4.0 / math.pi * integrate_panels(
         f, 0.0, T, 1.0 / math.log(y), rtol=rtol, atol=1e-9

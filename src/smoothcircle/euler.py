@@ -4,13 +4,16 @@ and the derivatives of its logarithm.
 H is the Dirichlet series of r(n)/4 over y-smooth n.  Every quantity here is
 a sum over p <= y of the per-prime terms formed by one kernel, prime_terms:
 log H = phi in log space (no overflow for large y), and its sigma-derivatives
-phi_1..phi_4 from exact polylogarithm closed forms.  Nothing is truncated, so
-no truncation bound exists.
+phi_1..phi_4 from exact polylogarithm closed forms.  The one exception is
+h_log_line, which evaluates H on a vertical line as a blocked product, for
+the Perron integrand's many nodes.  Nothing is truncated, so no truncation
+bound exists.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,13 +70,61 @@ def h_log_value(s: complex, y: int) -> complex:
     """log H(s; y) with principal logarithms; requires Re(s) > 0.
 
     All poles of H sit on the line Re(s) = 0, so the product is finite and
-    nonvanishing on the open right half plane.
+    nonvanishing on the open right half plane.  For real s every term is
+    real and the imaginary part is 0.0 without a sum.
     """
     s = complex(s)
     if s.real <= 0:
         raise DomainError(f"h_log_value needs Re(s) > 0, got {s}")
     terms = prime_terms(s, y, 0)
-    return complex(csum(terms.real), csum(terms.imag))
+    return complex(csum(terms.real), csum(terms.imag) if s.imag else 0.0)
+
+
+# A block of the line product ends before the log-magnitude bound of its
+# factors passes this, well inside the exp(709) float range.
+_LINE_BLOCK_LOG = 600.0
+
+
+def h_log_line(sigma: float, y: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The function t -> log H(sigma + it; y) modulo 2 pi i, for arrays of t.
+
+    H is formed as a product, not as a sum of per-prime logs: with
+    a = p^-sigma, b = chi4(p) p^-sigma and z = p^-it (one complex exp of an
+    imaginary argument, i.e. a cos and a sin, per t and prime),
+    1/H = prod_p (1 - a z)(1 - b z), kept factored because the expanded
+    quadratic loses digits as a -> 1.  The primes are cut into blocks and
+    each block's product gets one complex log.  |1 - a z| lies between
+    1 - a and 1 + a, and log(1 + a) <= -log1p(-a), so a block ends before
+    the running sum of -log1p(-a) - log1p(-|b|) passes _LINE_BLOCK_LOG and
+    no partial product can over- or underflow, for any y and sigma > 0.
+
+    Summing principal logs of block products gives log H up to a multiple
+    of 2 pi i.  That is exact for every use of the result, which is
+    exp(log H): the Perron integrand.  Use h_log_value for the principal
+    branch.  Everything that depends on sigma alone -- a, b and the block
+    starts -- is computed here, once; the returned function does only the
+    per-t work.
+    """
+    if sigma <= 0:
+        raise DomainError(f"h_log_line needs sigma > 0, got {sigma}")
+    table = prime_table(y)
+    lp = table.logp
+    a = np.exp(-sigma * lp)
+    b = table.chi * a
+    bound = np.cumsum(-np.log1p(-a) - np.log1p(-np.abs(b)))
+    starts = []
+    lo, base = 0, 0.0
+    while lo < lp.size:
+        starts.append(lo)
+        lo = max(lo + 1, int(np.searchsorted(bound, base + _LINE_BLOCK_LOG, side="right")))
+        base = bound[lo - 1]
+
+    def log_h(ts: np.ndarray) -> np.ndarray:
+        z = np.exp(-1j * np.multiply.outer(ts, lp))
+        blocks = np.multiply.reduceat((1.0 - a * z) * (1.0 - b * z), starts, axis=-1)
+        return -np.log(blocks).sum(axis=-1)
+
+    return log_h
 
 
 def h_value(s: complex, y: int) -> complex:

@@ -172,6 +172,43 @@ def test_rho_auto_extends_table():
     assert 0.0 < rho(70.0) < 1e-100
 
 
+def _record_builds(monkeypatch):
+    built = []
+    real = dickman.build_dickman_table
+
+    def recording(u_max):
+        built.append(u_max)
+        return real(u_max)
+
+    monkeypatch.setattr(dickman, "build_dickman_table", recording)
+    monkeypatch.setattr(dickman, "_table", None)
+    return built
+
+
+def test_rho_ascending_sweep_builds_at_most_three_tables(monkeypatch):
+    built = _record_builds(monkeypatch)
+    vals = [rho(float(u)) for u in range(65, 131)]
+    assert len(built) <= 3
+    assert built == [67, 134]  # ceil(65) + 2, then doubled
+    live = [v for v in vals if v > 0.0]
+    assert all(a > b for a, b in zip(live, live[1:]))
+
+
+def test_rho_growth_is_capped_at_the_gamma_cut(monkeypatch):
+    # the compare sweep's order: a small u, then u = 150 -- two tables, the
+    # second exactly as large as u needs; past it the cap is the Gamma cut
+    built = _record_builds(monkeypatch)
+    rho(3.0)
+    rho(150.0)
+    assert built == [64, 152]
+    rho(160.0)
+    assert built == [64, 152, dickman._U_CUT + 2]
+    assert math.lgamma(dickman._U_CUT + 1.0) > -math.log(dickman.RHO_UNDERFLOW)
+    assert math.lgamma(dickman._U_CUT) <= -math.log(dickman.RHO_UNDERFLOW)
+    assert rho(166.9) == dickman._table.value_at(166.9)
+    assert len(built) == 3
+
+
 def test_rho_gamma_bound_and_cut():
     # rho(u) <= 1/Gamma(u + 1); once that bound is below RHO_UNDERFLOW, rho
     # is 0.0 without a table being built

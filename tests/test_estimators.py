@@ -121,6 +121,21 @@ def test_perron_rejects_integer_x():
         perron_verify(100.5, 100, 0.0)
 
 
+@pytest.mark.parametrize(
+    "x, y, T, integral",
+    [
+        (1000000.5, 1000, 50.0, 1027293.2887638136),
+        (3000000.5, 300, 100.0, 1202685.3612215247),
+    ],
+)
+def test_perron_pinned_integrals(x, y, T, integral):
+    # values of the per-prime-log integrand, two Gauss rules per panel;
+    # the diagnostics benchmark runs the same two cells
+    res = perron_verify(x, y, T)
+    assert res.integral == pytest.approx(integral, rel=1e-12, abs=0)
+    assert res.exact == exact_circle_sum(int(x), y).value
+
+
 def test_perron_error_decays_envelope():
     # the truncation error oscillates in T; compare well-separated T values
     errs = [abs(perron_verify(100.5, 100, T).error) for T in (10.0, 50.0, 200.0)]

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from smoothcircle import euler
 from smoothcircle.errors import DomainError
 from smoothcircle.euler import (
     h_abs_ratio,
+    h_log_line,
     h_log_real,
     h_log_value,
     h_ratio_profile,
@@ -13,6 +15,7 @@ from smoothcircle.euler import (
     phi1_closed,
     phi2_closed,
     phi_derivatives,
+    prime_terms,
 )
 
 
@@ -222,3 +225,51 @@ def test_h_abs_ratio_matches_complex_route():
         assert h_abs_ratio(alpha, 300, t) == pytest.approx(direct, rel=1e-12)
         assert h_abs_ratio(alpha, 300, t) == pytest.approx(modulus_ratio(t), rel=1e-12)
     assert h_abs_ratio(alpha, 300, 0.0) == 1.0
+
+
+@pytest.mark.parametrize("y", [10, 300, 1000, 10**6])
+@pytest.mark.parametrize("sigma", [0.05, 0.6, 0.9])
+def test_h_log_line_matches_per_prime_logs(y, sigma):
+    # the blocked product against the per-prime sum of logs, modulo 2 pi i
+    ts = np.array([0.0, 0.3, 49.9, 1000.0])
+    got = h_log_line(sigma, y)(ts)
+    assert got.shape == ts.shape
+    for t, g in zip(ts, got):
+        terms = prime_terms(complex(sigma, t), y, 0)
+        want = complex(math.fsum(terms.real), math.fsum(terms.imag))
+        assert g.real == pytest.approx(want.real, rel=1e-12, abs=0)
+        phase = (g.imag - want.imag + math.pi) % (2.0 * math.pi) - math.pi
+        assert abs(phase) <= 1e-12
+
+
+def test_h_log_line_finite_where_h_overflows():
+    # at (y = 1e6, sigma = 0.05) H(sigma) itself is beyond float range, so
+    # one product over all primes would overflow: the blocks keep it finite
+    assert h_log_real(0.05, 10**6) > math.log(np.finfo(float).max)
+    ts = np.linspace(0.0, 60.0, 46)
+    got = h_log_line(0.05, 10**6)(ts)
+    assert np.isfinite(got).all()
+    assert got[0].real == pytest.approx(h_log_real(0.05, 10**6), rel=1e-12)
+
+
+def test_h_log_line_rejects_sigma_le_0():
+    for sigma in (0.0, -0.5):
+        with pytest.raises(DomainError):
+            h_log_line(sigma, 100)
+
+
+def test_h_log_value_real_s_skips_the_imaginary_sum(monkeypatch):
+    sums = []
+
+    def counting_csum(terms):
+        sums.append(len(terms))
+        return math.fsum(terms)
+
+    monkeypatch.setattr(euler, "csum", counting_csum)
+    v = h_log_value(0.6, 1000)
+    assert sums == [168]  # the real part only
+    assert v.imag == 0.0 and math.copysign(1.0, v.imag) == 1.0
+    assert v.real == pytest.approx(h_log_real(0.6, 1000), rel=1e-15)
+    sums.clear()
+    h_log_value(complex(0.6, 2.0), 1000)
+    assert sums == [168, 168]

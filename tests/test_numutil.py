@@ -6,6 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from numpy.polynomial.legendre import leggauss
+
+from smoothcircle.errors import ConvergenceError
 from smoothcircle.euler import prime_terms
 from smoothcircle.numutil import (
     _CSUM_BLOCK,
@@ -13,6 +16,7 @@ from smoothcircle.numutil import (
     _CSUM_MIN,
     certified_sum,
     csum,
+    integrate_panels,
 )
 
 # Both sides of the small-array cutoff, of one block and of a block plus a
@@ -153,3 +157,86 @@ def test_fast_path_certifies_strided_complex_parts():
     terms = prime_terms(complex(0.6, 40.0), 10**6, 0)
     for part in (terms.real, terms.imag):
         assert certified_sum(part) == math.fsum(part)
+
+
+def _two_call_panels(f, a, b, panel_width, *, rtol=1e-10, atol=1e-10, max_splits=4000):
+    """integrate_panels as it was with one call of f per Gauss rule: the
+    reference the one-call form must reproduce bit for bit."""
+    gl_lo, gl_hi = leggauss(15), leggauss(31)
+
+    def rule(lo, hi, nodes, wts):
+        mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        return hw * float(np.dot(wts, f(mid + hw * nodes)))
+
+    n_base = max(1, math.ceil((b - a) / panel_width))
+    edges = np.linspace(a, b, n_base + 1)
+    work = [(edges[i], edges[i + 1]) for i in range(n_base)]
+    done = []
+    splits = 0
+    while work:
+        lo, hi = work.pop()
+        coarse = rule(lo, hi, *gl_lo)
+        fine = rule(lo, hi, *gl_hi)
+        if abs(fine - coarse) <= max(atol, rtol * abs(fine)):
+            done.append((lo, fine))
+            continue
+        splits += 1
+        if splits > max_splits:
+            raise ConvergenceError("budget")
+        mid = 0.5 * (lo + hi)
+        work.append((mid, hi))
+        work.append((lo, mid))
+    done.sort(key=lambda t: t[0])
+    return math.fsum(v for _, v in done)
+
+
+INTEGRANDS = {
+    "smooth": (lambda t: np.exp(-t) * np.cos(5.0 * t), 0.0, 3.0, 1.0),
+    "peaked": (lambda t: 1.0 / (1e-4 + (t - 0.3) ** 2), 0.0, 1.0, 0.5),
+    "oscillating": (lambda t: np.sin(40.0 * t) / (1.0 + t), 0.0, 10.0, 0.7),
+    "perron-like": (
+        lambda t: (np.exp((0.7 + 1j * t) * math.log(50.5)) / (0.7 + 1j * t)).real,
+        0.0, 40.0, 0.4,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRANDS))
+def test_integrate_panels_one_call_per_panel(name):
+    f, a, b, width = INTEGRANDS[name]
+    calls = []
+
+    def counted(ts):
+        calls.append(ts.copy())
+        return f(ts)
+
+    integrate_panels(counted, a, b, width)
+    panels = {(float(ts.min()), float(ts.max())) for ts in calls}
+    assert len(panels) == len(calls)  # no panel is evaluated twice
+    # each call holds the 15 nodes of the coarse rule, then the 31 of the
+    # fine one, both mapped to the same panel
+    x15, x31 = leggauss(15)[0], leggauss(31)[0]
+    for ts in calls:
+        assert ts.shape == (46,)
+        hw = (ts[-1] - ts[15]) / (x31[-1] - x31[0])
+        mid = ts[15] - hw * x31[0]
+        assert ts[:15] == pytest.approx(mid + hw * x15, rel=1e-12, abs=1e-12)
+        assert ts[15:] == pytest.approx(mid + hw * x31, rel=1e-12, abs=1e-12)
+    n_base = math.ceil((b - a) / width)
+    assert len(calls) >= n_base and (len(calls) - n_base) % 2 == 0  # each split adds two
+    if name == "peaked":
+        assert len(calls) > n_base
+
+
+def test_integrate_panels_smooth_needs_no_split():
+    calls = []
+    integrate_panels(lambda ts: calls.append(ts.size) or np.cos(ts), 0.0, 3.0, 1.0)
+    assert calls == [46, 46, 46]
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRANDS))
+def test_integrate_panels_matches_two_calls_bitwise(name):
+    f, a, b, width = INTEGRANDS[name]
+    got = integrate_panels(f, a, b, width)
+    want = _two_call_panels(f, a, b, width)
+    assert got.hex() == want.hex()
