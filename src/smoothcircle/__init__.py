@@ -9,14 +9,7 @@ the supporting prime sums and special functions.
 __version__ = "0.1.0"
 
 from .config import Config, load_config
-from .counting import (
-    ExactCount,
-    chi4,
-    exact_circle_sum,
-    lattice_r,
-    lattice_r_table,
-    r_over_4,
-)
+from .counting import ExactCount, exact_circle_sum, lattice_r_table
 from .dickman import (
     DickmanTable,
     build_dickman_table,
@@ -54,18 +47,15 @@ from .prime_sums import (
     theta_chi4,
     weighted_prime_sum,
 )
-from .primes import PrimeTable, factorize, prime_table
+from .primes import PrimeTable, prime_table
 from .saddle import SaddleResult, alpha_bounds_check, alpha_xi_approx, solve_alpha
 
 __all__ = [
     "Config",
     "load_config",
     "ExactCount",
-    "chi4",
     "exact_circle_sum",
-    "lattice_r",
     "lattice_r_table",
-    "r_over_4",
     "DickmanTable",
     "build_dickman_table",
     "exp_integral",
@@ -99,7 +89,6 @@ __all__ = [
     "theta_chi4",
     "weighted_prime_sum",
     "PrimeTable",
-    "factorize",
     "prime_table",
     "SaddleResult",
     "alpha_bounds_check",

@@ -156,7 +156,7 @@ def _resolve_x(args) -> float:
 def _run(args, cfg: Config) -> tuple[tuple[str, ...], list[dict]]:
     if args.command == "exact":
         c = exact_circle_sum(args.x, args.y, args.method, node_budget=cfg.node_budget)
-        return ("x", "y", "value", "terms", "method"), [asdict(c)]
+        return ("x", "y", "value", "terms", "method", "nodes"), [asdict(c)]
 
     if args.command == "alpha":
         r = solve_alpha(_resolve_x(args), args.y)

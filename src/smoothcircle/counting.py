@@ -3,7 +3,9 @@
 r(n) counts representations n = a^2 + b^2 with signs and order distinct;
 r(n)/4 is multiplicative.  The central exact quantity is the circle sum
 sum of r(n) over y-smooth n <= x (n = 1 included, r(1) = 4).  Two routes
-compute it independently; they share only the prime table.
+compute it independently; they share only the prime table.  The recursive
+route is the one `exact_circle_sum` takes by default; the sieve is the
+independent cross-check.
 
 The sieve walks [1, x] in segments.  For each prime p <= y and each power
 p^k below the segment end, strided views a[s::p^k] multiply the y-smooth
@@ -13,42 +15,47 @@ smooth part equals n.
 
 The recursive route walks the y-smooth n by descending primes.  A node
 (cur, p) stands for the n = cur k with k <= m = x // cur built from the
-primes <= p.  Once p^2 >= m, such a k has at most one prime factor q > p,
-so Buchstab's identity gives the whole subtree:
+primes <= p.  Each node has its own y-smooth cur <= x, so a walk has at
+most as many nodes as there are terms, and never more than x.  Most
+subtrees close without a walk:
+
+- m <= p (every k counts), or only the prime 2 left: closed forms.
+- p < 128 and m <= 2^14: one lookup in the small-m table, which holds the
+  weight and the count of the p-smooth k <= m for each of the 31 primes
+  below 128 and every m <= 2^14 (the small-argument table of Meissel-Lehmer
+  counting).  It is built once per process, on first use, by one numpy
+  recurrence over the primes.
+- p^2 >= m: then k has at most one prime factor q > p, so Buchstab's
+  identity gives the whole subtree:
 
     sum of r(k)/4 = S4(m) - 2 sum_{p < q <= m, q = 1 (mod 4)} S4(m // q),
     count         = m - sum_{p < q <= m} m // q,
 
-with S4(v) = sum_{n <= v} r(n)/4, the first-quadrant lattice points of the
-disc of radius sqrt v.  The q-sums are grouped by k = m // q < sqrt m and
-read pi(v) and sum chi4(p) over p <= v at the quotients v = x // j from one
-Lucy-Legendre table.  Subtrees with m <= p (every k counts) or only the
-prime 2 left are closed forms too.  Each such leaf counts as one node
-against the enumeration budget.
+  with S4(v) = sum_{n <= v} r(n)/4, the first-quadrant lattice points of
+  the disc of radius sqrt v.  The q-sums are grouped by k = m // q < sqrt m
+  and read pi(v) and sum chi4(p) over p <= v at the quotients v = x // j
+  from one Lucy-Legendre table.
+
+Past the table, a node with m <= 2^14 has p >= 131 > sqrt(2^14), so m <= p
+or p^2 >= m: no node with m <= 2^14 is walked.  Every node, whether walked,
+closed in a closed form, a table lookup or a Buchstab leaf, counts as one
+node against the enumeration budget.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
 
 from .errors import DomainError, ResourceBudgetError
-from .primes import prime_table
+from .primes import prime_table, sieve_primes
 
 DEFAULT_NODE_BUDGET = 10**9
 DEFAULT_SEGMENT_SIZE = 1 << 20
-
-
-def chi4(n: int) -> int:
-    """The nontrivial character mod 4: 0 on evens, else (-1)^((n-1)/2)."""
-    if n < 1:
-        raise DomainError(f"chi4 needs n >= 1, got {n}")
-    if n % 2 == 0:
-        return 0
-    return 1 if n % 4 == 1 else -1
 
 
 def _local_r4(p: int, e: int) -> int:
@@ -58,47 +65,6 @@ def _local_r4(p: int, e: int) -> int:
     if p % 4 == 1:
         return e + 1
     return 0 if e & 1 else 1
-
-
-def r_over_4(n: int, factorization: list[tuple[int, int]]) -> int:
-    """r(n)/4 evaluated multiplicatively from the prime factorization of n.
-
-    Local values: 1 at powers of 2, e+1 at p^e for p = 1 (mod 4), and 1 or 0
-    at p^e for p = 3 (mod 4) according as e is even or odd.  Equivalent to
-    counting divisors d of n weighted by chi4(d).
-    """
-    if n < 1:
-        raise DomainError(f"r_over_4 needs n >= 1, got {n}")
-    prod = 1
-    val = 1
-    seen: set[int] = set()
-    for p, e in factorization:
-        if p < 2 or e < 1 or p in seen:
-            raise DomainError(f"invalid factorization entry ({p}, {e})")
-        seen.add(p)
-        prod *= p**e
-        val *= _local_r4(p, e)
-    if prod != n:
-        raise DomainError(f"factorization product {prod} != n = {n}")
-    return val
-
-
-def lattice_r(n: int) -> int:
-    """r(n) by brute-force lattice scan: pairs (a, b) with a^2 + b^2 = n.
-
-    Independent oracle for the multiplicative route; O(sqrt n) work.
-    """
-    if n < 1:
-        raise DomainError(f"lattice_r needs n >= 1, got {n}")
-    count = 0
-    a = 0
-    while a * a <= n:
-        b2 = n - a * a
-        b = isqrt(b2)
-        if b * b == b2:
-            count += (2 if a else 1) * (2 if b else 1)
-        a += 1
-    return count
 
 
 def lattice_r_table(limit: int) -> np.ndarray:
@@ -127,7 +93,10 @@ class ExactCount:
 
     value is a plain (unbounded) int and is always a multiple of 4;
     terms is the number of y-smooth n <= x, n = 1 included, whichever
-    route counted them.
+    route counted them.  nodes is what the call charged against its node
+    budget: the recursive route's nodes (walked, closed-form, table lookups
+    and Buchstab leaves, one each), or x for the sieve.  The same call
+    succeeds with node_budget=nodes and raises with nodes - 1.
     """
 
     x: int
@@ -135,6 +104,7 @@ class ExactCount:
     value: int
     terms: int
     method: str
+    nodes: int
 
 
 def _isqrt_array(v: np.ndarray) -> np.ndarray:
@@ -205,26 +175,61 @@ def _chi4_prefix(v: np.ndarray) -> np.ndarray:
     return np.where(v >= 1, (v % 4 == 1) | (v % 4 == 2), 1).astype(np.int64) - 1
 
 
-# A Buchstab leaf costs a dozen numpy calls, about as much as walking a
-# subtree of a few dozen nodes; below this bound the walk is cheaper.
-_LEAF_MIN = 128
+# The small-m table: rows for the 31 primes below 128, columns m <= 2^14,
+# two int32 arrays of about 2 MB each.  The next prime, 131, has
+# 131^2 > 2^14, so a node the table misses with m <= 2^14 has m <= p or
+# p^2 >= m: a closed form or a Buchstab leaf.
+_SMALL_PRIMES = 31
+_SMALL_M = 1 << 14
 # Once sqrt x passes this cap, leaves are limited to m <= cap, so the
 # quotient table holds at most about 2 cap entries and all its arithmetic
 # stays within int64 for any x.
 _QUOTIENT_CAP = 1 << 20
 
 
-def _exact_recursive(x: int, y: int, node_budget: int) -> tuple[int, int]:
+@lru_cache(maxsize=None)
+def _small_table() -> tuple[list[memoryview], list[memoryview]]:
+    """Rows (W[j], C[j]) for j < 31: W[j][m] = sum of r(k)/4 and C[j][m] =
+    the number of k, over the k <= m built from the first j + 1 primes, for
+    every m <= 2^14.
+
+    A k splits as p^e k' with k' <= m // p^e built from the smaller primes,
+    so row j is row j - 1 plus one gather at m // p^e per power p^e <= 2^14.
+    The rows are read-only memoryviews: indexing one gives a Python int.
+    """
+    m = np.arange(_SMALL_M + 1, dtype=np.int64)
+    weight = np.empty((_SMALL_PRIMES, _SMALL_M + 1), dtype=np.int32)
+    count = np.empty_like(weight)
+    w_prev = c_prev = (m >= 1).astype(np.int32)  # only k = 1
+    for j, p in enumerate(sieve_primes(127).tolist()):
+        w, c = weight[j], count[j]
+        w[:], c[:] = w_prev, c_prev
+        q, e = p, 1
+        while q <= _SMALL_M:
+            k = m[q:] // q
+            w[q:] += _local_r4(p, e) * w_prev[k]
+            c[q:] += c_prev[k]
+            q *= p
+            e += 1
+        w_prev, c_prev = w, c
+    weight.setflags(write=False)
+    count.setflags(write=False)
+    return [memoryview(row) for row in weight], [memoryview(row) for row in count]
+
+
+def _exact_recursive(x: int, y: int, node_budget: int) -> tuple[int, int, int]:
     table = prime_table(y)
     ps = [int(p) for p in table.p]
     pi1 = np.cumsum(table.chi == 1)  # pi1[i] = #{q <= ps[i], q = 1 (mod 4)}
     t = min(isqrt(x), y)
     r4 = lattice_r_table(t) // 4  # r4[0] = 0
     s4 = np.cumsum(r4).tolist()
+    small_w, small_c = _small_table()
     reach = min(x, y * y)
     if isqrt(x) > _QUOTIENT_CAP:
         reach = min(reach, _QUOTIENT_CAP)
-    quot = _QuotientPrimes(x, reach, table.p) if reach >= _LEAF_MIN else None
+    # With no prime past the table, every node a leaf could close is a lookup.
+    quot = _QuotientPrimes(x, reach, table.p) if len(ps) > _SMALL_PRIMES else None
     total = 0
     terms = 0
     nodes = 0
@@ -259,12 +264,16 @@ def _exact_recursive(x: int, y: int, node_budget: int) -> tuple[int, int]:
             total += w * c
             terms += c
             return
+        if hi < _SMALL_PRIMES and m <= _SMALL_M:  # one small-m table lookup
+            total += w * small_w[hi][m]
+            terms += small_c[hi][m]
+            return
         p = ps[hi]
         if m <= p:  # every k <= m qualifies
             total += w * s4_at(m)
             terms += m
             return
-        if _LEAF_MIN <= m <= min(p * p, reach):
+        if m <= min(p * p, reach):
             weight, count = leaf(hi, m)
             total += w * weight
             terms += count
@@ -284,10 +293,10 @@ def _exact_recursive(x: int, y: int, node_budget: int) -> tuple[int, int]:
                 e += 1
 
     rec(len(ps) - 1, 1, 1)
-    return 4 * total, terms
+    return 4 * total, terms, nodes
 
 
-def _exact_sieve(x: int, y: int, node_budget: int, segment_size: int) -> tuple[int, int]:
+def _exact_sieve(x: int, y: int, node_budget: int, segment_size: int) -> tuple[int, int, int]:
     if x > node_budget:
         raise ResourceBudgetError(
             f"sieve range {x} exceeds node budget {node_budget}"
@@ -320,7 +329,7 @@ def _exact_sieve(x: int, y: int, node_budget: int, segment_size: int) -> tuple[i
         total += int(val[ok].sum())
         terms += int(np.count_nonzero(ok))
         lo = hi
-    return 4 * total, terms
+    return 4 * total, terms, x
 
 
 def exact_circle_sum(
@@ -333,26 +342,29 @@ def exact_circle_sum(
 ) -> ExactCount:
     """Exact sum of r(n) over y-smooth n <= x (n = 1 counts, with r(1) = 4).
 
-    method "sieve" factors every integer in [1, x] over the primes <= y with
-    strided slices, segment by segment, and refuses x > node_budget.
-    "recursive" walks the smooth numbers by descending primes and closes a
-    subtree in one leaf once its largest allowed prime p has p^2 >= x // cur
-    (Buchstab's identity, see the module docstring); a leaf counts as one
-    node, and more than node_budget nodes raise ResourceBudgetError.  "auto"
-    picks the sieve iff y^2 >= x and x <= node_budget.  Both routes use exact
-    integer arithmetic and agree bit for bit; terms is the number of y-smooth
-    n <= x either way.
+    "recursive" (what "auto" takes, for every x and y) walks the smooth
+    numbers by descending primes and closes most subtrees at once: a closed
+    form, a lookup in the small-m table or a Buchstab leaf (see the module
+    docstring).  Each node, a lookup or a leaf included, counts as one
+    against node_budget, and more than node_budget nodes raise
+    ResourceBudgetError.  Every node has its own y-smooth number <= x, so
+    the walk never needs more budget than the sieve.  "sieve" factors every
+    integer in [1, x] over the primes <= y with strided slices, segment by
+    segment, and refuses x > node_budget; it is the independent cross-check
+    of the walk.  Both routes use exact integer arithmetic and agree bit for
+    bit; terms is the number of y-smooth n <= x either way, and nodes is
+    what the call charged against node_budget.
     """
     if x < 1:
         raise DomainError(f"exact_circle_sum needs x >= 1, got {x}")
     if y < 2:
         raise DomainError(f"exact_circle_sum needs y >= 2, got {y}")
     if method == "auto":
-        method = "sieve" if y * y >= x and x <= node_budget else "recursive"
+        method = "recursive"
     if method == "sieve":
-        value, terms = _exact_sieve(x, y, node_budget, segment_size)
+        value, terms, nodes = _exact_sieve(x, y, node_budget, segment_size)
     elif method == "recursive":
-        value, terms = _exact_recursive(x, y, node_budget)
+        value, terms, nodes = _exact_recursive(x, y, node_budget)
     else:
         raise DomainError(f"unknown method {method!r}")
-    return ExactCount(x=x, y=y, value=value, terms=terms, method=method)
+    return ExactCount(x=x, y=y, value=value, terms=terms, method=method, nodes=nodes)

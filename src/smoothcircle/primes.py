@@ -1,5 +1,4 @@
-"""Prime tables with the mod-4 character attached, and trial-division
-factorization."""
+"""Prime tables with the mod-4 character attached."""
 
 from __future__ import annotations
 
@@ -53,31 +52,3 @@ def prime_table(y: int) -> PrimeTable:
     for arr in (p, chi, logp):
         arr.setflags(write=False)
     return PrimeTable(y, p, chi, logp)
-
-
-def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as an ascending list of (p, exponent)."""
-    if n < 1:
-        raise DomainError(f"factorize needs n >= 1, got {n}")
-    out: list[tuple[int, int]] = []
-    for p in (2, 3):
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-    d = 5
-    while d * d <= n:
-        for step in (d, d + 2):
-            if n % step == 0:
-                e = 0
-                while n % step == 0:
-                    n //= step
-                    e += 1
-                out.append((step, e))
-        d += 6
-    if n > 1:
-        out.append((n, 1))
-    out.sort()
-    return out

@@ -33,6 +33,7 @@ def test_exact_subcommand():
     row = parse_csv(out)[0]
     assert row["value"] == "16"
     assert row["terms"] == "4"
+    assert row["nodes"] == "1"
 
 
 def test_exact_rejects_y1():
@@ -201,7 +202,7 @@ def test_module_entrypoint_subprocess():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
-    assert proc.stdout.strip().split("\n")[-1] == "10,2,16,4,recursive"
+    assert proc.stdout.strip().split("\n")[-1] == "10,2,16,4,recursive,1"
 
 
 def test_format_before_subcommand():

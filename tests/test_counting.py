@@ -7,19 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smoothcircle import counting
+from oracles import chi4, factorize, lattice_r, r_over_4
 from smoothcircle.counting import (
     ExactCount,
     _isqrt_array,
     _local_r4,
     _QuotientPrimes,
-    chi4,
     exact_circle_sum,
-    lattice_r,
     lattice_r_table,
-    r_over_4,
 )
 from smoothcircle.errors import DomainError, ResourceBudgetError
-from smoothcircle.primes import factorize, sieve_primes
+from smoothcircle.primes import sieve_primes
 
 
 def _plain_dfs(x, y):
@@ -251,3 +249,64 @@ def test_quotient_table_is_capped_for_huge_x(monkeypatch):
     with pytest.raises(Built):
         exact_circle_sum(10**30, 10**5, "recursive", node_budget=10)
     assert limits and limits[0] <= counting._QUOTIENT_CAP
+
+
+@pytest.mark.parametrize(
+    "x, y", [(1004031, 10**4), (10254230, 10**4), (10**7, 10**4), (10**6, 10**3)]
+)
+def test_auto_is_recursive_and_matches_sieve(x, y):
+    # y^2 >= x on all four: the cells the benchmark's cross-check used to
+    # send to the sieve and now recomputes by the route auto took.
+    auto = exact_circle_sum(x, y)
+    sieve = exact_circle_sum(x, y, "sieve")
+    assert auto.method == "recursive"
+    assert (auto.value, auto.terms) == (sieve.value, sieve.terms)
+
+
+def test_pinned_value_at_1e9():
+    # Computed once by both routes; the budget enforces < 1M nodes.
+    got = exact_circle_sum(10**9, 10**3, node_budget=10**6)
+    assert (got.value, got.terms) == (174522924, 59244184)
+
+
+@pytest.mark.parametrize(
+    "x, y, method",
+    [(1, 2, "recursive"), (10**6, 100, "recursive"), (10**7, 10**4, "recursive"),
+     (10**5 + 7, 997, "recursive"), (10**12, 13, "recursive"), (54321, 50, "sieve")],
+)
+def test_nodes_is_the_exact_budget(x, y, method):
+    c = exact_circle_sum(x, y, method)
+    if method == "sieve":
+        assert c.nodes == x
+    else:  # one node per distinct smooth number at most
+        assert 1 <= c.nodes <= c.terms <= x
+    again = exact_circle_sum(x, y, method, node_budget=c.nodes)
+    assert (again.value, again.terms, again.nodes) == (c.value, c.terms, c.nodes)
+    with pytest.raises(ResourceBudgetError):
+        exact_circle_sum(x, y, method, node_budget=c.nodes - 1)
+
+
+def test_small_table_rows_match_brute_force():
+    m = counting._SMALL_M
+    lpf = np.ones(m + 1, dtype=np.int64)  # largest prime factor, 1 for k = 1
+    for p in sieve_primes(m).tolist():
+        lpf[p::p] = p
+    r4 = lattice_r_table(m) // 4
+    r4[0] = 0
+    weight, count = counting._small_table()
+    ps = sieve_primes(127).tolist()
+    assert len(weight) == len(count) == len(ps) == counting._SMALL_PRIMES
+    for j, p in enumerate(ps):
+        smooth = np.arange(m + 1) >= 1
+        smooth &= lpf <= p
+        assert np.asarray(weight[j]).tolist() == np.cumsum(r4 * smooth).tolist()
+        assert np.asarray(count[j]).tolist() == np.cumsum(smooth).tolist()
+
+
+@pytest.mark.parametrize("y", [2, 3, 113, 127, 131, 5000])
+def test_table_edges_match_sieve(y):
+    m = counting._SMALL_M
+    for x in (m - 1, m, m + 1, 2 * m + 3):
+        a = exact_circle_sum(x, y, "sieve")
+        b = exact_circle_sum(x, y, "recursive")
+        assert (a.value, a.terms) == (b.value, b.terms)

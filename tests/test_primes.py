@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import PRIMES_BELOW_100
+from oracles import factorize
 from smoothcircle.errors import DomainError
-from smoothcircle.primes import factorize, prime_table, sieve_primes
+from smoothcircle.primes import prime_table, sieve_primes
 
 
 def test_sieve_small():
