@@ -8,15 +8,18 @@ swamps rho(u) beyond u of about 15.  rho is therefore held as one Taylor
 series per unit interval, about its midpoint (the power-series method of
 Marsaglia, Zaman and Marsaglia, Math. Comp. 1989): the delay equation turns
 into an exact coefficient recurrence, advanced interval by interval in
-decimal arithmetic with precision scaled to the requested range, and rho(u)
-is the float Horner sum of its interval's series.
+binary fixed point on Python ints, and rho(u) is the float Horner sum of its
+interval's series.  The same absolute error floor is why the arithmetic is
+fixed point: rounding errors do not shrink with rho, so every coefficient
+carries one absolute precision, 2^-bits, with bits scaled to the requested
+range (-log2 rho(u_max) and some headroom) plus 64 guard bits.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
 
 from .errors import ConvergenceError, DomainError
 from .numutil import EULER_GAMMA, bracketed_newton
@@ -24,6 +27,7 @@ from .numutil import EULER_GAMMA, bracketed_newton
 RHO_UNDERFLOW = 1e-300  # rho values below this clamp to zero, flagged
 DEFAULT_RHO_UMAX = 64
 _SERIES_CAP = 4000
+_GUARD_BITS = 64
 _LOG10_2 = math.log10(2.0)
 
 
@@ -33,7 +37,7 @@ def xi(u: float) -> float:
     Solved by safeguarded Newton to float stagnation; the residual satisfies
     |e^xi - 1 - u xi| well below 1e-12 max(1, u xi).
     """
-    if u < 1.0:
+    if not u >= 1.0:
         raise DomainError(f"xi needs u >= 1, got {u}")
     if u == 1.0:
         return 0.0
@@ -97,50 +101,42 @@ def _rho_digits(u_max: float) -> int:
     return 40 + int(lg)
 
 
-def _rho_interval_series(u_max: int, prec: int) -> list[list[Decimal]]:
-    """Taylor coefficients of rho about k + 1/2 for each interval [k, k+1].
+def _rho_interval_series(u_max: int, bits: int) -> Iterator[list[int]]:
+    """Taylor coefficients of rho about k + 1/2 for each interval [k, k + 1],
+    in binary fixed point.
 
-    Writing f_k(tau) = rho(k + 1/2 + tau), the delay equation gives
-    (c + tau) f_k'(tau) = -f_{k-1}(tau) with c = k + 1/2, i.e. the exact
-    recurrence a[m+1] = -(b[m] + m a[m]) / (c (m+1)) where b are the previous
-    interval's coefficients; a[0] is anchored by continuity at tau = -1/2.
-    The series converge geometrically on |tau| <= 1/2, so truncation is
-    driven to the working precision rather than to a fixed power of a step.
+    Writing f_k(tau) = rho(k + 1/2 + tau) = sum a[m] tau^m, the delay
+    equation gives (c + tau) f_k'(tau) = -f_{k-1}(tau) with c = k + 1/2.  In
+    the terms at |tau| = 1/2, A[m] = a[m] 2^-m, that is the exact recurrence
+    A[m+1] = -(B[m] + m A[m]) / ((2k + 1)(m + 1)), B being the previous
+    interval's terms; each A[m] is held as the integer nearest A[m] 2^bits.
+    Continuity at tau = -1/2 anchors A[0] = rho(k) + sum_{odd m} A[m] -
+    sum_{even m >= 2} A[m], and rho(k + 1) = sum A[m].  A series ends once
+    the next term rounds to 0 with B used up (every later term is then 0 as
+    well), trailing zeros trimmed.  Yields interval k = 1 .. u_max - 1 in
+    turn, holding only the previous one.
     """
-    with localcontext() as ctx:
-        ctx.prec = prec
-        half = Decimal(1) / 2
-        tail_eps = Decimal(10) ** (-(prec - 8))
-        rho_left = Decimal(1)  # rho(1)
-        b: list[Decimal] = [Decimal(1)]  # constant series on [0, 1]
-        out: list[list[Decimal]] = []
-        for k in range(1, u_max):
-            c = Decimal(2 * k + 1) / 2
-            a: list[Decimal] = [Decimal(0)]
-            scale = abs(rho_left)
-            m = 0
-            pow_half = Decimal(1)
-            while True:
-                bm = b[m] if m < len(b) else Decimal(0)
-                nxt = -(bm + m * a[m]) / (c * (m + 1))
-                a.append(nxt)
-                m += 1
-                pow_half *= half
-                if m >= 8 and m >= len(b) and abs(nxt) * pow_half < tail_eps * scale:
-                    break
-                if m > _SERIES_CAP:
-                    raise ConvergenceError(f"rho series stalled on interval [{k}, {k + 1}]")
-            tail = Decimal(0)  # sum_{m>=1} a[m] (-1/2)^m by Horner
-            for mm in range(len(a) - 1, 0, -1):
-                tail = (tail + a[mm]) * -half
-            a[0] = rho_left - tail
-            right = Decimal(0)  # f_k(1/2)
-            for mm in range(len(a) - 1, -1, -1):
-                right = a[mm] + half * right
-            out.append(a)
-            rho_left = right
-            b = a
-    return out
+    rho_left = 1 << bits  # rho(1)
+    b = [rho_left]  # the constant series on [0, 1]
+    for k in range(1, u_max):
+        a = [0]  # a[0] is anchored below; the recurrence never reads it
+        m = 0
+        while True:
+            num = -((b[m] if m < len(b) else 0) + m * a[m])
+            den = (2 * k + 1) * (m + 1)
+            nxt = (2 * num + den) // (2 * den)  # num / den, rounded to nearest
+            if nxt == 0 and m + 1 >= len(b):
+                break
+            a.append(nxt)
+            m += 1
+            if m > _SERIES_CAP:
+                raise ConvergenceError(f"rho series stalled on interval [{k}, {k + 1}]")
+        while len(a) > 1 and a[-1] == 0:
+            a.pop()
+        a[0] = rho_left + sum(a[1::2]) - sum(a[2::2])
+        rho_left = sum(a)
+        yield a
+        b = a
 
 
 @dataclass(frozen=True)
@@ -156,7 +152,7 @@ class DickmanTable:
 
     def value_at(self, u: float) -> float:
         """rho(u) for 0 <= u <= u_max by Horner's rule on u's interval."""
-        if u < 0:
+        if not u >= 0:
             raise DomainError(f"rho needs u >= 0, got {u}")
         if u <= 1.0:
             return 1.0
@@ -173,27 +169,35 @@ class DickmanTable:
 def build_dickman_table(u_max: int = DEFAULT_RHO_UMAX) -> DickmanTable:
     """rho's per-interval series on [1, u_max] as float coefficients.
 
-    They are computed in decimal with enough digits that the float rounding
-    dominates.  A float series ends at its last term that reaches
-    2^-70 max(rho(k + 1/2), RHO_UNDERFLOW) at |tau| = 1/2: later terms shrink
-    like 3^-m (rho's continuation is analytic within 3/2 of the midpoint) and
-    rho falls by less than 2^10 within the interval, so the cut stays far
-    below an ulp of every unclamped value and keeps at most ~40 terms.
-    Only the decimals at or before a conservative cut, found from their
-    decimal exponents with a decade of slack, are converted to float.
+    The series are computed in binary fixed point: every term at |tau| = 1/2
+    is an integer multiple of 2^-bits.  rho drops to about 10^-_rho_digits
+    while the rounding errors of the delay equation stay at the same
+    absolute size from interval to interval, so what the recurrence needs
+    is a uniform absolute precision, not a relative one per coefficient.
+    bits is _rho_digits(u_max) in binary plus 64 guard bits, which keep the
+    divisions' rounding errors, piled up over ~10^3 terms per interval and
+    u_max intervals, out of the last bit of every float coefficient.
+
+    A float series ends at its last term that reaches 2^-70 max(rho(k + 1/2),
+    RHO_UNDERFLOW) at |tau| = 1/2: later terms shrink like 3^-m (rho's
+    continuation is analytic within 3/2 of the midpoint) and rho falls by
+    less than 2^10 within the interval, so the cut stays far below an ulp of
+    every unclamped value and keeps at most ~40 terms.  Each coefficient is
+    the correctly rounded float of its fixed-point value; only those at or
+    before a conservative cut, found from their bit lengths with a factor 4
+    of slack, are converted.
     """
     if u_max < 2:
         raise DomainError(f"u_max must be >= 2, got {u_max}")
+    bits = math.ceil(_rho_digits(u_max) / _LOG10_2) + _GUARD_BITS
     coeffs = []
-    for a in _rho_interval_series(u_max, _rho_digits(u_max)):
-        floor = 2.0**-70 * max(abs(float(a[0])), RHO_UNDERFLOW)
-        # |a[m]| < 10^(adjusted + 1), so past `top` no term reaches floor / 10.
-        cut = math.log10(floor) - 1.0
-        top = max(
-            (m for m, am in enumerate(a) if am.adjusted() + 1 - m * _LOG10_2 >= cut),
-            default=0,
-        )
-        cf = [float(am) for am in a[: top + 1]]
+    for a in _rho_interval_series(u_max, bits):
+        floor = 2.0**-70 * max(abs(a[0] / (1 << bits)), RHO_UNDERFLOW)
+        # The term a[m] 2^-bits is below 2^(bit_length - bits), so past `top`
+        # no term reaches floor / 4 >= 2^(frexp exponent - 3).
+        least = bits + math.frexp(floor)[1] - 2
+        top = max((m for m, am in enumerate(a) if am.bit_length() >= least), default=0)
+        cf = [am / (1 << (bits - m)) for m, am in enumerate(a[: top + 1])]
         n = 1 + max((m for m, c in enumerate(cf) if abs(c) * 0.5**m >= floor), default=0)
         coeffs.append(tuple(reversed(cf[:n])))
     return DickmanTable(u_max, tuple(coeffs))
@@ -213,20 +217,20 @@ def rho(u: float) -> float:
     rho(u) <= 1/Gamma(u + 1) is below RHO_UNDERFLOW: u rho(u) is the integral
     of rho over [u - 1, u], which is at most rho(u - 1).  The first table
     reaches max(DEFAULT_RHO_UMAX, ceil(u) + 2); a u past it rebuilds to
-    max(ceil(u) + 2, min(2 u_max, _U_CUT + 2)).
+    _U_CUT + 2, so a process builds at most two tables.
     """
     global _table
-    if u < 0:
+    if not u >= 0:
         raise DomainError(f"rho needs u >= 0, got {u}")
     if u <= 1.0:
         return 1.0
     if math.lgamma(u + 1.0) > -math.log(RHO_UNDERFLOW):
         return 0.0
-    if _table is None or _table.u_max < u:
-        # Grow by doubling, capped at the Gamma cut, so an ascending sweep
-        # builds at most three tables.
-        grow = DEFAULT_RHO_UMAX if _table is None else min(2 * _table.u_max, _U_CUT + 2)
-        _table = build_dickman_table(max(grow, int(math.ceil(u)) + 2))
+    if _table is None:
+        _table = build_dickman_table(max(DEFAULT_RHO_UMAX, int(math.ceil(u)) + 2))
+    elif _table.u_max < u:
+        # u is below the Gamma cut here, so this table covers every later u.
+        _table = build_dickman_table(_U_CUT + 2)
     return _table.value_at(u)
 
 

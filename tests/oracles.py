@@ -1,9 +1,11 @@
 """Slow, obviously correct reference functions that the tests check the
-exact routes against: trial-division factorization, r(n)/4 from a
-factorization, r(n) by a lattice scan, and chi4."""
+package against: trial-division factorization, r(n)/4 from a
+factorization, r(n) by a lattice scan, chi4, and the Dickman rho interval
+series in decimal arithmetic."""
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
 from math import isqrt
 
 from smoothcircle.counting import _local_r4
@@ -86,3 +88,49 @@ def lattice_r(n: int) -> int:
             count += (2 if a else 1) * (2 if b else 1)
         a += 1
     return count
+
+
+def rho_interval_series_decimal(u_max: int, prec: int) -> list[list[Decimal]]:
+    """Taylor coefficients of rho about k + 1/2 for each interval [k, k+1],
+    in prec-digit decimal arithmetic.
+
+    Writing f_k(tau) = rho(k + 1/2 + tau), the delay equation gives
+    (c + tau) f_k'(tau) = -f_{k-1}(tau) with c = k + 1/2, i.e. the exact
+    recurrence a[m+1] = -(b[m] + m a[m]) / (c (m+1)) where b are the previous
+    interval's coefficients; a[0] is anchored by continuity at tau = -1/2.
+    Every coefficient carries prec significant digits, and a series runs
+    until its term at |tau| = 1/2 is below 10^-(prec - 8) of rho at the
+    interval's left end.  The reference for dickman's fixed-point series.
+    """
+    with localcontext() as ctx:
+        ctx.prec = prec
+        half = Decimal(1) / 2
+        tail_eps = Decimal(10) ** (-(prec - 8))
+        rho_left = Decimal(1)  # rho(1)
+        b: list[Decimal] = [Decimal(1)]  # constant series on [0, 1]
+        out: list[list[Decimal]] = []
+        for k in range(1, u_max):
+            c = Decimal(2 * k + 1) / 2
+            a: list[Decimal] = [Decimal(0)]
+            scale = abs(rho_left)
+            m = 0
+            pow_half = Decimal(1)
+            while True:
+                bm = b[m] if m < len(b) else Decimal(0)
+                nxt = -(bm + m * a[m]) / (c * (m + 1))
+                a.append(nxt)
+                m += 1
+                pow_half *= half
+                if m >= 8 and m >= len(b) and abs(nxt) * pow_half < tail_eps * scale:
+                    break
+            tail = Decimal(0)  # sum_{m>=1} a[m] (-1/2)^m by Horner
+            for mm in range(len(a) - 1, 0, -1):
+                tail = (tail + a[mm]) * -half
+            a[0] = rho_left - tail
+            right = Decimal(0)  # f_k(1/2)
+            for mm in range(len(a) - 1, -1, -1):
+                right = a[mm] + half * right
+            out.append(a)
+            rho_left = right
+            b = a
+    return out

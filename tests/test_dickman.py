@@ -16,8 +16,10 @@ from smoothcircle.dickman import (
     xi,
     xi_prime,
 )
-from smoothcircle.errors import DomainError
+from smoothcircle.errors import ConvergenceError, DomainError
 from smoothcircle.numutil import integrate_panels
+
+from oracles import rho_interval_series_decimal
 
 E = math.e
 
@@ -151,16 +153,33 @@ def test_rho_table_validate_and_extent():
         tab.value_at(9.0)
 
 
-@pytest.mark.parametrize("u_max", [2, 17, 64, 100])
+# 38, 59, 70 and 100 each lose a float bit of a coefficient without the
+# fixed point's guard bits.
+@pytest.mark.parametrize("u_max", [2, 3, 17, 38, 59, 64, 70, 100, 152, 169])
 def test_rho_table_cuts_as_if_every_coefficient_were_converted(u_max):
     # The oracle converts every decimal coefficient, then applies the cut.
     want = []
-    for a in dickman._rho_interval_series(u_max, dickman._rho_digits(u_max)):
+    for a in rho_interval_series_decimal(u_max, dickman._rho_digits(u_max)):
         cf = [float(am) for am in a]
         floor = 2.0**-70 * max(abs(cf[0]), dickman.RHO_UNDERFLOW)
         n = 1 + max((m for m, c in enumerate(cf) if abs(c) * 0.5**m >= floor), default=0)
         want.append(tuple(reversed(cf[:n])))
     assert build_dickman_table(u_max).coeffs == tuple(want)
+
+
+def test_rho_series_cap_raises(monkeypatch):
+    # interval 1 needs 133 terms at u_max = 8 (about 1 000 at u_max = 169)
+    monkeypatch.setattr(dickman, "_SERIES_CAP", 40)
+    with pytest.raises(ConvergenceError):
+        build_dickman_table(8)
+
+
+@pytest.mark.parametrize(
+    "f", [rho, lambda u: build_dickman_table(8).value_at(u), xi], ids=["rho", "value_at", "xi"]
+)
+def test_nan_raises_domain_error(f):
+    with pytest.raises(DomainError):
+        f(math.nan)
 
 
 def test_rho_underflow_clamp():
@@ -185,28 +204,28 @@ def _record_builds(monkeypatch):
     return built
 
 
-def test_rho_ascending_sweep_builds_at_most_three_tables(monkeypatch):
+def test_rho_ascending_sweep_builds_at_most_two_tables(monkeypatch):
     built = _record_builds(monkeypatch)
     vals = [rho(float(u)) for u in range(65, 131)]
-    assert len(built) <= 3
-    assert built == [67, 134]  # ceil(65) + 2, then doubled
+    assert len(built) <= 2
+    assert built == [67, 169]  # ceil(65) + 2, then two past the Gamma cut
     live = [v for v in vals if v > 0.0]
     assert all(a > b for a, b in zip(live, live[1:]))
 
 
 def test_rho_growth_is_capped_at_the_gamma_cut(monkeypatch):
     # the compare sweep's order: a small u, then u = 150 -- two tables, the
-    # second exactly as large as u needs; past it the cap is the Gamma cut
+    # second reaching the Gamma cut, so no later u builds another
     built = _record_builds(monkeypatch)
     rho(3.0)
     rho(150.0)
-    assert built == [64, 152]
+    assert built == [64, 169]
     rho(160.0)
-    assert built == [64, 152, dickman._U_CUT + 2]
+    assert built == [64, 169]
     assert math.lgamma(dickman._U_CUT + 1.0) > -math.log(dickman.RHO_UNDERFLOW)
     assert math.lgamma(dickman._U_CUT) <= -math.log(dickman.RHO_UNDERFLOW)
     assert rho(166.9) == dickman._table.value_at(166.9)
-    assert len(built) == 3
+    assert len(built) == 2
 
 
 def test_rho_gamma_bound_and_cut():
