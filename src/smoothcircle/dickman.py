@@ -37,8 +37,8 @@ def xi(u: float) -> float:
     Solved by safeguarded Newton to float stagnation; the residual satisfies
     |e^xi - 1 - u xi| well below 1e-12 max(1, u xi).
     """
-    if not u >= 1.0:
-        raise DomainError(f"xi needs u >= 1, got {u}")
+    if not 1.0 <= u < math.inf:
+        raise DomainError(f"xi needs finite u >= 1, got {u}")
     if u == 1.0:
         return 0.0
 
@@ -50,21 +50,17 @@ def xi(u: float) -> float:
 
     # g < 0 strictly between the trivial root 0 and the sought root, and
     # min(1, u-1) always lands in that gap.
-    lo = min(1.0, u - 1.0)
-    hi = max(1.0, math.log(u * math.log(u) + 1.0))
-    for _ in range(200):
-        if g(hi) >= 0:
-            break
-        hi *= 2.0
     seed = math.log(u * math.log(u) + 1.0)
-    root, _, _, _ = bracketed_newton(g, gp, lo, hi, seed, ftol=0.0, max_iters=200)
+    root, _, _, _ = bracketed_newton(
+        g, gp, min(1.0, u - 1.0), max(1.0, seed), seed, ftol=0.0, max_iters=200
+    )
     return root
 
 
 def xi_prime(u: float) -> float:
     """xi'(u) = xi / (1 + u xi - u) by implicit differentiation; u > 1."""
-    if u <= 1.0:
-        raise DomainError(f"xi_prime needs u > 1, got {u}")
+    if not 1.0 < u < math.inf:
+        raise DomainError(f"xi_prime needs finite u > 1, got {u}")
     v = xi(u)
     return v / (1.0 + u * v - u)
 

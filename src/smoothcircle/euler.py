@@ -8,6 +8,12 @@ phi_1..phi_4 from exact polylogarithm closed forms.  The one exception is
 h_log_line, which evaluates H on a vertical line as a blocked product, for
 the Perron integrand's many nodes.  Nothing is truncated, so no truncation
 bound exists.
+
+prime_terms evaluates the primes in fixed blocks written into one output
+array.  Whole-array temporaries (628 KB each at y = 1e6) went back to the
+OS on every free and were faulted in again on the next call, which cost
+more than the arithmetic; block-sized ones are reused, and a call's
+transient memory stays within a few blocks of its output.
 """
 
 from __future__ import annotations
@@ -23,17 +29,41 @@ from .numutil import csum
 from .primes import prime_table
 
 
+# Primes per prime_terms block: float temporaries of 32 KB, which the heap
+# reuses from call to call.  At 32 768 (256 KB temporaries) the k = 4 form
+# faults again, and a call's transient memory peaks at 1.5 times its output
+# here against 5 to 9 times for the whole array.
+_TERMS_BLOCK = 4096
+
+
 def prime_terms(s, y: int, k: int) -> np.ndarray:
     """Per-prime terms of (-1)^k phi_k, the k-th sigma-derivative of log H(s; y).
 
     k = 0: the log-factors -log(1 - w) - log(1 - chi4(p) w), w = p^-s; s may
-    be real, complex, or an array broadcasting against the primes.
+    be real or complex.
     k = 1..4 (s real): (log p)^k [Li_{1-k}(1/P) + Li_{1-k}(chi4(p)/P)],
     P = p^s = expm1(s log p) + 1.
+
+    The primes are taken _TERMS_BLOCK at a time, each block written into
+    the one output array: the same floats as one whole-array expression,
+    but no temporary is larger than a block, so none is faulted in afresh
+    on every call and the call's transient memory is bounded.
     """
     table = prime_table(y)
-    lp = table.logp
-    chi = table.chi.astype(np.float64)
+    out = np.empty(len(table), dtype=np.result_type(s, np.float64))
+    # The k = 2 form holds while P^2 is finite at the largest prime.
+    with np.errstate(over="ignore"):
+        squares_finite = k == 2 and np.expm1(s * table.logp[-1:])[0] < 1e150
+    for lo in range(0, out.size, _TERMS_BLOCK):
+        hi = lo + _TERMS_BLOCK
+        out[lo:hi] = _block_terms(
+            s, table.logp[lo:hi], table.chi[lo:hi].astype(np.float64), k, squares_finite
+        )
+    return out
+
+
+def _block_terms(s, lp: np.ndarray, chi: np.ndarray, k: int, squares_finite: bool) -> np.ndarray:
+    """prime_terms on one block of primes, given log p and chi4(p) as floats."""
     if k == 0:
         w = np.exp(-s * lp)
         # log1p for real s; complex s keeps log(1 - w), the form every
@@ -47,7 +77,7 @@ def prime_terms(s, y: int, k: int) -> np.ndarray:
     lpk = lp**k
     if k == 1:  # Li_0(c/P) = c/(P - c)
         return lpk / em1 + np.where(chi == 0.0, 0.0, chi * lpk / (el - chi))
-    if k == 2 and em1[-1] < 1e150:  # Li_-1(c/P) = cP/(P - c)^2, while P^2 is finite
+    if squares_finite:  # Li_-1(c/P) = cP/(P - c)^2
         return lpk * el / em1**2 + np.where(chi == 0.0, 0.0, chi * lpk * el / (el - chi) ** 2)
 
     # In r = 1/(P - c), c = +-1, no power of P can overflow:

@@ -120,6 +120,10 @@ def certified_sum(x: np.ndarray) -> float | None:
     return None
 
 
+# bracketed_newton halves lo, or doubles hi, at most this many times.
+_WIDEN_STEPS = 200
+
+
 def bracketed_newton(
     f: Callable[[float], float],
     fprime: Callable[[float], float],
@@ -132,13 +136,31 @@ def bracketed_newton(
 ) -> tuple[float, float, int, tuple[float, float]]:
     """Newton iteration confined to a sign-changing bracket, with bisection fallback.
 
-    Requires f nondecreasing with f(lo) <= 0 <= f(hi).  Returns
+    Requires f nondecreasing.  [lo, hi] is a starting guess: lo is halved
+    while f(lo) > 0 and hi doubled while f(hi) < 0, at most _WIDEN_STEPS
+    times each, and f is evaluated once at every end tried.  Raises
+    ConvergenceError when the widened ends still have no sign change
+    f(lo) <= 0 <= f(hi), or do not satisfy lo < hi; lo = hi on entry is
+    fine if widening separates them.  Newton then starts at x0 if it lies
+    strictly inside the bracket, else at the midpoint.  Returns
     (root, f(root), iterations, (lo, hi)); the returned bracket still
     straddles the root strictly.
     """
+    flo = f(lo)
+    for _ in range(_WIDEN_STEPS):
+        if flo <= 0:
+            break
+        lo *= 0.5
+        flo = f(lo)
+    fhi = f(hi)
+    for _ in range(_WIDEN_STEPS):
+        if fhi >= 0:
+            break
+        hi *= 2.0
+        fhi = f(hi)
     if not (lo < hi):
         raise ConvergenceError(f"empty bracket [{lo}, {hi}]")
-    if f(lo) > 0 or f(hi) < 0:
+    if flo > 0 or fhi < 0:
         raise ConvergenceError(f"bracket [{lo}, {hi}] does not straddle a sign change")
     x = x0 if (x0 is not None and lo < x0 < hi) else 0.5 * (lo + hi)
     for it in range(1, max_iters + 1):

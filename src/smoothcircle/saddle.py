@@ -58,18 +58,10 @@ def solve_alpha(
     def fp(sigma: float) -> float:
         return phi2_closed(sigma, y)
 
-    lo, hi = 1.0 / logy, 1.0 + 3.0 / logy
-    for _ in range(200):
-        if f(lo) <= 0:
-            break
-        lo *= 0.5
-    for _ in range(200):
-        if f(hi) >= 0:
-            break
-        hi *= 2.0
     seed = math.log1p(y / logx) / logy  # closed-form approximant, good everywhere
     alpha, residual, iters, bracket = bracketed_newton(
-        f, fp, lo, hi, seed, ftol=0.25 * RESIDUAL_TOL * logx, max_iters=max_iters
+        f, fp, 1.0 / logy, 1.0 + 3.0 / logy, seed,
+        ftol=0.25 * RESIDUAL_TOL * logx, max_iters=max_iters,
     )
     return SaddleResult(
         x=x, y=y, u=logx / logy, alpha=alpha, residual=residual,

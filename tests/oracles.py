@@ -1,15 +1,19 @@
 """Slow, obviously correct reference functions that the tests check the
 package against: trial-division factorization, r(n)/4 from a
-factorization, r(n) by a lattice scan, chi4, and the Dickman rho interval
-series in decimal arithmetic."""
+factorization, r(n) by a lattice scan, chi4, the Dickman rho interval
+series in decimal arithmetic, and the Euler kernel's per-prime terms
+evaluated over the whole prime array at once."""
 
 from __future__ import annotations
 
 from decimal import Decimal, localcontext
 from math import isqrt
 
+import numpy as np
+
 from smoothcircle.counting import _local_r4
 from smoothcircle.errors import DomainError
+from smoothcircle.primes import prime_table
 
 
 def chi4(n: int) -> int:
@@ -134,3 +138,41 @@ def rho_interval_series_decimal(u_max: int, prec: int) -> list[list[Decimal]]:
             rho_left = right
             b = a
     return out
+
+
+def prime_terms_whole_array(s, y: int, k: int) -> np.ndarray:
+    """euler.prime_terms as one numpy expression over all pi(y) primes.
+
+    The same per-element formulas as the blocked kernel, with every
+    temporary as long as the prime table: the reference it must equal bit
+    for bit.  k = 0: -log(1 - w) - log(1 - chi4(p) w), w = p^-s, with
+    log1p for real s; k = 1..4: (log p)^k [Li_{1-k}(1/P) + Li_{1-k}(chi4(p)/P)],
+    P = expm1(s log p) + 1, the k = 2 form chosen by P at the largest prime.
+    """
+    table = prime_table(y)
+    lp = table.logp
+    chi = table.chi.astype(np.float64)
+    if k == 0:
+        w = np.exp(-s * lp)
+        if np.iscomplexobj(w):
+            return -np.log(1.0 - w) - np.where(chi == 0.0, 0.0, np.log(1.0 - chi * w))
+        return -np.log1p(-w) - np.where(chi == 0.0, 0.0, np.log1p(-chi * w))
+    with np.errstate(over="ignore"):
+        em1 = np.expm1(s * lp)
+    el = em1 + 1.0
+    lpk = lp**k
+    if k == 1:
+        return lpk / em1 + np.where(chi == 0.0, 0.0, chi * lpk / (el - chi))
+    if k == 2 and em1[-1] < 1e150:
+        return lpk * el / em1**2 + np.where(chi == 0.0, 0.0, chi * lpk * el / (el - chi) ** 2)
+
+    def li(c, r):
+        if k == 2:
+            tail = 1.0
+        elif k == 3:
+            tail = 1.0 + 2.0 * c * r
+        else:
+            tail = 1.0 + 6.0 * c * r + 6.0 * r * r
+        return c * r * (1.0 + c * r) * tail
+
+    return lpk * (li(1.0, 1.0 / em1) + li(chi, 1.0 / (em1 + (1.0 - chi))))

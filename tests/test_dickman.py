@@ -182,6 +182,19 @@ def test_nan_raises_domain_error(f):
         f(math.nan)
 
 
+@pytest.mark.parametrize("f", [xi, xi_prime], ids=["xi", "xi_prime"])
+def test_infinite_u_raises_domain_error(f):
+    with pytest.raises(DomainError):
+        f(math.inf)
+
+
+def test_xi_at_2_starts_from_an_empty_bracket():
+    # At u = 2 both starting ends of the bracket are 1: the solver widens
+    # hi before it checks lo < hi.  The float is the one the solve has
+    # always returned.
+    assert xi(2.0) == 1.2564312086261697
+
+
 def test_rho_underflow_clamp():
     # rho(130.5) is far below 1e-300: the deep tail clamps to zero, flagged
     assert build_dickman_table(131).value_at(130.5) == 0.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from smoothcircle.euler import (
     phi_derivatives,
     prime_terms,
 )
+from smoothcircle.primes import prime_table, sieve_primes
+
+from oracles import prime_terms_whole_array
 
 
 def test_h_value_small():
@@ -273,3 +277,56 @@ def test_h_log_value_real_s_skips_the_imaginary_sum(monkeypatch):
     sums.clear()
     h_log_value(complex(0.6, 2.0), 1000)
     assert sums == [168, 168]
+
+
+def _y_with_prime_count(n: int) -> int:
+    """The largest y with pi(y) = n."""
+    p = sieve_primes(20 * n + 100)
+    return int(p[n]) - 1
+
+
+_BLOCK = euler._TERMS_BLOCK
+# pi(y) one short of a block, one block, one over, and two blocks and one
+_BLOCK_EDGE_YS = [_y_with_prime_count(n) for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)]
+
+
+_KERNEL_CASES = [(sigma, k) for sigma in (0.05, 0.6, 2.0, 60.0) for k in range(5)] + [
+    (complex(0.6, 3.0), 0), (complex(0.5, -40.0), 0), (complex(2.0, 0.0), 0),
+]
+
+
+@pytest.mark.parametrize("y", [2, 1000, *_BLOCK_EDGE_YS, 10**6])
+def test_prime_terms_blocks_equal_the_whole_array_bitwise(y):
+    for s, k in _KERNEL_CASES:
+        got = prime_terms(s, y, k)
+        want = prime_terms_whole_array(s, y, k)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), (s, k)
+
+
+@pytest.mark.parametrize("y", [_BLOCK_EDGE_YS[-1], 10**6])
+@pytest.mark.parametrize("side", [-1, 1])
+def test_prime_terms_k2_form_switch_matches_the_whole_array(y, side):
+    # The k = 2 closed form changes where P = p^sigma at the largest prime
+    # reaches 1e150; sigma just below and just above that point.
+    lp_max = prime_table(y).logp[-1]
+    sigma = math.log(1e150) / lp_max * (1.0 + side * 1e-9)
+    assert (np.expm1(sigma * lp_max) < 1e150) == (side < 0)
+    got = prime_terms(sigma, y, 2)
+    assert np.array_equal(got, prime_terms_whole_array(sigma, y, 2))
+
+
+@pytest.mark.parametrize(
+    "s, k", [(0.6, k) for k in range(5)] + [(complex(0.6, 3.0), 0)]
+)
+def test_prime_terms_transient_memory_is_a_few_blocks(s, k):
+    # The whole-array form peaks at 5-9 times its output; blocks keep every
+    # temporary small, so a call never holds much beyond its output.
+    prime_table(10**6)  # cached before tracing: the table is not transient
+    tracemalloc.start()
+    try:
+        out = prime_terms(s, 10**6, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.nbytes

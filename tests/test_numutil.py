@@ -14,6 +14,8 @@ from smoothcircle.numutil import (
     _CSUM_BLOCK,
     _CSUM_HEADS,
     _CSUM_MIN,
+    _WIDEN_STEPS,
+    bracketed_newton,
     certified_sum,
     csum,
     integrate_panels,
@@ -157,6 +159,35 @@ def test_fast_path_certifies_strided_complex_parts():
     terms = prime_terms(complex(0.6, 40.0), 10**6, 0)
     for part in (terms.real, terms.imag):
         assert certified_sum(part) == math.fsum(part)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_bracketed_newton_raises_without_a_sign_change(sign):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return sign
+
+    with pytest.raises(ConvergenceError, match="sign change"):
+        bracketed_newton(f, lambda x: 1.0, 0.5, 2.0, ftol=0.0)
+    # one end is widened to its limit, each end tried evaluated once
+    assert len(calls) == _WIDEN_STEPS + 2
+
+
+@pytest.mark.parametrize("root, tried", [(0.3, [1.0, 0.5, 0.25, 1.0]), (3.0, [1.0, 1.0, 2.0, 4.0])])
+def test_bracketed_newton_widens_an_empty_bracket(root, tried):
+    # lo = hi = 1 on entry: lo is halved, or hi doubled, until the ends
+    # straddle the root; only then is lo < hi required.
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - root
+
+    x, _, _, _ = bracketed_newton(f, lambda x: 1.0, 1.0, 1.0, ftol=1e-15)
+    assert calls[:4] == tried
+    assert x == pytest.approx(root, abs=1e-15)
 
 
 def _two_call_panels(f, a, b, panel_width, *, rtol=1e-10, atol=1e-10, max_splits=4000):

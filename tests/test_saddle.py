@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from smoothcircle import saddle
 from smoothcircle.config import (
     ALPHA_NEAR_ONE_ENVELOPE,
     XI_GAP_LOGY2_COEF,
@@ -75,6 +76,20 @@ def test_domain_errors():
 def test_nonconvergence_budget():
     with pytest.raises(ConvergenceError):
         solve_alpha(10**6, 10**3, max_iters=1)
+
+
+def test_each_bracket_end_is_evaluated_once(monkeypatch):
+    # phi_1 once at each starting end (neither needs widening here), then
+    # once per Newton iteration
+    calls = []
+
+    def counting_phi1(sigma, y):
+        calls.append(sigma)
+        return phi1_closed(sigma, y)
+
+    monkeypatch.setattr(saddle, "phi1_closed", counting_phi1)
+    res = solve_alpha(1e30, 10**6)
+    assert len(calls) == res.iters + 2
 
 
 def test_x_below_y_is_solvable():
