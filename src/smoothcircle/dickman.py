@@ -29,30 +29,40 @@ DEFAULT_RHO_UMAX = 64
 _SERIES_CAP = 4000
 _GUARD_BITS = 64
 _LOG10_2 = math.log10(2.0)
+_EXP_SAFE = 709.0  # e^z is finite, below 1e308, for z up to here
 
 
 def xi(u: float) -> float:
     """The nonzero solution of e^xi = 1 + u xi for u > 1, with xi(1) = 0.
 
     Solved by safeguarded Newton to float stagnation; the residual satisfies
-    |e^xi - 1 - u xi| well below 1e-12 max(1, u xi).
+    |e^xi - 1 - u xi| well below 1e-12 max(1, u xi), or in log form
+    |xi - log(1 + u xi)| below 1e-12 xi.  Past z = _EXP_SAFE, where e^z nears
+    the end of float range, g(z) = e^z - 1 - u z and g'(z) are both scaled
+    by e^-z: the sign and the Newton step stay those of g, so every finite
+    u >= 1 has its root, xi(u) ~ log u + log log u, up to about 716.
     """
     if not 1.0 <= u < math.inf:
         raise DomainError(f"xi needs finite u >= 1, got {u}")
     if u == 1.0:
         return 0.0
+    log_u = math.log(u)
 
     def g(z: float) -> float:
-        return math.expm1(z) - u * z
+        if z <= _EXP_SAFE:
+            return math.expm1(z) - u * z
+        return -math.expm1(log_u + math.log(z + 1.0 / u) - z)  # 1 - (1 + u z) e^-z
 
-    def gp(z: float) -> float:
-        return math.exp(z) - u
+    def gdg(z: float) -> tuple[float, float]:
+        return g(z), (math.exp(z) - u if z <= _EXP_SAFE else -math.expm1(log_u - z))
 
     # g < 0 strictly between the trivial root 0 and the sought root, and
-    # min(1, u-1) always lands in that gap.
-    seed = math.log(u * math.log(u) + 1.0)
+    # min(1, u-1) always lands in that gap.  The seed log(u log u + 1) is
+    # log u + log log u, up to rounding, where u log u overflows.
+    u_log_u = u * log_u
+    seed = math.log(u_log_u + 1.0) if u_log_u < math.inf else log_u + math.log(log_u)
     root, _, _, _ = bracketed_newton(
-        g, gp, min(1.0, u - 1.0), max(1.0, seed), seed, ftol=0.0, max_iters=200
+        g, gdg, min(1.0, u - 1.0), max(1.0, seed), seed, ftol=0.0, max_iters=200
     )
     return root
 

@@ -40,13 +40,13 @@ def log_saddle_point_estimate(x: float, y: int) -> float:
     """log of the saddle-point main term 4 x^a H(a; y) / (a sqrt(2 pi phi_2(a; y)))."""
     res = solve_alpha(x, y)
     a = res.alpha
-    phi2 = phi_derivatives(a, y, kmax=2).phi2
+    d = phi_derivatives(a, y, kmax=2)
     return (
         math.log(4.0)
         + a * math.log(x)
-        + h_log_real(a, y)
+        + d.phi
         - math.log(a)
-        - 0.5 * math.log(2.0 * math.pi * phi2)
+        - 0.5 * math.log(2.0 * math.pi * d.phi2)
     )
 
 

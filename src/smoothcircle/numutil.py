@@ -2,14 +2,26 @@
 panel-based Gauss-Legendre quadrature.
 
 csum returns exactly what math.fsum returns -- the correctly rounded sum --
-but sums a large float64 array in numpy: a blocked pairwise TwoSum cascade
-(Ogita, Rump and Oishi, "Accurate sum and dot product", SIAM J. Sci.
-Comput. 2005) turns the array into one float plus the exact rounding errors
-of every addition, and the float sum of those errors is accepted only when
-a rigorous error bound proves that it rounds to the same float as the exact
-sum.  Every other case -- small or non-array input, non-finite values,
-sums near zero or near overflow, a bound that cannot decide -- goes to
-math.fsum, so values, nan, inf and exceptions are math.fsum's own.
+but sums a large float64 array in numpy, by the error-free ExtractVector
+transformation (Rump, Ogita and Oishi, "Accurate floating-point summation,
+Part I: faithful rounding", SIAM J. Sci. Comput. 30, 2008).  With
+u = 2^-53, sigma = 2^k and n + 2 <= 2^M, every |x_i| <= 2^-M sigma gives
+
+    q_i = fl(fl(sigma + x_i) - sigma),    x_i' = x_i - q_i,
+
+where fl(sigma + x_i) lies within a factor 2 of sigma, so the subtraction
+is exact (Sterbenz), q_i is x_i rounded to a multiple of u sigma, and
+x_i' = x_i - q_i is exact with |x_i'| <= u sigma.  Every partial sum of the
+q_i is a multiple of u sigma below n 2^-M sigma < sigma in magnitude, so it
+has at most 53 significant bits: the float sum of the q_i is exact in any
+order.  One more extraction with sigma_2 = 2^M u sigma leaves remainders
+below u sigma_2, whose float sum is within gamma_(n-1) n u sigma_2 of their
+exact sum, gamma_m = m u / (1 - m u) (Higham, Accuracy and Stability of
+Numerical Algorithms, sec. 4.2), in any summation order.  The sum is then
+accepted only when that bound proves it rounds to the same float as the
+exact sum.  Every other case -- small or non-array input, non-finite
+values, sums near zero or near overflow, a bound that cannot decide -- goes
+to math.fsum, so values, nan, inf and exceptions are math.fsum's own.
 """
 
 from __future__ import annotations
@@ -27,14 +39,18 @@ EULER_GAMMA = 0.5772156649015329
 
 
 # csum's fast path: arrays shorter than _CSUM_MIN go to math.fsum, which is
-# as fast there; the cascade halves blocks of _CSUM_BLOCK values (bounding
-# its scratch memory) down to _CSUM_HEADS values each, then halves the heads
-# of all blocks down to one; n max|x| below _CSUM_LIMIT keeps every partial
-# sum, here and in math.fsum, far from overflow.
+# as fast there; the extraction runs _CSUM_BLOCK values at a time, which
+# bounds its scratch memory; an array of n values with n + 2 above
+# _CSUM_EXTRACT_LIMIT = 2^26 goes to math.fsum, since two extractions leave
+# a bound that grows like 2^(4M) and stops deciding near there; max|x| in
+# (_CSUM_TINY, _CSUM_LIMIT / n) keeps every unit of extraction normal and
+# every partial sum, here and in math.fsum, far from overflow.
 _CSUM_MIN = 2048
 _CSUM_BLOCK = 1 << 15
-_CSUM_HEADS = 64
+_CSUM_EXTRACT_LIMIT = 1 << 26
+_CSUM_TINY = 2.0**-800
 _CSUM_LIMIT = 2.0**1000
+_U = 2.0**-53
 
 
 def csum(terms) -> float:
@@ -57,65 +73,64 @@ def csum(terms) -> float:
     return math.fsum(terms)
 
 
-def _two_sum_cascade(v: np.ndarray, stop: int) -> tuple[np.ndarray, float, float, int]:
-    """Halve v by pairwise TwoSum until at most `stop` values are left.
-
-    Returns (rest, e_sum, abs_sum, m): sum(v) equals sum(rest) plus the m
-    TwoSum errors exactly; e_sum and abs_sum are float sums of the errors
-    and of their magnitudes.  An odd level gets a zero appended.
-    """
-    errs = np.empty(v.size + 64)  # at most one padding zero per level
-    m = 0
-    while v.size > stop:
-        if v.size & 1:
-            v = np.append(v, 0.0)
-        a, b = v[0::2], v[1::2]
-        s = a + b
-        bb = s - a
-        e = errs[m : m + s.size]
-        np.subtract(s, bb, out=e)
-        np.subtract(a, e, out=e)
-        np.subtract(b, bb, out=bb)
-        e += bb  # (a - (s - bb)) + (b - bb) = a + b - s
-        m += s.size
-        v = s
-    e = errs[:m]
-    e_sum = float(e.sum())
-    return v, e_sum, float(np.abs(e, out=e).sum()), m
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """(fl(a + b), a + b - fl(a + b)), the error exact (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
 
 
 def certified_sum(x: np.ndarray) -> float | None:
     """math.fsum(x) for a 1-D float64 array, or None where it cannot certify.
 
-    The TwoSum cascade leaves sum(x) = s + (sum of m errors) exactly.  With
-    E and A the float sums of the errors and of their magnitudes, any
-    summation order gives |E - sum(errors)| <= gamma_(m-1) A_exact <=
-    2 (m + 1) 2^-53 A.  r = fl(s + E) with TwoSum error t is then the
-    correctly rounded sum, in any tie-breaking rule, once |t| plus that
-    bound is below half the gap from r to its nearer float neighbour.
-    None when that fails, when x holds nan or inf or is empty, all zero or
-    so large that n max|x| reaches _CSUM_LIMIT, and when |r| <= 1e-290,
-    where the bound might round into the subnormals.
+    sigma is the least power of two with max|x| <= 2^-M sigma, n + 2 <= 2^M,
+    and sigma_2 = 2^M u sigma.  Block by block, the first extraction splits
+    x into q + x' and the second splits x' into q2 + x''; tau1 = sum(q) and
+    tau2 = sum(q2) are exact floats (see the module docstring), and
+    sum(x) = tau1 + tau2 + sum(x'') exactly.  With (a, e) = TwoSum(tau1,
+    tau2), c = fl(e + s3), s3 the float sum of x'', and r = fl(a + c) with
+    TwoSum error t:
+
+        sum(x) - r = t + (e + s3 - c) + (sum(x'') - s3),
+        |sum(x) - r| <= |t| + u |c| + gamma_(n-1) n u sigma_2.
+
+    gamma_(n-1) n u sigma_2 < n^2 u^2 sigma_2 for n <= 2^26, and the float
+    D = fl(u |c| + 2 n^2 u^2 sigma_2) is at least u |c| plus that.  r is
+    the correctly rounded sum, in any tie-breaking rule, once
+    fl(|t| + D) < gap/2, gap the distance from r to its nearer float
+    neighbour: gap/2 is a power of two and rounding is monotone, so the
+    float test implies the exact one.  None when that fails, when x holds
+    nan or inf or is empty or all zero, when max|x| is below _CSUM_TINY or
+    n max|x| reaches _CSUM_LIMIT, when n + 2 > _CSUM_EXTRACT_LIMIT, and when
+    |r| <= 1e-290, where the gap nears the subnormals.
     """
-    if not 0.0 < max(x.max(initial=0.0), -x.min(initial=0.0)) < _CSUM_LIMIT / max(x.size, 1):
+    n = x.size
+    top = max(x.max(initial=0.0), -x.min(initial=0.0))
+    if not (_CSUM_TINY < top < _CSUM_LIMIT / max(n, 1) and n + 2 <= _CSUM_EXTRACT_LIMIT):
         return None
-    heads = []
-    e_sum = abs_sum = 0.0
-    m = 0
-    for lo in range(0, x.size, _CSUM_BLOCK):
-        rest, es, ab, k = _two_sum_cascade(x[lo : lo + _CSUM_BLOCK], _CSUM_HEADS)
-        heads.append(rest)
-        e_sum, abs_sum, m = e_sum + es, abs_sum + ab, m + k
-    rest, es, ab, k = _two_sum_cascade(np.concatenate(heads), 1)
-    s = float(rest[0])
-    e_sum, abs_sum, m = e_sum + es, abs_sum + ab, m + k
-    r = s + e_sum
-    bv = r - s
-    t = (s - (r - bv)) + (e_sum - bv)
+    m = (n + 1).bit_length()  # n + 2 <= 2^m
+    sigma = math.ldexp(1.0, m + math.frexp(top)[1])  # top < 2^frexp exponent
+    sigma2 = math.ldexp(sigma, m - 53)
+    size = min(n, _CSUM_BLOCK)
+    q, rest = np.empty(size), np.empty(size)
+    tau1 = tau2 = s3 = 0.0
+    for lo in range(0, n, _CSUM_BLOCK):
+        xb = x[lo : lo + _CSUM_BLOCK]
+        qb, rb = q[: xb.size], rest[: xb.size]
+        np.subtract(np.add(xb, sigma, out=qb), sigma, out=qb)
+        tau1 += float(qb.sum())
+        np.subtract(xb, qb, out=rb)
+        np.subtract(np.add(rb, sigma2, out=qb), sigma2, out=qb)
+        tau2 += float(qb.sum())
+        s3 += float(np.subtract(rb, qb, out=rb).sum())
+    a, e = _two_sum(tau1, tau2)
+    c = e + s3
+    r, t = _two_sum(a, c)
     if not (math.isfinite(r) and abs(r) > 1e-290):
         return None
+    bound = _U * abs(c) + 2.0 * float(n * n) * _U * _U * sigma2
     gap = min(r - math.nextafter(r, -math.inf), math.nextafter(r, math.inf) - r)
-    if abs(t) + 2.0 * (m + 1) * 2.0**-53 * abs_sum < 0.5 * gap:
+    if abs(t) + bound < 0.5 * gap:
         return r
     return None
 
@@ -126,7 +141,7 @@ _WIDEN_STEPS = 200
 
 def bracketed_newton(
     f: Callable[[float], float],
-    fprime: Callable[[float], float],
+    fdf: Callable[[float], tuple[float, float]],
     lo: float,
     hi: float,
     x0: float | None = None,
@@ -145,6 +160,10 @@ def bracketed_newton(
     strictly inside the bracket, else at the midpoint.  Returns
     (root, f(root), iterations, (lo, hi)); the returned bracket still
     straddles the root strictly.
+
+    f alone is evaluated at the bracket ends; every interior point is
+    evaluated once, by fdf(x) = (f(x), f'(x)), so a caller that forms both
+    from shared work pays for it once per Newton step.
     """
     flo = f(lo)
     for _ in range(_WIDEN_STEPS):
@@ -164,14 +183,13 @@ def bracketed_newton(
         raise ConvergenceError(f"bracket [{lo}, {hi}] does not straddle a sign change")
     x = x0 if (x0 is not None and lo < x0 < hi) else 0.5 * (lo + hi)
     for it in range(1, max_iters + 1):
-        fx = f(x)
+        fx, d = fdf(x)
         if abs(fx) <= ftol:
             return x, fx, it, (lo, hi)
         if fx > 0:
             hi = x
         else:
             lo = x
-        d = fprime(x)
         step = x - fx / d if (d > 0 and math.isfinite(d)) else math.nan
         if not (lo < step < hi):
             step = 0.5 * (lo + hi)

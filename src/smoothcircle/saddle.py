@@ -3,7 +3,9 @@
 The saddle alpha(x, y) is the unique positive root of log x + phi_1(sigma; y),
 which exists for any x > 1 because -phi_1 decreases continuously from infinity
 to zero (phi_2 >= 0).  The solver is a bracketed Newton iteration with
-bisection fallback on the rational closed forms of phi_1 and phi_2.
+bisection fallback on the rational closed forms of phi_1 and phi_2: phi_1
+alone at the two bracket ends, and phi_1 with phi_2 from one kernel pass
+(euler.phi1_phi2) at every Newton step.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from dataclasses import dataclass
 
 from .dickman import xi
 from .errors import DomainError
-from .euler import phi1_closed, phi2_closed
+from .euler import phi1_closed, phi1_phi2
+from .euler import phi2_closed  # noqa: F401  (bench/spans.py wraps it by this name)
 from .numutil import bracketed_newton
 
 RESIDUAL_TOL = 1e-12  # relative to log x
@@ -55,12 +58,13 @@ def solve_alpha(
     def f(sigma: float) -> float:
         return logx + phi1_closed(sigma, y)
 
-    def fp(sigma: float) -> float:
-        return phi2_closed(sigma, y)
+    def fdf(sigma: float) -> tuple[float, float]:
+        phi1, phi2 = phi1_phi2(sigma, y)
+        return logx + phi1, phi2
 
     seed = math.log1p(y / logx) / logy  # closed-form approximant, good everywhere
     alpha, residual, iters, bracket = bracketed_newton(
-        f, fp, 1.0 / logy, 1.0 + 3.0 / logy, seed,
+        f, fdf, 1.0 / logy, 1.0 + 3.0 / logy, seed,
         ftol=0.25 * RESIDUAL_TOL * logx, max_iters=max_iters,
     )
     return SaddleResult(

@@ -1,18 +1,20 @@
 """Slow, obviously correct reference functions that the tests check the
 package against: trial-division factorization, r(n)/4 from a
 factorization, r(n) by a lattice scan, chi4, the Dickman rho interval
-series in decimal arithmetic, and the Euler kernel's per-prime terms
-evaluated over the whole prime array at once."""
+series in decimal arithmetic, the Euler kernel's per-prime terms
+evaluated over the whole prime array at once, and bracketed Newton with
+separate callbacks for f and f'."""
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, localcontext
 from math import isqrt
 
 import numpy as np
 
 from smoothcircle.counting import _local_r4
-from smoothcircle.errors import DomainError
+from smoothcircle.errors import ConvergenceError, DomainError
 from smoothcircle.primes import prime_table
 
 
@@ -176,3 +178,44 @@ def prime_terms_whole_array(s, y: int, k: int) -> np.ndarray:
         return c * r * (1.0 + c * r) * tail
 
     return lpk * (li(1.0, 1.0 / em1) + li(chi, 1.0 / (em1 + (1.0 - chi))))
+
+
+def bracketed_newton_two_callbacks(f, fprime, lo, hi, x0=None, *, ftol, max_iters=100):
+    """numutil.bracketed_newton with f and f' as separate callbacks: f at
+    every end tried and at every Newton point, then f' at the same point.
+
+    The same bracket widening, Newton and bisection steps and stopping rules
+    as the one-callback form, so the two must return the same floats when
+    f' is the derivative half of that form's (f, f').
+    """
+    flo = f(lo)
+    for _ in range(200):
+        if flo <= 0:
+            break
+        lo *= 0.5
+        flo = f(lo)
+    fhi = f(hi)
+    for _ in range(200):
+        if fhi >= 0:
+            break
+        hi *= 2.0
+        fhi = f(hi)
+    if not (lo < hi) or flo > 0 or fhi < 0:
+        raise ConvergenceError(f"no bracket [{lo}, {hi}]")
+    x = x0 if (x0 is not None and lo < x0 < hi) else 0.5 * (lo + hi)
+    for it in range(1, max_iters + 1):
+        fx = f(x)
+        if abs(fx) <= ftol:
+            return x, fx, it, (lo, hi)
+        if fx > 0:
+            hi = x
+        else:
+            lo = x
+        d = fprime(x)
+        step = x - fx / d if (d > 0 and math.isfinite(d)) else math.nan
+        if not (lo < step < hi):
+            step = 0.5 * (lo + hi)
+        if step == x:
+            return x, fx, it, (lo, hi)
+        x = step
+    raise ConvergenceError(f"no convergence after {max_iters} iterations")

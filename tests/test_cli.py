@@ -104,6 +104,10 @@ def test_xi_rho_subcommands():
     assert float(rows[0]["value"]) == 0.0
     assert float(rows[1]["value"]) == pytest.approx(3.6149504270875306, rel=1e-12)
 
+    code, out, _ = run_cli("xi", "--u", f"1e200,{sys.float_info.max!r}")
+    assert code == 0
+    assert [round(float(r["value"]), 6) for r in parse_csv(out)] == [466.662625, 716.356891]
+
     code, out, _ = run_cli("rho", "--u", "0.5,2")
     rows = parse_csv(out)
     assert float(rows[0]["value"]) == 1.0

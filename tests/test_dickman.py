@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -193,6 +194,23 @@ def test_xi_at_2_starts_from_an_empty_bracket():
     # hi before it checks lo < hi.  The float is the one the solve has
     # always returned.
     assert xi(2.0) == 1.2564312086261697
+
+
+@pytest.mark.parametrize("u", [1e151, 1e200, 1e300, sys.float_info.max])
+def test_xi_past_the_exp_range(u):
+    # The bracket passes z = 709, where e^z nears float range, and for
+    # u = float max the root itself lies past it (about 716): the residual
+    # e^xi = 1 + u xi is checked in log form, xi = log u + log(xi + 1/u).
+    v = xi(u)
+    assert 2.0 < v < 720.0
+    assert abs(v - (math.log(u) + math.log(v + 1.0 / u))) <= 1e-15 * v
+
+
+def test_xi_below_the_guard_is_unchanged():
+    # Up to u = 1e150 no evaluation passes z = 709: the floats the solve
+    # has always returned.
+    assert xi(1e100) == 235.72115887568532
+    assert xi(1e150) == 351.2492600631708
 
 
 def test_rho_underflow_clamp():

@@ -14,6 +14,7 @@ from smoothcircle.euler import (
     h_ratio_profile,
     h_value,
     phi1_closed,
+    phi1_phi2,
     phi2_closed,
     phi_derivatives,
     prime_terms,
@@ -67,6 +68,7 @@ def _assert_matches_series(sigma, y):
 def test_phi_series_matches_closed_forms(sigma, y):
     _assert_matches_series(sigma, y)
     assert phi_derivatives(sigma, y).d[:2] == (phi1_closed(sigma, y), phi2_closed(sigma, y))
+    assert phi1_phi2(sigma, y) == (phi1_closed(sigma, y), phi2_closed(sigma, y))
 
 
 @pytest.mark.parametrize(
@@ -107,6 +109,8 @@ def test_phi_domain():
         phi_derivatives(1.0, 100, kmax=5)
     with pytest.raises(DomainError):  # 2^-2000 underflows: phi_1 would read -0.0
         phi_derivatives(2000.0, 100)
+    with pytest.raises(DomainError):
+        phi1_phi2(0.0, 100)
 
 
 def test_convexity_on_grid():
@@ -316,12 +320,27 @@ def test_prime_terms_k2_form_switch_matches_the_whole_array(y, side):
     assert np.array_equal(got, prime_terms_whole_array(sigma, y, 2))
 
 
+@pytest.mark.parametrize("y", [*_BLOCK_EDGE_YS, 10**6])
+def test_prime_terms_orders_equal_the_whole_array_bitwise(y):
+    # One pass for several orders gives each order's row bit for bit, at
+    # block edges and on both sides of the k = 2 form switch.
+    switch = math.log(1e150) / prime_table(y).logp[-1]
+    for sigma in (0.05, 0.6, 2.0, 60.0, switch * (1.0 - 1e-9), switch * (1.0 + 1e-9)):
+        for orders in ((1, 2, 3, 4), (0, 1, 2), (2, 1)):
+            rows = prime_terms(sigma, y, orders)
+            assert len(rows) == len(orders)
+            for k, row in zip(orders, rows):
+                assert np.array_equal(row, prime_terms_whole_array(sigma, y, k)), (sigma, k)
+
+
 @pytest.mark.parametrize(
-    "s, k", [(0.6, k) for k in range(5)] + [(complex(0.6, 3.0), 0)]
+    "s, k",
+    [(0.6, k) for k in range(5)] + [(complex(0.6, 3.0), 0), (0.6, (1, 2)), (0.6, range(5))],
 )
 def test_prime_terms_transient_memory_is_a_few_blocks(s, k):
-    # The whole-array form peaks at 5-9 times its output; blocks keep every
-    # temporary small, so a call never holds much beyond its output.
+    # The whole-array form peaks at 5-9 times its output; block-sized
+    # scratch written in place keeps a call, for one order or several,
+    # within a few blocks of its output.
     prime_table(10**6)  # cached before tracing: the table is not transient
     tracemalloc.start()
     try:
@@ -329,4 +348,5 @@ def test_prime_terms_transient_memory_is_a_few_blocks(s, k):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * out.nbytes
+    rows = out if isinstance(out, list) else [out]
+    assert peak <= 2 * sum(row.nbytes for row in rows)

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import numpy as np
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 
 from numpy.polynomial.legendre import leggauss
 
+from smoothcircle import numutil
 from smoothcircle.errors import ConvergenceError
 from smoothcircle.euler import prime_terms
 from smoothcircle.numutil import (
     _CSUM_BLOCK,
-    _CSUM_HEADS,
     _CSUM_MIN,
     _WIDEN_STEPS,
     bracketed_newton,
@@ -21,14 +22,16 @@ from smoothcircle.numutil import (
     integrate_panels,
 )
 
-# Both sides of the small-array cutoff, of one block and of a block plus a
-# partial block that is shorter than, or just longer than, its heads.
+# Both sides of the small-array cutoff and of one extraction block, and a
+# block plus a short or a long partial block.
 SIZES = [
     _CSUM_MIN - 1, _CSUM_MIN, _CSUM_MIN + 1, 5001,
     _CSUM_BLOCK - 1, _CSUM_BLOCK, _CSUM_BLOCK + 1,
-    _CSUM_BLOCK + _CSUM_HEADS + 1, 2 * _CSUM_BLOCK + 3,
+    _CSUM_BLOCK + 65, 2 * _CSUM_BLOCK + 3, 3 * _CSUM_BLOCK - 5,
 ]
 ULP1 = 2.0**-52  # ulp of 1.0
+# Examples of the csum property test; a deeper run sets this variable.
+CSUM_EXAMPLES = int(os.environ.get("SMOOTHCIRCLE_TEST_CSUM_EXAMPLES", "150"))
 
 
 def _same_as_fsum(x):
@@ -81,7 +84,7 @@ KINDS = ["wide", "cancel", "tie", "binade", "subnormal", "zero"]
     seed=st.integers(0, 2**32 - 1),
     scale=st.integers(-900, 900),
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=CSUM_EXAMPLES, deadline=None)
 @example(kind="tie", n=_CSUM_MIN, seed=0, scale=0)
 @example(kind="tie", n=_CSUM_BLOCK + 1, seed=1, scale=0)
 @example(kind="binade", n=_CSUM_BLOCK, seed=0, scale=0)
@@ -155,6 +158,43 @@ def test_fast_path_certifies_kernel_sums(sigma, k):
     assert got == math.fsum(terms)
 
 
+@pytest.mark.parametrize("n", [5001, _CSUM_BLOCK + 1, 78498])
+@pytest.mark.parametrize("log2_cond", [16, 28])
+def test_csum_certifies_sums_that_need_the_second_extraction(n, log2_cond):
+    # The sum is about 2^-log2_cond, far below max|x|.  One extraction
+    # leaves remainders up to u sigma, ~2^(M-53) max|x|, whose float sum
+    # carries a bound of ~n^2 2^(M-106) max|x|: above half an ulp of the
+    # sum for every case here.  The second extraction shrinks that by
+    # 2^(M-53).  The last value, far below the rest, keeps the exact sum
+    # off a rounding tie, where certification rightly declines.
+    rng = np.random.default_rng(n + log2_cond)
+    x = rng.standard_normal(n)
+    x[-2:] = 0.0
+    x[-2] = -math.fsum(x) + 2.0**-log2_cond * 1.2345
+    x[-1] = 2.0 ** (-log2_cond - 60) * 0.777
+    x = x[rng.permutation(n)]
+    top = float(np.abs(x).max())
+    m = (n + 1).bit_length()
+    one_pass_bound = n * n * 2.0 ** (m - 106) * 2.0 * top
+    want = math.fsum(x)
+    assert one_pass_bound > 0.5 * math.ulp(want)
+    got = certified_sum(x)
+    assert got is not None
+    assert got.hex() == want.hex()
+
+
+def test_csum_extraction_limit_goes_to_fsum(monkeypatch):
+    # n + 2 above the limit is declined, and csum returns math.fsum's float;
+    # the limit itself is checked with a small patched value, not a 2^26 array.
+    x = np.linspace(-1.0, 3.0, 5000) ** 3
+    assert certified_sum(x) == math.fsum(x)
+    monkeypatch.setattr(numutil, "_CSUM_EXTRACT_LIMIT", x.size + 2)
+    assert certified_sum(x) == math.fsum(x)
+    monkeypatch.setattr(numutil, "_CSUM_EXTRACT_LIMIT", x.size + 1)
+    assert certified_sum(x) is None
+    assert csum(x).hex() == math.fsum(x).hex()
+
+
 def test_fast_path_certifies_strided_complex_parts():
     terms = prime_terms(complex(0.6, 40.0), 10**6, 0)
     for part in (terms.real, terms.imag):
@@ -170,7 +210,7 @@ def test_bracketed_newton_raises_without_a_sign_change(sign):
         return sign
 
     with pytest.raises(ConvergenceError, match="sign change"):
-        bracketed_newton(f, lambda x: 1.0, 0.5, 2.0, ftol=0.0)
+        bracketed_newton(f, lambda x: (f(x), 1.0), 0.5, 2.0, ftol=0.0)
     # one end is widened to its limit, each end tried evaluated once
     assert len(calls) == _WIDEN_STEPS + 2
 
@@ -185,7 +225,7 @@ def test_bracketed_newton_widens_an_empty_bracket(root, tried):
         calls.append(x)
         return x - root
 
-    x, _, _, _ = bracketed_newton(f, lambda x: 1.0, 1.0, 1.0, ftol=1e-15)
+    x, _, _, _ = bracketed_newton(f, lambda x: (f(x), 1.0), 1.0, 1.0, ftol=1e-15)
     assert calls[:4] == tried
     assert x == pytest.approx(root, abs=1e-15)
 

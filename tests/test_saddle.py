@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from smoothcircle import saddle
+from smoothcircle import euler, saddle
 from smoothcircle.config import (
     ALPHA_NEAR_ONE_ENVELOPE,
     XI_GAP_LOGY2_COEF,
@@ -10,8 +10,16 @@ from smoothcircle.config import (
 )
 from smoothcircle.dickman import xi
 from smoothcircle.errors import ConvergenceError, DomainError
-from smoothcircle.euler import h_log_real, phi1_closed
-from smoothcircle.saddle import alpha_bounds_check, alpha_xi_approx, solve_alpha
+from smoothcircle.euler import h_log_real, phi1_closed, phi1_phi2, phi2_closed
+from smoothcircle.saddle import (
+    RESIDUAL_TOL,
+    SaddleResult,
+    alpha_bounds_check,
+    alpha_xi_approx,
+    solve_alpha,
+)
+
+from oracles import bracketed_newton_two_callbacks
 
 
 def test_single_prime_closed_forms():
@@ -79,17 +87,57 @@ def test_nonconvergence_budget():
 
 
 def test_each_bracket_end_is_evaluated_once(monkeypatch):
-    # phi_1 once at each starting end (neither needs widening here), then
-    # once per Newton iteration
-    calls = []
+    # phi_1 alone once at each starting end (neither needs widening here),
+    # then one fused phi_1/phi_2 pass per Newton iteration: iters + 2
+    # kernel passes in all
+    ends, steps, passes = [], [], []
 
     def counting_phi1(sigma, y):
-        calls.append(sigma)
+        ends.append(sigma)
         return phi1_closed(sigma, y)
 
+    def counting_step(sigma, y):
+        steps.append(sigma)
+        return phi1_phi2(sigma, y)
+
+    def counting_terms(s, y, k):
+        passes.append(k)
+        return prime_terms(s, y, k)
+
+    prime_terms = euler.prime_terms
     monkeypatch.setattr(saddle, "phi1_closed", counting_phi1)
+    monkeypatch.setattr(saddle, "phi1_phi2", counting_step)
+    monkeypatch.setattr(euler, "prime_terms", counting_terms)
     res = solve_alpha(1e30, 10**6)
-    assert len(calls) == res.iters + 2
+    assert len(ends) == 2
+    assert len(steps) == res.iters
+    assert passes == [1, 1] + [(1, 2)] * res.iters
+
+
+# The nine cells of the estimates benchmark workload, and one at y = 1e7.
+_SOLVE_CELLS = [(x, y) for x in (1e12, 1e30, 1e300) for y in (100, 10**4, 10**6)]
+
+
+@pytest.mark.parametrize("x, y", _SOLVE_CELLS + [(1e30, 10**7)])
+def test_fused_step_solves_as_two_callbacks_bitwise(x, y):
+    # The same Newton iteration with phi_1 and phi_2 from separate kernel
+    # passes, as solve_alpha ran it before the fused step.
+    logx, logy = math.log(x), math.log(y)
+    root, residual, iters, bracket = bracketed_newton_two_callbacks(
+        lambda s: logx + phi1_closed(s, y),
+        lambda s: phi2_closed(s, y),
+        1.0 / logy,
+        1.0 + 3.0 / logy,
+        math.log1p(y / logx) / logy,
+        ftol=0.25 * RESIDUAL_TOL * logx,
+        max_iters=200,
+    )
+    want = SaddleResult(
+        x=x, y=y, u=logx / logy, alpha=root, residual=residual, iters=iters, bracket=bracket
+    )
+    got = solve_alpha(x, y)
+    assert got == want
+    assert got.alpha.hex() == want.alpha.hex()
 
 
 def test_x_below_y_is_solvable():
