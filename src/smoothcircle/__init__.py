@@ -2,8 +2,8 @@
 
 Exact evaluation of sum r(n) over y-smooth n <= x by two independent
 algorithms, the saddle-point and closed-form asymptotic routes to the same
-quantity, the Rankin upper bound, and numerical verification helpers for
-the supporting prime sums and special functions.
+quantity, the Rankin upper bound, the Dickman function and its saddle
+form, and the weighted prime sum with its main term.
 """
 
 __version__ = "0.1.0"
@@ -34,21 +34,11 @@ from .estimators import (
     dickman_estimate,
     difference_check,
     perron_verify,
-    rankin_bound,
-    saddle_point_estimate,
 )
-from .euler import PhiDerivatives, h_ratio_profile, h_value, phi_derivatives
-from .prime_sums import (
-    PrimeSumReport,
-    lambda_cos_sum,
-    lambda_partial_sum,
-    mertens_product,
-    theta,
-    theta_chi4,
-    weighted_prime_sum,
-)
+from .euler import PhiDerivatives, h_value, phi_derivatives
+from .prime_sums import PrimeSumReport, weighted_prime_sum
 from .primes import PrimeTable, prime_table
-from .saddle import SaddleResult, alpha_bounds_check, alpha_xi_approx, solve_alpha
+from .saddle import SaddleResult, solve_alpha
 
 __all__ = [
     "Config",
@@ -75,23 +65,13 @@ __all__ = [
     "dickman_estimate",
     "difference_check",
     "perron_verify",
-    "rankin_bound",
-    "saddle_point_estimate",
     "PhiDerivatives",
-    "h_ratio_profile",
     "h_value",
     "phi_derivatives",
     "PrimeSumReport",
-    "lambda_cos_sum",
-    "lambda_partial_sum",
-    "mertens_product",
-    "theta",
-    "theta_chi4",
     "weighted_prime_sum",
     "PrimeTable",
     "prime_table",
     "SaddleResult",
-    "alpha_bounds_check",
-    "alpha_xi_approx",
     "solve_alpha",
 ]

@@ -16,7 +16,6 @@ import math
 import sys
 from dataclasses import asdict
 
-from . import __version__
 from .config import Config, config_hash, load_config
 from .counting import exact_circle_sum
 from .errors import (
@@ -130,8 +129,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--u", type=_float_list, required=True)
 
     sp = add_parser("primesums", "weighted prime sums with main terms")
-    sp.add_argument("--x", type=_float_list, help="threshold(s)")
-    sp.add_argument("--grid-x", type=_float_list, help="alias list form of --x")
+    sp.add_argument("--x", type=_float_list, required=True, help="threshold(s)")
     sp.add_argument("--sigma", type=_finite_float, default=0.0)
     sp.add_argument("--twist", action="store_true")
 
@@ -200,11 +198,8 @@ def _run(args, cfg: Config) -> tuple[tuple[str, ...], list[dict]]:
         return ("u", "value"), rows
 
     if args.command == "primesums":
-        xs = (args.x or []) + (args.grid_x or [])
-        if not xs:
-            raise CliInputError("primesums needs --x or --grid-x")
         rows = []
-        for x in xs:
+        for x in args.x:
             rep = weighted_prime_sum(x, args.sigma, args.twist)
             rows.append({
                 "x": x, "sigma": args.sigma, "twist": args.twist,

@@ -16,6 +16,7 @@ ENV_VAR = "SMOOTHCIRCLE_CONFIG"
 
 @dataclass(frozen=True)
 class Config:
+    # These defaults are also those of the library's keyword arguments.
     node_budget: int = 10**9
     epsilon0: float = 0.1
     lambda_: float = 0.25
@@ -85,8 +86,8 @@ def config_hash(cfg: Config) -> str:
 
 # ---------------------------------------------------------------------------
 # Empirical envelope constants for terms the estimates only bound up to O(.).
-# These are desk-scale monitored thresholds wired into the test suite, not
-# proven constants; widen them only with a recorded justification.
+# These are desk-scale monitored thresholds that tests read, not proven
+# constants; widen them only with a recorded justification.
 # ---------------------------------------------------------------------------
 
 THETA_REL_TOL_AT_1E6 = 0.01        # |theta(x)/x - 1| at x = 10^6

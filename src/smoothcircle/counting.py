@@ -51,10 +51,10 @@ from math import isqrt
 
 import numpy as np
 
+from .config import Config
 from .errors import DomainError, ResourceBudgetError
 from .primes import prime_table, sieve_primes
 
-DEFAULT_NODE_BUDGET = 10**9
 DEFAULT_SEGMENT_SIZE = 1 << 20
 
 
@@ -337,7 +337,7 @@ def exact_circle_sum(
     y: int,
     method: str = "auto",
     *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    node_budget: int = Config.node_budget,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> ExactCount:
     """Exact sum of r(n) over y-smooth n <= x (n = 1 counts, with r(1) = 4).

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import DEFAULT_NODE_BUDGET, exact_circle_sum
+from .config import Config
+from .counting import exact_circle_sum
 from .dickman import log_rho_saddle_form, rho
 from .dickman import rho_saddle_form  # noqa: F401  (bench/spans.py wraps it by this name)
 from .errors import DomainError, ResourceBudgetError, SmoothCircleError
@@ -19,8 +20,7 @@ from .euler import h_log_line, h_log_real, phi_derivatives
 from .numutil import integrate_panels
 from .saddle import solve_alpha
 
-DEFAULT_EPSILON0 = 0.1
-DEFAULT_LAMBDA = 0.25
+PERRON_QUAD_RTOL = 1e-9  # relative tolerance of each Perron panel's refinement
 
 FLAG_OUTSIDE_THM1 = "outside-thm1-range"
 FLAG_OUTSIDE_THM2 = "outside-thm2-range"
@@ -37,7 +37,8 @@ def _exp_or_inf(log_value: float) -> float:
 
 
 def log_saddle_point_estimate(x: float, y: int) -> float:
-    """log of the saddle-point main term 4 x^a H(a; y) / (a sqrt(2 pi phi_2(a; y)))."""
+    """log of the saddle-point main term 4 x^a H(a; y) / (a sqrt(2 pi phi_2(a; y))),
+    which is the smooth circle sum up to a factor 1 + O(1/u)."""
     res = solve_alpha(x, y)
     a = res.alpha
     d = phi_derivatives(a, y, kmax=2)
@@ -48,15 +49,6 @@ def log_saddle_point_estimate(x: float, y: int) -> float:
         - math.log(a)
         - 0.5 * math.log(2.0 * math.pi * d.phi2)
     )
-
-
-def saddle_point_estimate(x: float, y: int) -> float:
-    """Saddle-point main term for the smooth circle sum; exact up to 1 + O(1/u).
-
-    Assembled fully in log space; returns inf when the value exceeds float
-    range (the log form above stays finite).
-    """
-    return _exp_or_inf(log_saddle_point_estimate(x, y))
 
 
 def closed_form_estimate(x: float, y: int) -> float:
@@ -81,16 +73,12 @@ def dickman_estimate(x: float, y: int) -> float:
 
 
 def log_rankin_bound(x: float, y: int) -> float:
-    """log of the Rankin bound 4 x^a H(a; y) at the minimizing exponent a."""
+    """log of the Rankin bound 4 x^a H(a; y) at the minimizing exponent a, an
+    unconditional upper bound on the exact circle sum."""
     if x == 1:
         return math.log(4.0)  # inf over sigma of 4 H(sigma; y) = 4, attained in the limit
     res = solve_alpha(x, y)
     return math.log(4.0) + res.alpha * math.log(x) + h_log_real(res.alpha, y)
-
-
-def rankin_bound(x: float, y: int) -> float:
-    """The unconditional upper bound 4 x^alpha H(alpha; y) >= exact circle sum."""
-    return math.exp(log_rankin_bound(x, y))
 
 
 @dataclass(frozen=True)
@@ -111,8 +99,7 @@ def perron_verify(
     y: int,
     T: float,
     *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    rtol: float = 1e-9,
+    node_budget: int = Config.node_budget,
 ) -> PerronResult:
     """Evaluate (4/2pi) int_{-T}^{T} H(a+it; y) x^(a+it) / (a+it) dt and
     compare with the exact circle sum at floor(x).
@@ -139,7 +126,7 @@ def perron_verify(
         return (np.exp(log_h(ts) + sv * logx) / sv).real
 
     integral = 4.0 / math.pi * integrate_panels(
-        f, 0.0, T, 1.0 / math.log(y), rtol=rtol, atol=1e-9
+        f, 0.0, T, 1.0 / math.log(y), rtol=PERRON_QUAD_RTOL, atol=1e-9
     )
     exact = exact_circle_sum(int(math.floor(x)), y, node_budget=node_budget).value
     return PerronResult(
@@ -172,8 +159,8 @@ def difference_check(
     y: int,
     z: float,
     *,
-    lam: float = DEFAULT_LAMBDA,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    lam: float = Config.lambda_,
+    node_budget: int = Config.node_budget,
 ) -> DifferenceReport:
     """Exact increment of the circle sum over (x, x + x/z] against its bound scale."""
     big_z = math.exp(math.log(y) ** (1.5 - lam))
@@ -243,8 +230,8 @@ def compare_cell(
     y: int,
     with_exact: bool,
     *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    epsilon0: float = DEFAULT_EPSILON0,
+    node_budget: int = Config.node_budget,
+    epsilon0: float = Config.epsilon0,
 ) -> ComparisonRow:
     """Build one ComparisonRow; per-cell failures are recorded, not raised."""
     flags: list[str] = []
@@ -297,8 +284,8 @@ def compare_grid(
     y_list,
     with_exact: bool = False,
     *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    epsilon0: float = DEFAULT_EPSILON0,
+    node_budget: int = Config.node_budget,
+    epsilon0: float = Config.epsilon0,
 ) -> list[ComparisonRow]:
     """One ComparisonRow per (x, y) in row-major input order."""
     if not x_list or not y_list:

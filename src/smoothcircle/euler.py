@@ -21,7 +21,6 @@ and all of phi_derivatives each cost one pass over the primes.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -96,8 +95,8 @@ def _block_terms(s, lp, chi4, orders, squares_finite, rows, scratch) -> None:
     reciprocals = False
     for k, row in zip(orders, rows):
         if k == 0 and np.iscomplexobj(row):
-            # Complex s keeps log(1 - z), the form every complex-s report
-            # (H(s), Perron, |H| ratios) was computed with.
+            # Complex s keeps log(1 - z), the form the complex H(s) of
+            # h_log_value was always computed with.
             z = np.exp(-s * lp)
             row[:] = -np.log(1.0 - z) - np.where(zero, 0.0, np.log(1.0 - chi * z))
         elif k == 0:  # -log1p(-z) - log1p(-chi4(p) z), z = p^-s
@@ -293,26 +292,3 @@ def phi_derivatives(sigma: float, y: int, kmax: int = 4) -> PhiDerivatives:
         )
     d = tuple((-1.0) ** k * csum(terms[k]) for k in range(1, kmax + 1))
     return PhiDerivatives(sigma=sigma, y=y, phi=csum(terms[0]), d=d)
-
-
-def h_ratio_profile(x: float, y: int, t_grid) -> list[tuple[float, float]]:
-    """|H(alpha + it; y) / H(alpha; y)| over t_grid, alpha the saddle point of (x, y).
-
-    Ratios live in (0, 1]; exactly 1 at t = 0.
-    """
-    from .saddle import solve_alpha  # deferred: saddle depends on this module
-
-    alpha = solve_alpha(x, y).alpha
-    return [(float(t), h_abs_ratio(alpha, y, float(t))) for t in t_grid]
-
-
-def h_abs_ratio(alpha: float, y: int, t: float) -> float:
-    """|H(alpha+it; y)| / H(alpha; y) for a known saddle point alpha > 0.
-
-    The log-factors at alpha+it and at alpha are differenced per prime before
-    summing, so t = 0 gives exactly 1.
-    """
-    if alpha <= 0:
-        raise DomainError(f"h_abs_ratio needs alpha > 0, got {alpha}")
-    diff = prime_terms(complex(alpha, t), y, 0) - prime_terms(complex(alpha, 0.0), y, 0)
-    return math.exp(csum(diff.real))

@@ -1,23 +1,22 @@
-"""Sums and products over primes up to a threshold, with the mod-4 twist.
+"""The weighted prime sum over primes up to a threshold, with the mod-4 twist.
 
-Every sum is accumulated with compensated summation; products are formed in
-log space.  The main-term columns follow the classical first-order
-approximations so that deviations can be monitored empirically.
+The sum is accumulated with compensated summation.  Its main-term column
+follows the classical first-order approximation so that deviations can be
+monitored empirically.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .numutil import EULER_GAMMA, csum
+from .numutil import csum
 from .primes import prime_table
 
-DEFAULT_SIGMA_SLACK = 2.0  # admissible sigma range is [0, 1 + slack/log x]
+SIGMA_SLACK = 2.0  # admissible sigma range is [0, 1 + slack/log x]
 
 
 @dataclass(frozen=True)
@@ -30,52 +29,7 @@ class PrimeSumReport:
     deviation: float
 
 
-@dataclass(frozen=True)
-class LambdaSumReport:
-    """Partial sum of Lambda(n)/n^s (optionally twisted) with its main term."""
-
-    y: float
-    beta: float
-    t: float
-    twist: bool
-    value: complex
-    main_term: complex
-
-
-@dataclass(frozen=True)
-class LambdaCosReport:
-    """The oscillation sum sum Lambda(n)(1+chi4(n)) n^(beta-1) (1-cos(t log n))."""
-
-    y: float
-    beta: float
-    t: float
-    value: float
-    main_term: float
-
-
-def theta(x: float) -> float:
-    """Chebyshev theta: exact sum of log p over primes p <= x."""
-    if x < 2:
-        raise DomainError(f"theta needs x >= 2, got {x}")
-    table = prime_table(int(x))
-    return csum(table.logp)
-
-
-def theta_chi4(x: float) -> float:
-    """Twisted Chebyshev sum: sum of chi4(p) log p over p <= x."""
-    if x < 2:
-        raise DomainError(f"theta_chi4 needs x >= 2, got {x}")
-    table = prime_table(int(x))
-    return csum(table.chi.astype(np.float64) * table.logp)
-
-
-def weighted_prime_sum(
-    x: float,
-    sigma: float,
-    twist: bool = False,
-    *,
-    sigma_slack: float = DEFAULT_SIGMA_SLACK,
-) -> PrimeSumReport:
+def weighted_prime_sum(x: float, sigma: float, twist: bool = False) -> PrimeSumReport:
     """sum over p <= x of log p / p^sigma, optionally twisted by chi4(p).
 
     The untwisted main term is the integral of u^(-sigma) over [1, x]
@@ -83,9 +37,9 @@ def weighted_prime_sum(
     """
     if x < 2:
         raise DomainError(f"weighted_prime_sum needs x >= 2, got {x}")
-    if not 0.0 <= sigma <= 1.0 + sigma_slack / math.log(x):
+    if not 0.0 <= sigma <= 1.0 + SIGMA_SLACK / math.log(x):
         raise DomainError(
-            f"sigma={sigma} outside [0, 1 + {sigma_slack}/log x] for x={x}"
+            f"sigma={sigma} outside [0, 1 + {SIGMA_SLACK}/log x] for x={x}"
         )
     table = prime_table(int(x))
     weights = table.chi.astype(np.float64) if twist else 1.0
@@ -97,85 +51,3 @@ def weighted_prime_sum(
     else:
         main = (x ** (1.0 - sigma) - 1.0) / (1.0 - sigma)
     return PrimeSumReport(x=x, value=value, main_term=main, deviation=value - main)
-
-
-def mertens_product(x: float) -> PrimeSumReport:
-    """prod over p <= x of (1 - 1/p)^(-1) (1 - chi4(p)/p)^(-1), in log space.
-
-    Main term (pi/4) e^gamma log x; the additive error is O(1), so the ratio
-    to the main term closes in like 1/log x.
-    """
-    if x < 2:
-        raise DomainError(f"mertens_product needs x >= 2, got {x}")
-    table = prime_table(int(x))
-    inv = 1.0 / table.p.astype(np.float64)
-    logs = -np.log1p(-inv) - np.log1p(-table.chi.astype(np.float64) * inv)
-    value = math.exp(csum(logs))
-    main = math.pi / 4.0 * math.exp(EULER_GAMMA) * math.log(x)
-    return PrimeSumReport(x=x, value=value, main_term=main, deviation=value - main)
-
-
-def _prime_powers(y: float):
-    """Yield (n, p, k) for prime powers n = p^k <= y."""
-    table = prime_table(int(y))
-    for p in table.p:
-        p = int(p)
-        n = p
-        k = 1
-        while n <= y:
-            yield n, p, k
-            n *= p
-            k += 1
-
-
-def lambda_partial_sum(y: float, beta: float, t: float, twist: bool = False) -> LambdaSumReport:
-    """sum over n <= y of Lambda(n) (chi4(n) if twisted) / n^s at s = 1 - beta + it.
-
-    Lambda is log p on prime powers, zero elsewhere.  The main term of the
-    untwisted sum is y^(beta - it)/(beta - it); the twisted sum is pure error.
-    """
-    if y < 2:
-        raise DomainError(f"lambda_partial_sum needs y >= 2, got {y}")
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"lambda_partial_sum needs 0 < beta < 1, got {beta}")
-    s = complex(1.0 - beta, t)
-    re_parts: list[float] = []
-    im_parts: list[float] = []
-    for n, p, k in _prime_powers(y):
-        chi_pow = 1
-        if twist:
-            chi = 0 if p == 2 else (1 if p % 4 == 1 else -1)
-            chi_pow = chi**k
-            if chi_pow == 0:
-                continue
-        term = math.log(p) * chi_pow * cmath.exp(-s * math.log(n))
-        re_parts.append(term.real)
-        im_parts.append(term.imag)
-    value = complex(csum(re_parts), csum(im_parts))
-    main = cmath.exp(complex(beta, -t) * math.log(y)) / complex(beta, -t)
-    return LambdaSumReport(y=y, beta=beta, t=t, twist=twist, value=value, main_term=main)
-
-
-def lambda_cos_sum(y: float, beta: float, t: float) -> LambdaCosReport:
-    """sum over n <= y of Lambda(n)(1 + chi4(n)) n^(beta-1) (1 - cos(t log n)).
-
-    Reported with the first-order main term
-    (y^beta/beta) (1 - beta cos(eta)/sqrt(beta^2 + t^2)),
-    eta = t log y - arctan(t/beta), which vanishes with t as the sum does.
-    """
-    if y < 2:
-        raise DomainError(f"lambda_cos_sum needs y >= 2, got {y}")
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"lambda_cos_sum needs 0 < beta < 1, got {beta}")
-    parts: list[float] = []
-    for n, p, k in _prime_powers(y):
-        chi = 0 if p == 2 else (1 if p % 4 == 1 else -1)
-        w = 1 + chi**k
-        if w == 0:
-            continue
-        ln = math.log(n)
-        parts.append(math.log(p) * w * math.exp((beta - 1.0) * ln) * (1.0 - math.cos(t * ln)))
-    value = csum(parts)
-    eta = t * math.log(y) - math.atan(t / beta)
-    main = (y**beta / beta) * (1.0 - beta * math.cos(eta) / math.hypot(beta, t))
-    return LambdaCosReport(y=y, beta=beta, t=t, value=value, main_term=main)

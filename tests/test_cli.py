@@ -121,11 +121,12 @@ def test_primesums_subcommand():
     assert float(row["value"]) == pytest.approx(want, rel=1e-13)
     assert row["twist"] == "false"
 
-    code, out, _ = run_cli("primesums", "--grid-x", "10,100", "--sigma", "1", "--twist")
+    code, out, _ = run_cli("primesums", "--x", "10,100", "--sigma", "1", "--twist")
     rows = parse_csv(out)
     assert len(rows) == 2
     assert all(r["main_term"] == "0" for r in rows)
 
+    assert run_cli("primesums", "--sigma", "1")[0] == 1  # --x is required
 
 def test_perron_subcommand():
     code, out, _ = run_cli("perron", "--x", "20.5", "--y", "10", "--T", "25")

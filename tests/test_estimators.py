@@ -5,8 +5,10 @@ import pytest
 
 from smoothcircle.config import (
     GAUSS_BASELINE_COEF,
+    PERRON_REL_TOL,
     RANKIN_SLACK_RANGE,
     ROUTE_CONSISTENCY_TOL,
+    THM1_TREND_TOL,
 )
 from smoothcircle.counting import exact_circle_sum
 from smoothcircle.dickman import rho, rho_saddle_form
@@ -22,9 +24,8 @@ from smoothcircle.estimators import (
     dickman_estimate,
     difference_check,
     log_rankin_bound,
+    log_saddle_point_estimate,
     perron_verify,
-    rankin_bound,
-    saddle_point_estimate,
 )
 from smoothcircle.report import COMPARE_COLUMNS, rows_to_csv, rows_to_json
 
@@ -33,11 +34,11 @@ def test_saddle_estimate_single_prime_closed_form():
     # at (x=4, y=2): a = log2(3/2), H(a) = 3, phi2 = 6 (log 2)^2
     a = math.log2(1.5)
     want = 4 * 4**a * 3 / (a * math.sqrt(2 * math.pi * 6 * math.log(2) ** 2))
-    assert saddle_point_estimate(4, 2) == pytest.approx(want, rel=1e-10)
+    assert math.exp(log_saddle_point_estimate(4, 2)) == pytest.approx(want, rel=1e-10)
 
 
 def test_saddle_estimate_at_gauss_cell():
-    est = saddle_point_estimate(100, 100)
+    est = math.exp(log_saddle_point_estimate(100, 100))
     assert math.isfinite(est) and est > 0
     assert est / 316 == pytest.approx(1.0, abs=0.2)  # measured 0.942
 
@@ -60,7 +61,7 @@ def test_closed_form_near_u1():
 def test_route_consistency():
     for u in (5.0, 10.0):
         x = float(10**5) ** u
-        t1 = saddle_point_estimate(x, 10**5)
+        t1 = math.exp(log_saddle_point_estimate(x, 10**5))
         t2 = closed_form_estimate(x, 10**5)
         assert abs(t1 / t2 - 1.0) <= ROUTE_CONSISTENCY_TOL
 
@@ -86,26 +87,36 @@ def test_rankin_bound_values():
     u = math.log(10) / math.log(2)
     a = math.log2(1 + 1 / u)
     want = 4 * 10**a / (1 - 2**-a)
-    assert rankin_bound(10, 2) == pytest.approx(want, rel=1e-12)
-    assert rankin_bound(10, 2) >= 16
-    assert rankin_bound(1, 2) == 4.0  # limiting exponent; exact value is 4
+    assert math.exp(log_rankin_bound(10, 2)) == pytest.approx(want, rel=1e-12)
+    assert math.exp(log_rankin_bound(10, 2)) >= 16
+    assert math.exp(log_rankin_bound(1, 2)) == 4.0  # limiting exponent; exact value is 4
 
 
 def test_rankin_dominates_exact():
     for x, y in ((10, 2), (1000, 7), (10**4, 30), (10**5, 300)):
-        assert rankin_bound(float(x), y) >= exact_circle_sum(x, y).value
+        assert math.exp(log_rankin_bound(float(x), y)) >= exact_circle_sum(x, y).value
 
 
 def test_rankin_slack_moderate():
     lo, hi = RANKIN_SLACK_RANGE
-    ratio = rankin_bound(10**4, 30) / exact_circle_sum(10**4, 30).value
+    ratio = math.exp(log_rankin_bound(10**4, 30)) / exact_circle_sum(10**4, 30).value
     assert lo < ratio < hi
+
+
+@pytest.mark.parametrize("x", [10**6, 10**7])
+@pytest.mark.parametrize("y", [100, 1000, 10**4])
+def test_thm1_tracks_exact_on_the_oracle_cells(x, y):
+    # the exact-oracle benchmark cells; the largest measured |thm1/exact - 1|
+    # is 0.021, at (1e6, 1e4)
+    exact = exact_circle_sum(x, y).value
+    thm1 = math.exp(log_saddle_point_estimate(float(x), y))
+    assert abs(thm1 / exact - 1.0) <= THM1_TREND_TOL
 
 
 def test_perron_converges_to_exact():
     res = perron_verify(100.5, 100, 50.0)
     assert res.exact == 316
-    assert abs(res.error) / res.exact <= 0.05
+    assert abs(res.error) / res.exact <= PERRON_REL_TOL
     assert res.error == res.integral - res.exact
 
 

@@ -7,11 +7,9 @@ import pytest
 from smoothcircle import euler
 from smoothcircle.errors import DomainError
 from smoothcircle.euler import (
-    h_abs_ratio,
     h_log_line,
     h_log_real,
     h_log_value,
-    h_ratio_profile,
     h_value,
     phi1_closed,
     phi1_phi2,
@@ -20,6 +18,7 @@ from smoothcircle.euler import (
     prime_terms,
 )
 from smoothcircle.primes import prime_table, sieve_primes
+from smoothcircle.saddle import solve_alpha
 
 from oracles import prime_terms_whole_array
 
@@ -196,24 +195,28 @@ def _smooth_r4_sum(primes, bound, sigma):
     return math.fsum(terms)
 
 
+def h_abs_ratios(alpha, y, ts):
+    """|H(alpha + it; y)| / H(alpha; y) for each t in ts, from the line
+    product and the real-axis log."""
+    log_ratio = h_log_line(alpha, y)(np.asarray(ts, dtype=float)).real - h_log_real(alpha, y)
+    return np.exp(log_ratio)
+
+
 def test_h_ratio_profile_basics():
-    prof = h_ratio_profile(10**6, 1000, [0.0, 0.3, 2.0, 40.0])
-    assert prof[0] == (0.0, 1.0)
-    for t, ratio in prof:
-        assert 0.0 < ratio <= 1.0
-    assert prof[1][1] < 0.999  # strict decay already at small t
+    # ratios live in (0, 1], and are 1 at t = 0
+    alpha = solve_alpha(10**6, 1000).alpha
+    prof = h_abs_ratios(alpha, 1000, [0.0, 0.3, 2.0, 40.0])
+    assert prof[0] == pytest.approx(1.0, rel=1e-12)
+    assert ((0.0 < prof[1:]) & (prof[1:] <= 1.0)).all()
+    assert prof[1] < 0.999  # strict decay already at small t
 
 
 def test_h_ratio_small_t_boundary():
-    t = 1.0 / math.log(1000)
-    prof = h_ratio_profile(10**6, 1000, [t])
-    assert prof[0][1] < 0.999
+    alpha = solve_alpha(10**6, 1000).alpha
+    assert h_abs_ratios(alpha, 1000, [1.0 / math.log(1000)])[0] < 0.999
 
 
 def test_h_abs_ratio_matches_complex_route():
-    from smoothcircle.primes import prime_table
-    from smoothcircle.saddle import solve_alpha
-
     alpha = solve_alpha(10**5, 300).alpha
     tab = prime_table(300)
     c = np.exp(-alpha * tab.logp)
@@ -226,13 +229,14 @@ def test_h_abs_ratio_matches_complex_route():
         den = np.log1p(c * (c - 2.0)) + np.log1p(chi * c * (chi * c - 2.0))
         return math.exp(-0.5 * (math.fsum(num) - math.fsum(den)))
 
-    for t in (0.25, 3.0, 11.0):
+    ts = (0.25, 3.0, 11.0)
+    for t, got in zip(ts, h_abs_ratios(alpha, 300, ts)):
         direct = abs(np.exp(h_log_value(complex(alpha, t), 300))) / math.exp(
             h_log_real(alpha, 300)
         )
-        assert h_abs_ratio(alpha, 300, t) == pytest.approx(direct, rel=1e-12)
-        assert h_abs_ratio(alpha, 300, t) == pytest.approx(modulus_ratio(t), rel=1e-12)
-    assert h_abs_ratio(alpha, 300, 0.0) == 1.0
+        assert got == pytest.approx(direct, rel=1e-12)
+        assert got == pytest.approx(modulus_ratio(t), rel=1e-12)
+    assert h_abs_ratios(alpha, 300, [0.0])[0] == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("y", [10, 300, 1000, 10**6])

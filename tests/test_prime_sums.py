@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import pytest
@@ -12,15 +11,24 @@ from smoothcircle.config import (
     WEIGHTED_DEV_COEF,
 )
 from smoothcircle.errors import DomainError
+from smoothcircle.euler import h_log_real
 from smoothcircle.numutil import EULER_GAMMA
-from smoothcircle.prime_sums import (
-    lambda_cos_sum,
-    lambda_partial_sum,
-    mertens_product,
-    theta,
-    theta_chi4,
-    weighted_prime_sum,
-)
+from smoothcircle.prime_sums import weighted_prime_sum
+
+
+def theta(x):
+    """Chebyshev theta, the sum of log p over p <= x: the sigma = 0 weighted sum."""
+    return weighted_prime_sum(x, 0.0).value
+
+
+def theta_chi4(x):
+    """The twisted theta, the sum of chi4(p) log p over p <= x."""
+    return weighted_prime_sum(x, 0.0, twist=True).value
+
+
+def mertens_product(y):
+    """prod over p <= y of (1 - 1/p)^(-1) (1 - chi4(p)/p)^(-1) = H(1; y)."""
+    return math.exp(h_log_real(1.0, y))
 
 
 def test_theta_small():
@@ -86,78 +94,17 @@ def test_weighted_prime_sum_deviation_envelope(sigma):
 
 
 def test_mertens_small():
-    assert mertens_product(2).value == pytest.approx(2.0, rel=1e-15)
-    assert mertens_product(3).value == pytest.approx(9 / 4, rel=1e-14)
-    assert mertens_product(3).main_term == pytest.approx(
-        math.pi / 4 * math.exp(EULER_GAMMA) * math.log(3), rel=1e-15
-    )
+    assert mertens_product(2) == pytest.approx(2.0, rel=1e-15)
+    assert mertens_product(3) == pytest.approx(9 / 4, rel=1e-14)
 
 
 def test_mertens_ratio_improves():
+    # main term (pi/4) e^gamma log x; the additive error is O(1), so the
+    # ratio closes in like 1/log x
     errs = []
     for x in (10**3, 10**4, 10**5, 10**6):
-        rep = mertens_product(x)
-        err = abs(rep.value / rep.main_term - 1.0)
+        main = math.pi / 4 * math.exp(EULER_GAMMA) * math.log(x)
+        err = abs(mertens_product(x) / main - 1.0)
         assert err <= MERTENS_RATIO_SLACK / math.log(x)
         errs.append(err)
     assert errs == sorted(errs, reverse=True)
-
-
-def test_lambda_partial_sum_examples():
-    rep = lambda_partial_sum(3, 0.5, 0.0)
-    want = math.log(2) / 2**0.5 + math.log(3) / 3**0.5
-    assert rep.value == pytest.approx(complex(want, 0.0), rel=1e-14)
-
-    rep = lambda_partial_sum(4, 0.5, 0.0)
-    want += math.log(2) / 4**0.5  # Lambda(4) = log 2
-    assert rep.value == pytest.approx(complex(want, 0.0), rel=1e-14)
-
-    rep = lambda_partial_sum(2, 0.5, 0.0, twist=True)
-    assert rep.value == 0.0  # chi4(2) = 0
-
-    with pytest.raises(DomainError):
-        lambda_partial_sum(4, 1.5, 0.0)
-
-
-def test_lambda_partial_sum_main_term():
-    beta, t, y = 0.4, 1.3, 100.0
-    rep = lambda_partial_sum(y, beta, t)
-    want = cmath.exp(complex(beta, -t) * math.log(y)) / complex(beta, -t)
-    assert rep.main_term == pytest.approx(want, rel=1e-15)
-
-
-def test_lambda_partial_sum_twisted_prime_powers():
-    # chi4 on p^k is chi4(p)^k: 9 contributes +log 3, 3 contributes -log 3
-    rep = lambda_partial_sum(9, 0.5, 0.0, twist=True)
-    want = -math.log(3) / 3**0.5 + math.log(5) / 5**0.5 - math.log(7) / 7**0.5 + math.log(3) / 9**0.5
-    assert rep.value == pytest.approx(complex(want, 0.0), rel=1e-13)
-
-
-def test_lambda_cos_sum_zero_at_t0():
-    rep = lambda_cos_sum(10, 0.3, 0.0)
-    assert rep.value == 0.0
-    assert rep.main_term == pytest.approx(0.0, abs=1e-12)
-
-
-def test_lambda_cos_sum_single_term():
-    rep = lambda_cos_sum(2, 0.5, 1.0)
-    want = math.log(2) * 2**-0.5 * (1 - math.cos(math.log(2)))
-    assert rep.value == pytest.approx(want, rel=1e-14)
-
-
-def test_lambda_cos_sum_dominant_term():
-    # at t = pi/log 5 the n=5 term carries weight 2(1 - cos pi) = 4
-    t = math.pi / math.log(5)
-    rep = lambda_cos_sum(5, 0.5, t)
-    dominant = 4 * math.log(5) / math.sqrt(5)
-    n4 = math.log(2) * 4**-0.5 * (1 - math.cos(t * math.log(4)))
-    n2 = math.log(2) * 2**-0.5 * (1 - math.cos(t * math.log(2)))
-    assert rep.value == pytest.approx(dominant + n4 + n2, rel=1e-13)
-    assert dominant > 0.7 * rep.value
-
-
-def test_lambda_cos_sum_tracks_main_term():
-    # monitored envelope: the first-order main term is within ~20 percent
-    # at a comfortably smooth point (measured during development)
-    rep = lambda_cos_sum(10**5, 0.4, 0.3)
-    assert rep.value == pytest.approx(rep.main_term, rel=0.2)

@@ -11,13 +11,7 @@ from smoothcircle.config import (
 from smoothcircle.dickman import xi
 from smoothcircle.errors import ConvergenceError, DomainError
 from smoothcircle.euler import h_log_real, phi1_closed, phi1_phi2, phi2_closed
-from smoothcircle.saddle import (
-    RESIDUAL_TOL,
-    SaddleResult,
-    alpha_bounds_check,
-    alpha_xi_approx,
-    solve_alpha,
-)
+from smoothcircle.saddle import RESIDUAL_TOL, SaddleResult, solve_alpha
 
 from oracles import bracketed_newton_two_callbacks
 
@@ -147,48 +141,57 @@ def test_x_below_y_is_solvable():
     assert abs(res.residual) <= 1e-12 * math.log(4)
 
 
+def _xi_form(res):
+    """The approximant 1 - xi(u)/log y of the solved saddle point."""
+    return 1.0 - xi(res.u) / math.log(res.y)
+
+
 def test_bounds_check_examples():
-    rep = alpha_bounds_check(float(10**4) ** 20, 10**4)
-    assert rep.lower_bound == pytest.approx(2 / math.log(10**4), rel=1e-15)
-    assert rep.upper_bound == pytest.approx(1 - 4 / math.log(10**4), rel=1e-15)
-    assert rep.lower_holds is True
-    assert rep.upper_holds is True
+    # the saddle-point lemmas: alpha >= 2/log y for 1 <= u <= y/(8 log y),
+    # alpha <= 1 - 4/log y for u >= 14
+    res = solve_alpha(float(10**4) ** 20, 10**4)  # u = 20: both apply
+    logy = math.log(10**4)
+    assert 14.0 <= res.u <= 10**4 / (8.0 * logy)
+    assert res.alpha >= 2 / logy
+    assert res.alpha <= 1 - 4 / logy
 
-    rep = alpha_bounds_check(float(10**4), 10**4)  # u = 1
-    assert rep.upper_holds is None  # u < 14: check skipped
-    assert rep.lower_holds is True
-
-    rep = alpha_bounds_check(float(10**3) ** 10, 10**3)
-    assert rep.lower_holds is True
-
-    rep = alpha_bounds_check(float(100) ** 3, 100)  # below the y floor
-    assert rep.lower_holds is None and rep.upper_holds is None
+    for x, y in ((float(10**4), 10**4), (float(10**3) ** 10, 10**3)):  # u = 1, 10
+        res = solve_alpha(x, y)
+        assert 1.0 <= res.u <= y / (8.0 * math.log(y))
+        assert res.alpha >= 2 / math.log(y)
 
 
 def test_xi_approx_at_u1():
-    rep = alpha_xi_approx(1000, 1000)
-    assert rep.approx == 1.0  # xi(1) = 0
-    assert rep.gap == pytest.approx(rep.alpha - 1.0, rel=1e-12)
-    assert rep.log_form is None  # u < 3
+    res = solve_alpha(1000, 1000)
+    assert res.u == 1.0
+    assert _xi_form(res) == 1.0  # xi(1) = 0
 
 
 def test_xi_approx_envelope():
     y, u = 10**5, 10.0
-    rep = alpha_xi_approx(float(y) ** u, y)
+    res = solve_alpha(float(y) ** u, y)
     env = XI_GAP_LOGY2_COEF / math.log(y) ** 2 + XI_GAP_UY_COEF * u / y
-    assert abs(rep.gap) <= env
+    assert abs(res.alpha - _xi_form(res)) <= env
 
 
 def test_xi_approx_three_forms():
-    # the three approximants agree loosely at moderate u (measured max
-    # pairwise spread 0.19 at this cell; the first-order error terms differ)
-    rep = alpha_xi_approx(float(10**6) ** 3.0, 10**6)
-    forms = [rep.approx, rep.log_form, rep.closed_form]
-    assert all(f is not None for f in forms)
+    # the three approximants 1 - xi(u)/log y, 1 - log(u log u)/log y (for
+    # u >= 3) and log(1 + y/log x)/log y agree loosely at moderate u
+    # (measured max pairwise spread 0.19 at this cell; the first-order
+    # error terms differ)
+    x, y = float(10**6) ** 3.0, 10**6
+    res = solve_alpha(x, y)
+    assert res.u >= 3.0
+    logy = math.log(y)
+    forms = [
+        _xi_form(res),
+        1.0 - math.log(res.u * math.log(res.u)) / logy,
+        math.log1p(y / math.log(x)) / logy,
+    ]
     for a in forms:
         for b in forms:
             assert abs(a - b) <= 0.25
-    assert abs(rep.alpha - rep.approx) <= 0.05
+    assert abs(res.alpha - _xi_form(res)) <= 0.05
 
 
 def test_xi_gap_shrinks_with_y():
@@ -198,10 +201,11 @@ def test_xi_gap_shrinks_with_y():
     u = 10.0
     gaps = []
     for y in (10**3, 10**4, 10**5, 10**6):
-        rep = alpha_xi_approx(float(y) ** u, y)
+        res = solve_alpha(float(y) ** u, y)
+        gap = res.alpha - _xi_form(res)
         env = XI_GAP_LOGY2_COEF / math.log(y) ** 2 + XI_GAP_UY_COEF * u / y
-        assert abs(rep.gap) <= env
-        gaps.append(abs(rep.gap))
+        assert abs(gap) <= env
+        gaps.append(abs(gap))
     assert gaps[-1] < gaps[0] / 10
 
 
@@ -210,7 +214,7 @@ def test_seed_matches_closed_form_structure():
     # (x may exceed float range; plain ints are fine, only log x is used)
     y = 10**4
     for u in (2.0, 5.0, 20.0, 80.0):
-        rep = alpha_xi_approx(y ** int(u), y)
-        assert abs(rep.gap) < 0.08
-        assert 0 < rep.alpha < 1.2
-        assert rep.approx == pytest.approx(1 - xi(u) / math.log(y), rel=1e-13)
+        res = solve_alpha(y ** int(u), y)
+        assert abs(res.alpha - _xi_form(res)) < 0.08
+        assert 0 < res.alpha < 1.2
+        assert _xi_form(res) == pytest.approx(1 - xi(u) / math.log(y), rel=1e-13)
