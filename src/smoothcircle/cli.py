@@ -53,19 +53,19 @@ def _finite_float(text: str) -> float:
 
 
 def _float_list(text: str) -> list[float]:
-    return [_finite_float(tok) for tok in text.split(",") if tok]
+    """A comma-separated list option; empty items are skipped, an empty list is an error."""
+    vals = [_finite_float(tok) for tok in text.split(",") if tok]
+    if not vals:
+        raise argparse.ArgumentTypeError(f"expected at least one number, got {text!r}")
+    return vals
 
 
 def _int_list(text: str) -> list[int]:
-    vals = []
-    for tok in text.split(","):
-        if not tok:
-            continue
-        f = _finite_float(tok)
+    vals = _float_list(text)
+    for f in vals:
         if not f.is_integer():
-            raise argparse.ArgumentTypeError(f"expected integers, got {tok!r}")
-        vals.append(int(f))
-    return vals
+            raise argparse.ArgumentTypeError(f"expected integers, got {f!r}")
+    return [int(f) for f in vals]
 
 
 def _global_flags(default) -> argparse.ArgumentParser:

@@ -106,11 +106,14 @@ def perron_verify(
 
     x must not be an integer (Perron's formula has a boundary jump there;
     work at half-integers).  The integrand is even in t after taking real
-    parts, and is integrated over panels of width 1/log y, each refined
-    adaptively.  log H on the line Re s = a comes from euler.h_log_line,
-    set up once per call: a blocked product over the primes, one complex
-    log per block and node, correct modulo 2 pi i, which exp removes.
-    Each panel evaluates the integrand once, on both Gauss rules' nodes.
+    parts.  It is a product of x^(it) and the factors p^(-it), p <= y, the
+    fastest of which turns once per 2 pi / max(log x, log y) in t; base
+    panels are that period wide, which one 15/31-point Gauss pair resolves,
+    and a panel the pair does not resolve is bisected.  log H on the line
+    Re s = a comes from euler.h_log_line, set up once per call: a blocked
+    product over the primes, one complex log per block and node, correct
+    modulo 2 pi i, which exp removes.  Each panel evaluates the integrand
+    once, on both Gauss rules' nodes.
     """
     if float(x).is_integer():
         raise DomainError(f"perron_verify needs non-integer x; shift to {x} + 0.5")
@@ -125,8 +128,9 @@ def perron_verify(
         sv = a + 1j * ts
         return (np.exp(log_h(ts) + sv * logx) / sv).real
 
+    period = 2.0 * math.pi / max(logx, math.log(y))
     integral = 4.0 / math.pi * integrate_panels(
-        f, 0.0, T, 1.0 / math.log(y), rtol=PERRON_QUAD_RTOL, atol=1e-9
+        f, 0.0, T, period, rtol=PERRON_QUAD_RTOL, atol=1e-9
     )
     exact = exact_circle_sum(int(math.floor(x)), y, node_budget=node_budget).value
     return PerronResult(

@@ -42,8 +42,14 @@ def weighted_prime_sum(x: float, sigma: float, twist: bool = False) -> PrimeSumR
             f"sigma={sigma} outside [0, 1 + {SIGMA_SLACK}/log x] for x={x}"
         )
     table = prime_table(int(x))
-    weights = table.chi.astype(np.float64) if twist else 1.0
-    value = csum(weights * table.logp * np.exp(-sigma * table.logp))
+    # log p exp(-sigma log p), formed in one array.  chi is 0 or +-1, so
+    # multiplying it in last is exact: the same floats as (chi log p) exp(...).
+    terms = np.multiply(table.logp, -sigma)
+    np.exp(terms, out=terms)
+    terms *= table.logp
+    if twist:
+        terms *= table.chi
+    value = csum(terms)
     if twist:
         main = 0.0
     elif sigma == 1.0:

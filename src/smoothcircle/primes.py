@@ -12,15 +12,25 @@ from .errors import DomainError
 
 
 def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (empty for limit < 2)."""
+    """All primes <= limit as an int64 array (empty for limit < 2).
+
+    The sieve holds the odd numbers only: index i stands for 2i + 1.  An
+    odd prime p strikes its odd multiples from p^2 on, which are indices
+    p^2 // 2, p^2 // 2 + p, ...  Index 0 (the number 1) is never struck,
+    and its slot in the result holds 2.
+    """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    comp = np.zeros(limit + 1, dtype=bool)
-    comp[:2] = True
-    for p in range(2, isqrt(limit) + 1):
-        if not comp[p]:
-            comp[p * p :: p] = True
-    return np.flatnonzero(~comp).astype(np.int64)
+    odd = np.ones((limit + 1) // 2, dtype=bool)
+    for i in range(1, (isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 @dataclass(frozen=True)
@@ -46,8 +56,7 @@ def prime_table(y: int) -> PrimeTable:
     if y < 2:
         raise DomainError(f"prime table needs y >= 2, got {y}")
     p = sieve_primes(y)
-    chi = np.where(p % 4 == 1, 1, -1).astype(np.int8)
-    chi[p == 2] = 0
+    chi = (2 - (p & 3)).astype(np.int8)  # p & 3 is 1, 3 or 2 (at p = 2 only)
     logp = np.log(p.astype(np.float64))
     for arr in (p, chi, logp):
         arr.setflags(write=False)

@@ -289,6 +289,22 @@ def test_non_finite_input_exit1(argv):
     assert sum(ln.startswith("error:") for ln in err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("xi", "--u", ","),
+        ("rho", "--u", ","),
+        ("primesums", "--x", ","),
+        ("compare", "--grid-x", ",", "--grid-y", "10"),
+    ],
+)
+def test_empty_list_option_exit1(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 1
+    assert out == ""
+    assert sum(ln.startswith("error:") for ln in err.splitlines()) == 1
+
+
 def test_compare_far_tail_thm2_finite_and_goswami_flagged():
     # u = 150: rho(u) is clamped below 1e-300, the saddle form of rho is not
     code, out, _ = run_cli("compare", "--grid-x", "1e300", "--grid-y", "100")

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from smoothcircle import estimators
 from smoothcircle.config import (
     GAUSS_BASELINE_COEF,
     PERRON_REL_TOL,
@@ -145,6 +146,29 @@ def test_perron_pinned_integrals(x, y, T, integral):
     res = perron_verify(x, y, T)
     assert res.integral == pytest.approx(integral, rel=1e-12, abs=0)
     assert res.exact == exact_circle_sum(int(x), y).value
+
+
+@pytest.mark.parametrize(
+    "x, y, T, calls",
+    [(1000000.5, 1000, 50.0, 110), (3000000.5, 300, 100.0, 238)],
+)
+def test_perron_panel_count(monkeypatch, x, y, T, calls):
+    # base panels one period of the fastest factor wide, 2 pi / max(log x,
+    # log y): ceil(T max(log x, log y) / 2 pi) integrand calls, none split
+    count = 0
+    quad = estimators.integrate_panels
+
+    def counted(f, *args, **kwargs):
+        def g(ts):
+            nonlocal count
+            count += 1
+            return f(ts)
+
+        return quad(g, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "integrate_panels", counted)
+    perron_verify(x, y, T)
+    assert count == calls == math.ceil(T * max(math.log(x), math.log(y)) / (2 * math.pi))
 
 
 def test_perron_error_decays_envelope():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import PRIMES_BELOW_100
@@ -14,6 +15,7 @@ from smoothcircle.errors import DomainError
 from smoothcircle.euler import h_log_real
 from smoothcircle.numutil import EULER_GAMMA
 from smoothcircle.prime_sums import weighted_prime_sum
+from smoothcircle.primes import prime_table
 
 
 def theta(x):
@@ -75,6 +77,17 @@ def test_weighted_prime_sum_examples():
     assert rep.value == pytest.approx(want, rel=1e-13)
     assert rep.main_term == 0.0
     assert rep.deviation == rep.value
+
+
+@pytest.mark.parametrize("twist", [False, True])
+@pytest.mark.parametrize("sigma", [0.5, 0.9])
+def test_weighted_prime_sum_bits(sigma, twist):
+    # the per-prime floats (w log p) exp(-sigma log p), summed exactly rounded
+    tab = prime_table(10**5)
+    w = tab.chi.astype(np.float64) if twist else 1.0
+    terms = (w * tab.logp) * np.exp(-sigma * tab.logp)
+    want = math.fsum(terms.tolist())
+    assert weighted_prime_sum(1e5, sigma, twist).value.hex() == want.hex()
 
 
 def test_weighted_prime_sum_domain():

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -30,6 +31,18 @@ def test_sieve_against_trial_division():
     assert sieve_primes(1999).tolist() == want
 
 
+def test_sieve_every_limit():
+    # odd-only layout: every limit to 1000, and around each odd p^2 < 100^2,
+    # where p first strikes
+    want = [n for n in range(2, 97**2 + 2) if factorize(n) == [(n, 1)]]
+    limits = set(range(1001))
+    limits.update(p * p + d for p in PRIMES_BELOW_100[1:] for d in (-1, 0, 1))
+    for n in sorted(limits):
+        got = sieve_primes(n)
+        assert got.dtype == np.int64
+        assert got.tolist() == want[: bisect_right(want, n)], n
+
+
 def test_prime_count_1e6(table_1e6):
     assert len(table_1e6) == 78498
 
@@ -38,6 +51,7 @@ def test_prime_table_chi_and_log(table_1e6):
     assert np.all(np.diff(table_1e6.p) > 0)
     expect = np.where(table_1e6.p % 4 == 1, 1, -1)
     expect[table_1e6.p == 2] = 0
+    assert table_1e6.chi.dtype == np.int8
     assert np.array_equal(table_1e6.chi, expect)
     tab = prime_table(50)
     for p, chi, logp in zip(tab.p.tolist(), tab.chi.tolist(), tab.logp.tolist()):
