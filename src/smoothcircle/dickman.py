@@ -48,22 +48,18 @@ def xi(u: float) -> float:
         return 0.0
     log_u = math.log(u)
 
-    def g(z: float) -> float:
-        if z <= _EXP_SAFE:
-            return math.expm1(z) - u * z
-        return -math.expm1(log_u + math.log(z + 1.0 / u) - z)  # 1 - (1 + u z) e^-z
-
     def gdg(z: float) -> tuple[float, float]:
-        return g(z), (math.exp(z) - u if z <= _EXP_SAFE else -math.expm1(log_u - z))
+        if z <= _EXP_SAFE:
+            return math.expm1(z) - u * z, math.exp(z) - u
+        # g and g' scaled by e^-z: 1 - (1 + u z) e^-z and 1 - u e^-z
+        return -math.expm1(log_u + math.log(z + 1.0 / u) - z), -math.expm1(log_u - z)
 
     # g < 0 strictly between the trivial root 0 and the sought root, and
-    # min(1, u-1) always lands in that gap.  The seed log(u log u + 1) is
+    # g -> inf: the bracket is (0, inf).  The seed log(u log u + 1) is
     # log u + log log u, up to rounding, where u log u overflows.
     u_log_u = u * log_u
     seed = math.log(u_log_u + 1.0) if u_log_u < math.inf else log_u + math.log(log_u)
-    root, _, _, _ = bracketed_newton(
-        g, gdg, min(1.0, u - 1.0), max(1.0, seed), seed, ftol=0.0, max_iters=200
-    )
+    root, _, _, _ = bracketed_newton(gdg, 0.0, math.inf, seed, ftol=0.0, max_iters=200)
     return root
 
 
@@ -211,17 +207,26 @@ def build_dickman_table(u_max: int = DEFAULT_RHO_UMAX) -> DickmanTable:
 
 _table: DickmanTable | None = None  # rebuilt larger on demand
 
-# The first integer u with 1/Gamma(u + 1) < RHO_UNDERFLOW (167): rho reads 0
-# from the Gamma cut (about 166.92) on, so no table needs to pass _U_CUT + 2.
-_U_CUT = next(k for k in range(2, 1000) if math.lgamma(k + 1.0) > -math.log(RHO_UNDERFLOW))
+# rho(u) < RHO_UNDERFLOW for every u >= _U_CUT, by the Laplace bound in
+# rho's docstring, so no table needs to pass _U_CUT + 2.
+_U_CUT = 126
 
 
 def rho(u: float) -> float:
     """The Dickman function rho(u) for u >= 0 (1 on [0, 1], cached table beyond).
 
-    0.0, the table's clamp value, without building a table once the bound
-    rho(u) <= 1/Gamma(u + 1) is below RHO_UNDERFLOW: u rho(u) is the integral
-    of rho over [u - 1, u], which is at most rho(u - 1).  The first table
+    0.0, the table's clamp value, without building a table for u >= _U_CUT.
+    rho's Laplace transform gives int_0^inf rho(t) e^(xi t) dt = e^(gamma +
+    I(xi)) for real xi, I(v) = int_0^v (e^s - 1)/s ds (Tenenbaum,
+    Introduction to Analytic and Probabilistic Number Theory, III.5), and
+    rho is nonincreasing, so rho(u) (e^(xi u) - 1)/xi is at most that
+    integral:
+
+        rho(u) <= xi e^(gamma + I(xi)) / (e^(xi u) - 1),   xi = xi(u).
+
+    The bound lies within 2.3 decades of rho on [50, 120] and first drops
+    below RHO_UNDERFLOW at the integer u = 126 (about 10^-301.5); since rho
+    is nonincreasing, so is every rho(u) with u >= 126.  The first table
     reaches max(DEFAULT_RHO_UMAX, ceil(u) + 2); a u past it rebuilds to
     _U_CUT + 2, so a process builds at most two tables.
     """
@@ -230,12 +235,12 @@ def rho(u: float) -> float:
         raise DomainError(f"rho needs u >= 0, got {u}")
     if u <= 1.0:
         return 1.0
-    if math.lgamma(u + 1.0) > -math.log(RHO_UNDERFLOW):
+    if u >= _U_CUT:
         return 0.0
     if _table is None:
         _table = build_dickman_table(max(DEFAULT_RHO_UMAX, int(math.ceil(u)) + 2))
     elif _table.u_max < u:
-        # u is below the Gamma cut here, so this table covers every later u.
+        # u is below _U_CUT here, so this table covers every later u.
         _table = build_dickman_table(_U_CUT + 2)
     return _table.value_at(u)
 

@@ -135,53 +135,29 @@ def certified_sum(x: np.ndarray) -> float | None:
     return None
 
 
-# bracketed_newton halves lo, or doubles hi, at most this many times.
-_WIDEN_STEPS = 200
-
-
 def bracketed_newton(
-    f: Callable[[float], float],
     fdf: Callable[[float], tuple[float, float]],
     lo: float,
     hi: float,
-    x0: float | None = None,
+    x0: float,
     *,
     ftol: float,
     max_iters: int = 100,
 ) -> tuple[float, float, int, tuple[float, float]]:
-    """Newton iteration confined to a sign-changing bracket, with bisection fallback.
+    """Newton iteration inside a bracket the caller knows, with a bisection fallback.
 
-    Requires f nondecreasing.  [lo, hi] is a starting guess: lo is halved
-    while f(lo) > 0 and hi doubled while f(hi) < 0, at most _WIDEN_STEPS
-    times each, and f is evaluated once at every end tried.  Raises
-    ConvergenceError when the widened ends still have no sign change
-    f(lo) <= 0 <= f(hi), or do not satisfy lo < hi; lo = hi on entry is
-    fine if widening separates them.  Newton then starts at x0 if it lies
-    strictly inside the bracket, else at the midpoint.  Returns
-    (root, f(root), iterations, (lo, hi)); the returned bracket still
-    straddles the root strictly.
-
-    f alone is evaluated at the bracket ends; every interior point is
-    evaluated once, by fdf(x) = (f(x), f'(x)), so a caller that forms both
-    from shared work pays for it once per Newton step.
+    The caller vouches for the ends, which are never evaluated: f <= 0 on
+    (lo, root] and f >= 0 on [root, hi), and lo < x0 < hi; hi may be inf
+    if lo >= 0.  Every iterate is evaluated once, by fdf(x) = (f(x), d),
+    the step being x - f/d: d = f'(x) for plain Newton, or the slope that
+    makes it a Newton step on a monotone transform of f.  Each iterate
+    becomes the new lo or hi by the sign of f; a step that leaves (lo, hi),
+    or has no finite d > 0, is replaced by the midpoint, or by 2x while hi
+    is inf.  Stops once |f| <= ftol or the step no longer moves x, and
+    raises ConvergenceError after max_iters.  Returns (root, f(root),
+    iterations, (lo, hi)), lo < root < hi.
     """
-    flo = f(lo)
-    for _ in range(_WIDEN_STEPS):
-        if flo <= 0:
-            break
-        lo *= 0.5
-        flo = f(lo)
-    fhi = f(hi)
-    for _ in range(_WIDEN_STEPS):
-        if fhi >= 0:
-            break
-        hi *= 2.0
-        fhi = f(hi)
-    if not (lo < hi):
-        raise ConvergenceError(f"empty bracket [{lo}, {hi}]")
-    if flo > 0 or fhi < 0:
-        raise ConvergenceError(f"bracket [{lo}, {hi}] does not straddle a sign change")
-    x = x0 if (x0 is not None and lo < x0 < hi) else 0.5 * (lo + hi)
+    x = x0
     for it in range(1, max_iters + 1):
         fx, d = fdf(x)
         if abs(fx) <= ftol:
@@ -192,7 +168,7 @@ def bracketed_newton(
             lo = x
         step = x - fx / d if (d > 0 and math.isfinite(d)) else math.nan
         if not (lo < step < hi):
-            step = 0.5 * (lo + hi)
+            step = 2.0 * x if hi == math.inf else 0.5 * (lo + hi)
         if step == x:  # float resolution exhausted
             return x, fx, it, (lo, hi)
         x = step

@@ -2,8 +2,8 @@
 package against: trial-division factorization, r(n)/4 from a
 factorization, r(n) by a lattice scan, chi4, the Dickman rho interval
 series in decimal arithmetic, the Euler kernel's per-prime terms
-evaluated over the whole prime array at once, and bracketed Newton with
-separate callbacks for f and f'."""
+evaluated over the whole prime array at once, and plain bracketed Newton
+with separate callbacks for f and f'."""
 
 from __future__ import annotations
 
@@ -181,12 +181,12 @@ def prime_terms_whole_array(s, y: int, k: int) -> np.ndarray:
 
 
 def bracketed_newton_two_callbacks(f, fprime, lo, hi, x0=None, *, ftol, max_iters=100):
-    """numutil.bracketed_newton with f and f' as separate callbacks: f at
+    """Plain Newton on a nondecreasing f with f and f' as separate
+    callbacks, from a starting bracket widened until f changes sign: f at
     every end tried and at every Newton point, then f' at the same point.
 
-    The same bracket widening, Newton and bisection steps and stopping rules
-    as the one-callback form, so the two must return the same floats when
-    f' is the derivative half of that form's (f, f').
+    Stops on |f| <= ftol, so its root and the solver's lie within the same
+    residual tolerance whatever steps either takes.
     """
     flo = f(lo)
     for _ in range(200):

@@ -61,6 +61,21 @@ def test_alpha_subcommand():
     assert float(row["bracket_lo"]) < float(row["alpha"]) < float(row["bracket_hi"])
 
 
+def test_alpha_bracket_hi_reads_inf_while_no_iterate_passed_alpha():
+    # every Newton iterate at (1e30, 1e6) lies below alpha, so the known
+    # upper end, inf, is still the bracket's
+    code, out, _ = run_cli("alpha", "--x", "1e30", "--y", "1000000")
+    assert code == 0
+    row = parse_csv(out)[0]
+    assert row["bracket_hi"] == "inf"
+    assert float(row["bracket_lo"]) < float(row["alpha"]) < float(row["bracket_hi"])
+    code, out, _ = run_cli("alpha", "--x", "1e30", "--y", "1000000", "--format", "json")
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["bracket_hi"] == "inf"
+    assert row["bracket_lo"] < row["alpha"] < float(row["bracket_hi"])
+
+
 def test_alpha_via_u():
     code, out, _ = run_cli("alpha", "--u", "2", "--y", "2")
     assert code == 0
@@ -324,7 +339,7 @@ def test_hval_sigma_out_of_range_exit1():
 
 
 def test_compare_huge_u_keeps_the_row():
-    # u = 1023: rho is below the underflow clamp by its Gamma bound, no table
+    # u = 1023, past dickman._U_CUT: rho reads 0 by its Laplace bound, no table
     code, out, _ = run_cli("compare", "--grid-x", "1e308", "--grid-y", "2")
     assert code == 0
     row = parse_csv(out)[0]

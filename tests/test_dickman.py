@@ -18,7 +18,7 @@ from smoothcircle.dickman import (
     xi_prime,
 )
 from smoothcircle.errors import ConvergenceError, DomainError
-from smoothcircle.numutil import integrate_panels
+from smoothcircle.numutil import EULER_GAMMA, integrate_panels
 
 from oracles import rho_interval_series_decimal
 
@@ -190,17 +190,18 @@ def test_infinite_u_raises_domain_error(f):
 
 
 def test_xi_at_2_starts_from_an_empty_bracket():
-    # At u = 2 both starting ends of the bracket are 1: the solver widens
-    # hi before it checks lo < hi.  The float is the one the solve has
-    # always returned.
+    # At u = 2 the bracket used to start empty, both ends at 1; the solve
+    # now starts from the seed in (0, inf).  The float is the one the solve
+    # has always returned.
     assert xi(2.0) == 1.2564312086261697
 
 
 @pytest.mark.parametrize("u", [1e151, 1e200, 1e300, sys.float_info.max])
 def test_xi_past_the_exp_range(u):
-    # The bracket passes z = 709, where e^z nears float range, and for
-    # u = float max the root itself lies past it (about 716): the residual
-    # e^xi = 1 + u xi is checked in log form, xi = log u + log(xi + 1/u).
+    # Past u of about 1e151 a doubled bracket end once passed z = 709, where
+    # e^z nears float range, and for u = float max the root itself lies past
+    # it (about 716): the residual e^xi = 1 + u xi is checked in log form,
+    # xi = log u + log(xi + 1/u).
     v = xi(u)
     assert 2.0 < v < 720.0
     assert abs(v - (math.log(u) + math.log(v + 1.0 / u))) <= 1e-15 * v
@@ -239,35 +240,69 @@ def test_rho_ascending_sweep_builds_at_most_two_tables(monkeypatch):
     built = _record_builds(monkeypatch)
     vals = [rho(float(u)) for u in range(65, 131)]
     assert len(built) <= 2
-    assert built == [67, 169]  # ceil(65) + 2, then two past the Gamma cut
+    assert built == [67, 128]  # ceil(65) + 2, then two past _U_CUT
     live = [v for v in vals if v > 0.0]
     assert all(a > b for a, b in zip(live, live[1:]))
 
 
 def test_rho_growth_is_capped_at_the_gamma_cut(monkeypatch):
-    # the compare sweep's order: a small u, then u = 150 -- two tables, the
-    # second reaching the Gamma cut, so no later u builds another
+    # the compare sweep's order: a small u, then a large one -- two tables,
+    # the second reaching _U_CUT + 2, so no later u builds another
     built = _record_builds(monkeypatch)
     rho(3.0)
+    rho(120.0)
+    assert built == [64, 128]
+    rho(125.9)
     rho(150.0)
-    assert built == [64, 169]
-    rho(160.0)
-    assert built == [64, 169]
-    assert math.lgamma(dickman._U_CUT + 1.0) > -math.log(dickman.RHO_UNDERFLOW)
-    assert math.lgamma(dickman._U_CUT) <= -math.log(dickman.RHO_UNDERFLOW)
-    assert rho(166.9) == dickman._table.value_at(166.9)
-    assert len(built) == 2
+    assert built == [64, 128]
+    assert rho(125.9) == dickman._table.value_at(125.9)
+
+
+def _log_laplace_bound(u):
+    """log of xi e^(gamma + I(xi)) / (e^(xi u) - 1), xi = xi(u), the bound
+    on rho(u) that rho's docstring derives from its Laplace transform."""
+    v = xi(u)
+    z = v * u
+    return math.log(v) + EULER_GAMMA + exp_integral(v) - z - math.log(-math.expm1(-z))
+
+
+def test_laplace_bound_is_above_the_table():
+    table = build_dickman_table(128)
+    for u in np.linspace(1.5, 127.0, 1001):
+        value = table.value_at(u)
+        if value > 0.0:
+            assert math.log(value) <= _log_laplace_bound(u)
+    # within 2.3 decades of rho at the cut's end of the range
+    assert _log_laplace_bound(120.0) - math.log(table.value_at(120.0)) < 2.3 * math.log(10.0)
+
+
+def test_u_cut_from_the_laplace_bound():
+    # the first integer u whose bound is below the clamp; rho is
+    # nonincreasing, so every u past it is below the clamp as well
+    log_clamp = math.log(dickman.RHO_UNDERFLOW)
+    assert dickman._U_CUT == next(k for k in range(2, 200) if _log_laplace_bound(k) < log_clamp)
+    assert dickman._U_CUT == 126
+
+
+def test_rho_matches_a_table_built_to_169(monkeypatch):
+    # the same floats, zeros included, as a table to 169, the reach of the
+    # 1/Gamma(u + 1) cut; top down, the first u below _U_CUT builds one to 128
+    built = _record_builds(monkeypatch)
+    wide = build_dickman_table(169)
+    for u in np.linspace(168.0, 64.0, 417):
+        assert rho(u) == wide.value_at(u)
+    assert built == [128]
 
 
 def test_rho_gamma_bound_and_cut():
-    # rho(u) <= 1/Gamma(u + 1); once that bound is below RHO_UNDERFLOW, rho
-    # is 0.0 without a table being built
+    # rho(u) <= 1/Gamma(u + 1) on the table, and past _U_CUT rho is 0.0
+    # without a table being built
     for u in (2.5, 10.0, 40.0, 63.0):
         assert rho(u) <= math.exp(-math.lgamma(u + 1.0))
     before = dickman._table
     assert rho(1023.15) == 0.0
+    assert rho(float(dickman._U_CUT)) == 0.0
     assert dickman._table is before
-    assert math.lgamma(151.0) < -math.log(dickman.RHO_UNDERFLOW)  # u = 150 still tabulated
 
 
 def test_exp_integral_series_values():

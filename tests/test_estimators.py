@@ -218,6 +218,12 @@ def test_compare_cell_without_exact():
     assert row.thm1 > 0 and row.goswami > 0 and row.rankin > 0
 
 
+def test_compare_cell_infinite_x_is_a_failed_cell():
+    # solve_alpha rejects x = inf, so the row is the one of a failed solve,
+    # not estimates at u = inf with an unflagged goswami = nan
+    assert compare_cell(math.inf, 100, with_exact=False) == ComparisonRow(x=math.inf, y=100)
+
+
 def test_compare_cell_budget_flag():
     row = compare_cell(10**6, 300, with_exact=True, node_budget=100)
     assert row.exact is None

@@ -10,6 +10,7 @@ PACKAGE = Path(smoothcircle.__file__).parent
 # Imports kept only so that a benchmark wrapper finds the name on the module.
 ALLOWED_UNUSED = {
     ("estimators", "rho_saddle_form"),  # bench/spans.py wraps estimators.rho_saddle_form
+    ("saddle", "phi1_closed"),  # bench/spans.py wraps saddle.phi1_closed
     ("saddle", "phi2_closed"),  # bench/spans.py wraps saddle.phi2_closed
 }
 

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothcircle import euler, saddle
 from smoothcircle.config import (
@@ -11,7 +13,7 @@ from smoothcircle.config import (
 from smoothcircle.dickman import xi
 from smoothcircle.errors import ConvergenceError, DomainError
 from smoothcircle.euler import h_log_real, phi1_closed, phi1_phi2, phi2_closed
-from smoothcircle.saddle import RESIDUAL_TOL, SaddleResult, solve_alpha
+from smoothcircle.saddle import RESIDUAL_TOL, solve_alpha
 
 from oracles import bracketed_newton_two_callbacks
 
@@ -73,6 +75,9 @@ def test_domain_errors():
         solve_alpha(1, 2)
     with pytest.raises(DomainError):
         solve_alpha(10, 1)
+    for bad in (math.inf, math.nan):  # named in the error, not met as a bad sigma
+        with pytest.raises(DomainError, match=f"finite x > 1, got {bad}"):
+            solve_alpha(bad, 100)
 
 
 def test_nonconvergence_budget():
@@ -80,32 +85,20 @@ def test_nonconvergence_budget():
         solve_alpha(10**6, 10**3, max_iters=1)
 
 
-def test_each_bracket_end_is_evaluated_once(monkeypatch):
-    # phi_1 alone once at each starting end (neither needs widening here),
-    # then one fused phi_1/phi_2 pass per Newton iteration: iters + 2
-    # kernel passes in all
-    ends, steps, passes = [], [], []
-
-    def counting_phi1(sigma, y):
-        ends.append(sigma)
-        return phi1_closed(sigma, y)
-
-    def counting_step(sigma, y):
-        steps.append(sigma)
-        return phi1_phi2(sigma, y)
+def test_each_iteration_is_one_kernel_pass(monkeypatch):
+    # No pass at the bracket ends, which are known: one fused phi_1/phi_2
+    # pass per Newton iteration, and few of them from the closed-form seed
+    passes = []
 
     def counting_terms(s, y, k):
         passes.append(k)
         return prime_terms(s, y, k)
 
     prime_terms = euler.prime_terms
-    monkeypatch.setattr(saddle, "phi1_closed", counting_phi1)
-    monkeypatch.setattr(saddle, "phi1_phi2", counting_step)
     monkeypatch.setattr(euler, "prime_terms", counting_terms)
     res = solve_alpha(1e30, 10**6)
-    assert len(ends) == 2
-    assert len(steps) == res.iters
-    assert passes == [1, 1] + [(1, 2)] * res.iters
+    assert passes == [(1, 2)] * res.iters
+    assert res.iters <= 5
 
 
 # The nine cells of the estimates benchmark workload, and one at y = 1e7.
@@ -113,11 +106,23 @@ _SOLVE_CELLS = [(x, y) for x in (1e12, 1e30, 1e300) for y in (100, 10**4, 10**6)
 
 
 @pytest.mark.parametrize("x, y", _SOLVE_CELLS + [(1e30, 10**7)])
-def test_fused_step_solves_as_two_callbacks_bitwise(x, y):
-    # The same Newton iteration with phi_1 and phi_2 from separate kernel
-    # passes, as solve_alpha ran it before the fused step.
+def test_fused_step_solves_as_two_callbacks_bitwise(x, y, monkeypatch):
+    # phi_1 and phi_2 from separate kernel passes: the same solve, bit for bit
+    fused = solve_alpha(x, y)
+    monkeypatch.setattr(saddle, "phi1_phi2", lambda s, y: (phi1_closed(s, y), phi2_closed(s, y)))
+    two = solve_alpha(x, y)
+    assert fused == two
+    assert fused.alpha.hex() == two.alpha.hex()
+
+
+@pytest.mark.parametrize("x, y", _SOLVE_CELLS + [(1e30, 10**7)])
+def test_solves_as_plain_newton_within_tolerance(x, y):
+    # Plain Newton on log x + phi_1 with phi_1 and phi_2 from separate
+    # kernel passes, from a widened starting bracket, as solve_alpha ran it
+    # before it stepped on log(-phi_1): the two roots lie within the
+    # residual tolerance of each other.
     logx, logy = math.log(x), math.log(y)
-    root, residual, iters, bracket = bracketed_newton_two_callbacks(
+    root, _, _, _ = bracketed_newton_two_callbacks(
         lambda s: logx + phi1_closed(s, y),
         lambda s: phi2_closed(s, y),
         1.0 / logy,
@@ -126,12 +131,45 @@ def test_fused_step_solves_as_two_callbacks_bitwise(x, y):
         ftol=0.25 * RESIDUAL_TOL * logx,
         max_iters=200,
     )
-    want = SaddleResult(
-        x=x, y=y, u=logx / logy, alpha=root, residual=residual, iters=iters, bracket=bracket
-    )
     got = solve_alpha(x, y)
-    assert got == want
-    assert got.alpha.hex() == want.alpha.hex()
+    assert got.alpha == pytest.approx(root, rel=2e-13, abs=0)
+    assert abs(got.residual) <= RESIDUAL_TOL * logx
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(1e30, 2), (1e300, 2), (2, 2), (10, 2), (1e12, 3), (1e308, 3), (1.5, 3), (4, 100),
+     (99.5, 100), (1 + 1e-12, 10**4), (math.nextafter(1.0, 2.0), 2), (1.001, 10**6)],
+)
+def test_residual_at_small_y_and_x_near_one(x, y):
+    res = solve_alpha(x, y)
+    assert abs(res.residual) <= RESIDUAL_TOL * math.log(x)
+    assert math.log(x) + phi1_closed(res.alpha, y) == res.residual
+    lo, hi = res.bracket
+    assert 0 <= lo < res.alpha < hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log10_x=st.floats(min_value=1e-6, max_value=300.0),
+    y=st.sampled_from([2, 3, 5, 10, 100, 1000, 10**4]),
+)
+def test_newton_on_log_phi1_never_overshoots(log10_x, y):
+    # log log x - log(-phi_1) is increasing and concave, so a Newton step
+    # from below the root stays below it: from a seed below alpha, or from
+    # the first iterate below it, the iterates rise monotonically.
+    steps = []
+
+    def recording(sigma, yy):
+        steps.append(sigma)
+        return phi1_phi2(sigma, yy)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(saddle, "phi1_phi2", recording)
+        res = solve_alpha(10.0**log10_x, y)
+    assert steps[-1] == res.alpha and len(steps) == res.iters
+    rising = steps[next(i for i, s in enumerate(steps) if s <= res.alpha):]
+    assert all(a < b for a, b in zip(rising, rising[1:]))
 
 
 def test_x_below_y_is_solvable():
