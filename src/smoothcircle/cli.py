@@ -24,6 +24,7 @@ from .errors import (
     ResourceBudgetError,
     SmoothCircleError,
 )
+from .estimators import FLAG_OVERFLOW, FLAG_UNDERFLOW
 from .estimators import compare_grid, difference_check, perron_verify
 from .euler import h_value, phi_derivatives
 from .prime_sums import weighted_prime_sum
@@ -164,14 +165,15 @@ def _run(args, cfg: Config) -> tuple[tuple[str, ...], list[dict]]:
         return cols, [row]
 
     if args.command == "hval":
-        s = complex(args.sigma, args.t)
-        hv = h_value(s, args.y)
+        hv = h_value(complex(args.sigma, args.t), args.y)
+        # |H| past float range reads inf (or 0), flagged; at t = 0 phi keeps log H
+        flags = (FLAG_OVERFLOW,) if math.isinf(abs(hv)) else (FLAG_UNDERFLOW,) if hv == 0 else ()
         row = {"sigma": args.sigma, "t": args.t, "y": args.y, "re": hv.real, "im": hv.imag,
-               "phi": None, "phi1": None, "phi2": None, "phi3": None, "phi4": None}
+               "flags": flags}  # off the axis the phi columns stay empty
         if args.t == 0.0:
             d = phi_derivatives(args.sigma, args.y)
             row.update(phi=d.phi, phi1=d.d[0], phi2=d.d[1], phi3=d.d[2], phi4=d.d[3])
-        cols = ("sigma", "t", "y", "re", "im", "phi", "phi1", "phi2", "phi3", "phi4")
+        cols = ("sigma", "t", "y", "re", "im", "phi", "phi1", "phi2", "phi3", "phi4", "flags")
         return cols, [row]
 
     if args.command in ("estimate", "compare"):

@@ -35,40 +35,59 @@ _EXP_SAFE = 709.0  # e^z is finite, below 1e308, for z up to here
 def xi(u: float) -> float:
     """The nonzero solution of e^xi = 1 + u xi for u > 1, with xi(1) = 0.
 
-    Solved by safeguarded Newton to float stagnation; the residual satisfies
-    |e^xi - 1 - u xi| well below 1e-12 max(1, u xi), or in log form
-    |xi - log(1 + u xi)| below 1e-12 xi.  Past z = _EXP_SAFE, where e^z nears
-    the end of float range, g(z) = e^z - 1 - u z and g'(z) are both scaled
-    by e^-z: the sign and the Newton step stay those of g, so every finite
-    u >= 1 has its root, xi(u) ~ log u + log log u, up to about 716.
+    Solved by safeguarded Newton to float stagnation on
+    F(z) = (e^z - 1 - z)/z = u - 1, in which the leading z of e^z - 1 and
+    u z no longer cancels: below z = 1, F and F' are summed from their
+    positive series sum_{k>=2} z^(k-1)/k!, so the root keeps full relative
+    precision as u -> 1.  Past z = _EXP_SAFE, where e^z nears the end of
+    float range, the step is taken on g(z) = e^z - 1 - u z = z (F - (u - 1))
+    with g and g' scaled by e^-z: the sign is that of F - (u - 1), so every
+    finite u >= 1 has its root, xi(u) ~ log u + log log u, up to about 716.
+    The residual satisfies |e^xi - 1 - u xi| well below 1e-12 max(1, u xi),
+    or in log form |xi - log(1 + u xi)| below 1e-12 xi.
     """
     if not 1.0 <= u < math.inf:
         raise DomainError(f"xi needs finite u >= 1, got {u}")
     if u == 1.0:
         return 0.0
     log_u = math.log(u)
+    u_m1 = u - 1.0
 
-    def gdg(z: float) -> tuple[float, float]:
+    def fdf(z: float) -> tuple[float, float]:
+        if z < 1.0:  # F = sum p_k z, F' = sum (k - 1) p_k, p_k = z^(k-2)/k!
+            f = d = 0.0
+            p, k = 0.5, 2
+            while p > 1e-17 * d:
+                f += p * z
+                d += (k - 1) * p
+                k += 1
+                p *= z / k
+            return f - u_m1, d
         if z <= _EXP_SAFE:
-            return math.expm1(z) - u * z, math.exp(z) - u
+            zz = z * z  # F' = ((z - 1) e^z + 1)/z^2, divided first: finite up to _EXP_SAFE
+            return (math.expm1(z) - z) / z - u_m1, (z - 1.0) / zz * math.exp(z) + 1.0 / zz
         # g and g' scaled by e^-z: 1 - (1 + u z) e^-z and 1 - u e^-z
         return -math.expm1(log_u + math.log(z + 1.0 / u) - z), -math.expm1(log_u - z)
 
-    # g < 0 strictly between the trivial root 0 and the sought root, and
-    # g -> inf: the bracket is (0, inf).  The seed log(u log u + 1) is
-    # log u + log log u, up to rounding, where u log u overflows.
+    # F < u - 1 on (0, root) and F -> inf: the bracket is (0, inf).  The
+    # seed log(u log u + 1) is log u + log log u, up to rounding, where
+    # u log u overflows.
     u_log_u = u * log_u
     seed = math.log(u_log_u + 1.0) if u_log_u < math.inf else log_u + math.log(log_u)
-    root, _, _, _ = bracketed_newton(gdg, 0.0, math.inf, seed, ftol=0.0, max_iters=200)
+    root, _, _, _ = bracketed_newton(fdf, 0.0, math.inf, seed, ftol=0.0, max_iters=200)
     return root
 
 
 def xi_prime(u: float) -> float:
-    """xi'(u) = xi / (1 + u xi - u) by implicit differentiation; u > 1."""
+    """xi'(u) = xi / (u xi - (u - 1)) by implicit differentiation; u > 1.
+
+    As u -> 1, u xi ~ 2(u - 1): the grouping subtracts u - 1, exact up to
+    u = 2, from about twice itself, where 1 + u xi - u would cancel to
+    u - 1 out of 1."""
     if not 1.0 < u < math.inf:
         raise DomainError(f"xi_prime needs finite u > 1, got {u}")
     v = xi(u)
-    return v / (1.0 + u * v - u)
+    return v / (u * v - (u - 1.0))
 
 
 def exp_integral(v: float) -> float:

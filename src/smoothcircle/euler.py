@@ -1,22 +1,24 @@
 """The truncated Euler product H(s; y) = prod_{p<=y} (1-p^-s)^-1 (1-chi4(p)p^-s)^-1
 and the derivatives of its logarithm.
 
-H is the Dirichlet series of r(n)/4 over y-smooth n.  Every quantity here is
-a sum over p <= y of the per-prime terms formed by one kernel, prime_terms:
-log H = phi in log space (no overflow for large y), and its sigma-derivatives
-phi_1..phi_4 from exact polylogarithm closed forms.  The one exception is
-h_log_line, which evaluates H on a vertical line as a blocked product, for
-the Perron integrand's many nodes.  Nothing is truncated, so no truncation
-bound exists.
+H is the Dirichlet series of r(n)/4 over y-smooth n.  Each quantity has one
+evaluator.  On the real axis every quantity is a sum over p <= y of the
+per-prime terms formed by one real kernel, prime_terms: log H = phi in log
+space (no overflow for large y), and its sigma-derivatives phi_1..phi_4
+from exact polylogarithm closed forms, all of them in the reciprocals
+1/(p^sigma - 1) and 1/(p^sigma - chi4(p)).  Off the axis, h_log_line
+evaluates log H on a vertical line as a blocked product, for the Perron
+integrand's many nodes.  Nothing is truncated, so no truncation bound
+exists.
 
 prime_terms evaluates the primes in fixed blocks written into one output
 array.  Whole-array temporaries (628 KB each at y = 1e6) went back to the
 OS on every free and were faulted in again on the next call, which cost
 more than the arithmetic; a call's scratch is a few block-sized rows,
 written in place, so its transient memory stays within a few blocks of its
-output.  One call can form several orders: P = p^sigma is computed once
-per prime for all of them, so a Newton step's phi_1 and phi_2 (phi1_phi2)
-and all of phi_derivatives each cost one pass over the primes.
+output.  One call can form several orders: the reciprocals are computed
+once per prime for all of them, so a Newton step's phi_1 and phi_2
+(phi1_phi2) and all of phi_derivatives each cost one pass over the primes.
 """
 
 from __future__ import annotations
@@ -37,22 +39,25 @@ from .primes import prime_table
 # against 5 to 9 times for the whole array.
 _TERMS_BLOCK = 4096
 # Block-sized float rows of scratch one prime_terms call holds.
-_SCRATCH_ROWS = 10
+_SCRATCH_ROWS = 8
 
 
-def prime_terms(s, y: int, k) -> np.ndarray | list[np.ndarray]:
-    """Per-prime terms of (-1)^k phi_k, the k-th sigma-derivative of log H(s; y).
+def prime_terms(sigma: float, y: int, k) -> np.ndarray | list[np.ndarray]:
+    """Per-prime terms of (-1)^k phi_k, the k-th sigma-derivative of log H(sigma; y),
+    at real sigma.
 
-    k = 0: the log-factors -log(1 - w) - log(1 - chi4(p) w), w = p^-s; s may
-    be real or complex.
-    k = 1..4 (s real): (log p)^k [Li_{1-k}(1/P) + Li_{1-k}(chi4(p)/P)],
-    P = p^s = expm1(s log p) + 1.
+    k = 0: the log-factors -log1p(-z) - log1p(-chi4(p) z), z = p^-sigma.
+    k = 1..4: (log p)^k [Li_{1-k}(1/P) + Li_{1-k}(chi4(p)/P)], P = p^sigma,
+    each in the reciprocals r = 1/(P - c), c in {1, chi4(p)}, formed as
+    1/(expm1(sigma log p) + (1 - c)): P itself is never rounded, so the
+    terms keep full relative accuracy as sigma -> 0, and no power of P can
+    overflow as sigma grows.
 
     k may also be a sequence of orders: the result is then a list with one
     array per order, each bitwise the array the single-order call gives,
-    from one pass that forms P once per prime for every order.  Separate
-    arrays, not one 2-D array, so that each is the size the heap already
-    reuses for one-order calls.
+    from one pass that forms the reciprocals once per prime for every
+    order.  Separate arrays, not one 2-D array, so that each is the size
+    the heap already reuses for one-order calls.
 
     The primes are taken _TERMS_BLOCK at a time, each block written into
     the one output array: the same floats as one whole-array expression,
@@ -64,107 +69,68 @@ def prime_terms(s, y: int, k) -> np.ndarray | list[np.ndarray]:
     orders = [k] if single else list(k)
     table = prime_table(y)
     n = len(table)
-    out = [np.empty(n, dtype=np.result_type(s, np.float64)) for _ in orders]
-    # The k = 2 form holds while P^2 is finite at the largest prime.
-    with np.errstate(over="ignore"):
-        squares_finite = 2 in orders and np.expm1(s * table.logp[-1:])[0] < 1e150
+    out = [np.empty(n) for _ in orders]
     scratch = np.empty((_SCRATCH_ROWS, min(n, _TERMS_BLOCK)))
     for lo in range(0, n, _TERMS_BLOCK):
         hi = lo + _TERMS_BLOCK
         _block_terms(
-            s, table.logp[lo:hi], table.chi[lo:hi], orders, squares_finite,
+            sigma, table.logp[lo:hi], table.chi[lo:hi], orders,
             [row[lo:hi] for row in out], scratch[:, : hi - lo],
         )
     return out[0] if single else out
 
 
-def _block_terms(s, lp, chi4, orders, squares_finite, rows, scratch) -> None:
+def _block_terms(sigma, lp, chi4, orders, rows, scratch) -> None:
     """prime_terms on one block of primes, order orders[i] into rows[i].
 
     Each step of a closed form writes into a row of scratch, in the order of
-    operations of the one-expression form; P - 1 and the reciprocals
-    1/(P - c) are formed once for all orders.
+    operations of the one-expression form; the reciprocals r1 = 1/(P - 1),
+    r2 = 1/(P - chi4(p)) and, for k >= 2, a = c r (1 + c r) are formed once
+    for all orders.  At chi4(p) = 0 (p = 2) the c = chi4(p) half reads 0.
     """
-    chi, em1, el, r1, r2, a1, a2, t, v, w = scratch[:, : lp.size]
+    chi, r1, r2, a1, a2, t, v, w = scratch[:, : lp.size]
     np.copyto(chi, chi4)
-    zero = chi == 0.0
     if max(orders) > 0:
-        with np.errstate(over="ignore"):  # P = inf is fine: every form below tends to 0
-            np.expm1(np.multiply(s, lp, out=em1), out=em1)
-        np.add(em1, 1.0, out=el)
-    reciprocals = False
+        with np.errstate(over="ignore"):  # P = inf is fine: every r is then 0
+            em1 = np.expm1(np.multiply(sigma, lp, out=r1), out=r1)
+        np.divide(1.0, np.add(em1, np.subtract(1.0, chi, out=t), out=t), out=r2)
+        np.divide(1.0, em1, out=r1)
+    if max(orders) > 1:
+        np.multiply(r1, np.add(1.0, r1, out=t), out=a1)
+        cr = np.multiply(chi, r2, out=v)
+        np.multiply(cr, np.add(1.0, cr, out=t), out=a2)
     for k, row in zip(orders, rows):
-        if k == 0 and np.iscomplexobj(row):
-            # Complex s keeps log(1 - z), the form the complex H(s) of
-            # h_log_value was always computed with.
-            z = np.exp(-s * lp)
-            row[:] = -np.log(1.0 - z) - np.where(zero, 0.0, np.log(1.0 - chi * z))
-        elif k == 0:  # -log1p(-z) - log1p(-chi4(p) z), z = p^-s
-            z = np.exp(np.multiply(-s, lp, out=t), out=t)
+        if k == 0:  # -log1p(-z) - log1p(-chi4(p) z), z = p^-sigma
+            z = np.exp(np.multiply(-sigma, lp, out=t), out=t)
             np.negative(np.log1p(np.negative(z, out=v), out=v), out=row)
             np.log1p(np.multiply(np.negative(chi, out=w), z, out=w), out=w)
-            np.copyto(w, 0.0, where=zero)
             np.subtract(row, w, out=row)
-        elif k == 1:  # Li_0(c/P) = c/(P - c)
-            np.divide(lp, em1, out=row)
-            np.divide(np.multiply(chi, lp, out=t), np.subtract(el, chi, out=v), out=t)
-            _add_where_chi(row, t, zero)
-        elif k == 2 and squares_finite:  # Li_-1(c/P) = cP/(P - c)^2
-            lpk = np.square(lp, out=w)
-            np.divide(np.multiply(lpk, el, out=row), np.square(em1, out=t), out=row)
-            np.multiply(np.multiply(chi, lpk, out=v), el, out=v)
-            np.divide(v, np.square(np.subtract(el, chi, out=t), out=t), out=v)
-            _add_where_chi(row, v, zero)
-        else:
-            # In r = 1/(P - c), c = +-1, no power of P can overflow:
-            # Li_-1(c/P) = cP/(P - c)^2 = c r (1 + c r),
-            # Li_-2(c/P) = cP(P + c)/(P - c)^3 = c r (1 + c r)(1 + 2 c r),
-            # Li_-3(c/P) = cP(P^2 + 4cP + c^2)/(P - c)^4 = c r (1 + c r)(1 + 6 c r + 6 r^2).
-            # At c = 1 the factor c is dropped: 1.0 * r is r.
-            if not reciprocals:
-                np.divide(1.0, em1, out=r1)
-                np.divide(1.0, np.add(em1, np.subtract(1.0, chi, out=t), out=t), out=r2)
-                np.multiply(r1, np.add(1.0, r1, out=t), out=a1)
-                cr = np.multiply(chi, r2, out=v)
-                np.multiply(cr, np.add(1.0, cr, out=t), out=a2)
-                reciprocals = True
-            if k == 2:  # tail 1
-                np.add(a1, a2, out=t)
-            elif k == 3:  # tail 1 + 2 c r
-                np.add(1.0, np.multiply(2.0, r1, out=t), out=t)
-                np.multiply(a1, t, out=t)
-                np.add(1.0, np.multiply(np.multiply(2.0, chi, out=v), r2, out=v), out=v)
-                np.add(t, np.multiply(a2, v, out=v), out=t)
-            else:  # tail 1 + 6 c r + 6 r^2
-                six_r = np.multiply(6.0, r1, out=t)
-                np.add(np.add(1.0, six_r, out=v), np.multiply(six_r, r1, out=w), out=v)
-                np.multiply(a1, v, out=v)
-                np.add(1.0, np.multiply(np.multiply(6.0, chi, out=t), r2, out=t), out=t)
-                six_r = np.multiply(6.0, r2, out=w)
-                np.add(t, np.multiply(six_r, r2, out=w), out=t)
-                np.add(v, np.multiply(a2, t, out=t), out=t)
-            lpk = np.square(lp, out=w) if k == 2 else np.power(lp, k, out=w)  # as lp**k
-            np.multiply(lpk, t, out=row)
-
-
-def _add_where_chi(row, terms, zero) -> None:
-    """row += terms, with terms read as 0 where chi4(p) = 0 (p = 2)."""
-    np.copyto(terms, 0.0, where=zero)
-    np.add(row, terms, out=row)
-
-
-def h_log_value(s: complex, y: int) -> complex:
-    """log H(s; y) with principal logarithms; requires Re(s) > 0.
-
-    All poles of H sit on the line Re(s) = 0, so the product is finite and
-    nonvanishing on the open right half plane.  For real s every term is
-    real and the imaginary part is 0.0 without a sum.
-    """
-    s = complex(s)
-    if s.real <= 0:
-        raise DomainError(f"h_log_value needs Re(s) > 0, got {s}")
-    terms = prime_terms(s, y, 0)
-    return complex(csum(terms.real), csum(terms.imag) if s.imag else 0.0)
+            continue
+        # Li_0(c/P) = c r, and with a = c r (1 + c r):
+        # Li_-1(c/P) = cP/(P - c)^2 = a,
+        # Li_-2(c/P) = cP(P + c)/(P - c)^3 = a (1 + 2 c r),
+        # Li_-3(c/P) = cP(P^2 + 4cP + c^2)/(P - c)^4 = a (1 + 6 c r + 6 r^2).
+        # At c = 1 the factor c is dropped: 1.0 * r is r.
+        if k == 1:
+            np.add(r1, np.multiply(chi, r2, out=t), out=t)
+        elif k == 2:
+            np.add(a1, a2, out=t)
+        elif k == 3:  # tail 1 + 2 c r
+            np.add(1.0, np.multiply(2.0, r1, out=t), out=t)
+            np.multiply(a1, t, out=t)
+            np.add(1.0, np.multiply(np.multiply(2.0, chi, out=v), r2, out=v), out=v)
+            np.add(t, np.multiply(a2, v, out=v), out=t)
+        else:  # tail 1 + 6 c r + 6 r^2
+            six_r = np.multiply(6.0, r1, out=t)
+            np.add(np.add(1.0, six_r, out=v), np.multiply(six_r, r1, out=w), out=v)
+            np.multiply(a1, v, out=v)
+            np.add(1.0, np.multiply(np.multiply(6.0, chi, out=t), r2, out=t), out=t)
+            six_r = np.multiply(6.0, r2, out=w)
+            np.add(t, np.multiply(six_r, r2, out=w), out=t)
+            np.add(v, np.multiply(a2, t, out=t), out=t)
+        # (log p)^k as lp**k
+        lpk = lp if k == 1 else np.square(lp, out=w) if k == 2 else np.power(lp, k, out=w)
+        np.multiply(lpk, t, out=row)
 
 
 # A block of the line product ends before the log-magnitude bound of its
@@ -187,10 +153,9 @@ def h_log_line(sigma: float, y: int) -> Callable[[np.ndarray], np.ndarray]:
 
     Summing principal logs of block products gives log H up to a multiple
     of 2 pi i.  That is exact for every use of the result, which is
-    exp(log H): the Perron integrand.  Use h_log_value for the principal
-    branch.  Everything that depends on sigma alone -- a, b and the block
-    starts -- is computed here, once; the returned function does only the
-    per-t work.
+    exp(log H): the Perron integrand and h_value.  Everything that depends
+    on sigma alone -- a, b and the block starts -- is computed here, once;
+    the returned function does only the per-t work.
     """
     if sigma <= 0:
         raise DomainError(f"h_log_line needs sigma > 0, got {sigma}")
@@ -215,12 +180,20 @@ def h_log_line(sigma: float, y: int) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def h_value(s: complex, y: int) -> complex:
-    """H(s; y) itself, as exp of the log-space accumulation."""
-    return np.exp(h_log_value(s, y))
+    """H(s; y) = exp(log H), log H from h_log_real on the real axis and from
+    h_log_line off it; Re s > 0.  Where |H| leaves float range the result
+    has an infinite part (or is 0), without a warning."""
+    s = complex(s)
+    if s.imag == 0.0:
+        log_h = h_log_real(s.real, y)
+    else:
+        log_h = h_log_line(s.real, y)(np.array([s.imag]))[0]
+    with np.errstate(over="ignore"):
+        return complex(np.exp(log_h))
 
 
 def h_log_real(sigma: float, y: int) -> float:
-    """log H(sigma; y) for real sigma > 0 (cheaper real-only path)."""
+    """log H(sigma; y) for real sigma > 0: the real-axis evaluator."""
     if sigma <= 0:
         raise DomainError(f"h_log_real needs sigma > 0, got {sigma}")
     return csum(prime_terms(sigma, y, 0))

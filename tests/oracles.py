@@ -1,9 +1,9 @@
 """Slow, obviously correct reference functions that the tests check the
 package against: trial-division factorization, r(n)/4 from a
 factorization, r(n) by a lattice scan, chi4, the Dickman rho interval
-series in decimal arithmetic, the Euler kernel's per-prime terms
-evaluated over the whole prime array at once, and plain bracketed Newton
-with separate callbacks for f and f'."""
+series and xi(u) in decimal arithmetic, the Euler kernel's per-prime terms
+evaluated over the whole prime array at once and in decimal arithmetic,
+and plain bracketed Newton with separate callbacks for f and f'."""
 
 from __future__ import annotations
 
@@ -142,14 +142,70 @@ def rho_interval_series_decimal(u_max: int, prec: int) -> list[list[Decimal]]:
     return out
 
 
+def xi_decimal(u: float, digits: int = 40) -> Decimal:
+    """The root z > 0 of (e^z - 1 - z)/z = u - 1, i.e. of e^z = 1 + u z, at
+    the float u, for 1 < u <= 2 (so z < 1.3), by Newton in digits-digit
+    decimal arithmetic.
+
+    The left side and its derivative are the positive series
+    sum_{k>=2} z^(k-1)/k! and sum_{k>=2} (k-1) z^(k-2)/k!, so nothing
+    cancels however close u is to 1.  Newton starts at 2(u - 1), right of
+    the root of this convex increasing function, and stops once a step
+    moves z by less than 10^-(digits-4) of it.
+    """
+    if not 1.0 < u <= 2.0:
+        raise DomainError(f"xi_decimal needs 1 < u <= 2, got {u}")
+    with localcontext() as ctx:
+        ctx.prec = digits
+        target = Decimal(u) - 1
+        tiny = Decimal(10) ** (4 - digits)
+        z = 2 * target
+        while True:
+            f, d = -target, Decimal(0)
+            p, k = Decimal(1) / 2, 2
+            while p > tiny * tiny:
+                f += p * z
+                d += (k - 1) * p
+                k += 1
+                p = p * z / k
+            step = f / d
+            z -= step
+            if abs(step) < tiny * z:
+                return z
+
+
+def prime_terms_decimal(sigma: float, y: int, k: int, digits: int = 40) -> list[Decimal]:
+    """The per-prime terms of euler.prime_terms for k = 1 or 2,
+    (log p)^k [Li_{1-k}(1/P) + Li_{1-k}(chi4(p)/P)], P = p^sigma, in
+    digits-digit decimal arithmetic at the float sigma and the exact log p:
+    with Li_0(w) = w/(1 - w) and Li_-1(w) = w/(1 - w)^2, each half is
+    w/(1 - w)^k, w = c/P.  An accuracy reference, not a bitwise one.
+    """
+    if k not in (1, 2):
+        raise DomainError(f"prime_terms_decimal needs k in (1, 2), got {k}")
+    with localcontext() as ctx:
+        ctx.prec = digits
+        s = Decimal(sigma)
+        out = []
+        for p in prime_table(y).p:
+            lp = Decimal(int(p)).ln()
+            big_p = (s * lp).exp()
+            halves = [c / big_p for c in (1, chi4(int(p))) if c]
+            out.append(lp**k * sum(w / (1 - w) ** k for w in halves))
+        return out
+
+
 def prime_terms_whole_array(s, y: int, k: int) -> np.ndarray:
     """euler.prime_terms as one numpy expression over all pi(y) primes.
 
     The same per-element formulas as the blocked kernel, with every
     temporary as long as the prime table: the reference it must equal bit
-    for bit.  k = 0: -log(1 - w) - log(1 - chi4(p) w), w = p^-s, with
-    log1p for real s; k = 1..4: (log p)^k [Li_{1-k}(1/P) + Li_{1-k}(chi4(p)/P)],
-    P = expm1(s log p) + 1, the k = 2 form chosen by P at the largest prime.
+    for bit, not an accuracy oracle.  k = 0: -log1p(-w) - log1p(-chi4(p) w),
+    w = p^-s; k = 1..4: (log p)^k [Li_{1-k}(1/P) + Li_{1-k}(chi4(p)/P)],
+    P = p^s, in the reciprocals r = 1/(P - c) = 1/(expm1(s log p) + (1 - c)).
+    For complex s, k = 0 also gives the per-prime logs
+    -log(1 - w) - log(1 - chi4(p) w), principal branch, which the tests of
+    the line product euler.h_log_line compare against.
     """
     table = prime_table(y)
     lp = table.logp
@@ -158,15 +214,12 @@ def prime_terms_whole_array(s, y: int, k: int) -> np.ndarray:
         w = np.exp(-s * lp)
         if np.iscomplexobj(w):
             return -np.log(1.0 - w) - np.where(chi == 0.0, 0.0, np.log(1.0 - chi * w))
-        return -np.log1p(-w) - np.where(chi == 0.0, 0.0, np.log1p(-chi * w))
+        return -np.log1p(-w) - np.log1p(-chi * w)
     with np.errstate(over="ignore"):
         em1 = np.expm1(s * lp)
-    el = em1 + 1.0
-    lpk = lp**k
+    r1, r2 = 1.0 / em1, 1.0 / (em1 + (1.0 - chi))
     if k == 1:
-        return lpk / em1 + np.where(chi == 0.0, 0.0, chi * lpk / (el - chi))
-    if k == 2 and em1[-1] < 1e150:
-        return lpk * el / em1**2 + np.where(chi == 0.0, 0.0, chi * lpk * el / (el - chi) ** 2)
+        return lp * (r1 + chi * r2)
 
     def li(c, r):
         if k == 2:
@@ -177,7 +230,7 @@ def prime_terms_whole_array(s, y: int, k: int) -> np.ndarray:
             tail = 1.0 + 6.0 * c * r + 6.0 * r * r
         return c * r * (1.0 + c * r) * tail
 
-    return lpk * (li(1.0, 1.0 / em1) + li(chi, 1.0 / (em1 + (1.0 - chi))))
+    return lp**k * (li(1.0, r1) + li(chi, r2))
 
 
 def bracketed_newton_two_callbacks(f, fprime, lo, hi, x0=None, *, ftol, max_iters=100):

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -96,6 +97,27 @@ def test_hval_complex_leaves_phi_empty():
     row = parse_csv(out)[0]
     assert row["phi"] == "" and row["phi4"] == ""
     assert math.hypot(float(row["re"]), float(row["im"])) <= 2.25 * 100  # finite
+    assert row["flags"] == ""
+
+
+@pytest.mark.parametrize(
+    "sigma, t, parts, flag",
+    [
+        ("0.3", "0", ("inf", "0"), "overflow-logspace"),  # log H = 1914.73
+        ("0.3", "1", ("-inf", "-inf"), "overflow-logspace"),
+        ("0.05", "3", ("-0", "-0"), "underflow-logspace"),
+    ],
+)
+def test_hval_flags_h_outside_float_range(sigma, t, parts, flag):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli("hval", "--sigma", sigma, "--t", t, "--y", "1000000")
+    assert (code, err) == (0, "")
+    row = parse_csv(out)[0]
+    assert (row["re"], row["im"]) == parts
+    assert row["flags"] == flag
+    if t == "0":  # log H itself stays finite
+        assert float(row["phi"]) == pytest.approx(1914.734017962, rel=1e-12)
 
 
 def test_estimate_and_compare():

@@ -1,5 +1,6 @@
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from smoothcircle.dickman import (
 from smoothcircle.errors import ConvergenceError, DomainError
 from smoothcircle.numutil import EULER_GAMMA, integrate_panels
 
-from oracles import rho_interval_series_decimal
+from oracles import rho_interval_series_decimal, xi_decimal
 
 E = math.e
 
@@ -212,6 +213,17 @@ def test_xi_below_the_guard_is_unchanged():
     # has always returned.
     assert xi(1e100) == 235.72115887568532
     assert xi(1e150) == 351.2492600631708
+
+
+@pytest.mark.parametrize("u", [1 + 1e-12, 1 + 1e-8, 1 + 1.6e-8, 1 + 1e-4, 1.5, 2.0])
+def test_xi_near_1_within_4_ulps(u):
+    # In e^z - 1 - u z the leading z cancels, which cost up to 6e-9
+    # relative near u - 1 = 1.6e-8; (e^z - 1 - z)/z = u - 1 keeps it.
+    want = xi_decimal(u)
+    assert abs(xi(u) - float(want)) <= 4 * math.ulp(float(want))
+    # xi' = xi / (u xi - (u - 1)) keeps it too: 1 + u xi - u cost up to 8e-9
+    want_prime = want / (Decimal(u) * want - (Decimal(u) - 1))
+    assert abs(Decimal(xi_prime(u)) / want_prime - 1) <= Decimal("1e-15")
 
 
 def test_rho_underflow_clamp():

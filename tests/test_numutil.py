@@ -21,6 +21,8 @@ from smoothcircle.numutil import (
     integrate_panels,
 )
 
+from oracles import prime_terms_whole_array
+
 # Both sides of the small-array cutoff and of one extraction block, and a
 # block plus a short or a long partial block.
 SIZES = [
@@ -195,7 +197,8 @@ def test_csum_extraction_limit_goes_to_fsum(monkeypatch):
 
 
 def test_fast_path_certifies_strided_complex_parts():
-    terms = prime_terms(complex(0.6, 40.0), 10**6, 0)
+    # the per-prime complex logs of H(0.6 + 40i; 1e6)
+    terms = prime_terms_whole_array(complex(0.6, 40.0), 10**6, 0)
     for part in (terms.real, terms.imag):
         assert certified_sum(part) == math.fsum(part)
 
