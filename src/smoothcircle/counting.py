@@ -127,9 +127,11 @@ class _QuotientPrimes:
     """pi(v) and sum_{p <= v} chi4(p) at every quotient v = x // j <= limit,
     for 1 <= limit <= x.
 
-    One Lucy-Legendre pass over the primes up to sqrt(limit) (`primes` must
-    hold them, ascending).  Quotients up to min(sqrt x, limit) are indexed
-    by v, larger ones by j = x // v; the set of quotients <= limit is closed
+    Quotients up to min(sqrt x, limit) are indexed by v, larger ones by
+    j = x // v.  With limit <= sqrt x every v <= limit is a quotient and the
+    rows are prefix sums over sieve_primes(limit).  Otherwise one
+    Lucy-Legendre pass over the primes up to sqrt(limit) (`primes` must hold
+    them, ascending) fills them; the set of quotients <= limit is closed
     under v -> v // p, so the pass never needs a value it does not hold.
     Both rows start from the completely multiplicative sums over 2..v of 1
     and of chi4 and strip composites prime by prime.
@@ -137,10 +139,18 @@ class _QuotientPrimes:
 
     def __init__(self, x: int, limit: int, primes: np.ndarray) -> None:
         r = isqrt(x)
-        s = min(r, limit)
-        j0 = x // (limit + 1) + 1 if limit > r else r + 1
-        v = np.arange(s + 1, dtype=np.int64)
-        big = x // np.arange(j0, r + 1, dtype=np.int64) if j0 <= r else v[:0]
+        self.x = x
+        if limit <= r:
+            ps = sieve_primes(limit)
+            marks = np.zeros((2, limit + 1), dtype=np.int64)
+            marks[0, ps] = 1
+            marks[1, ps] = 2 - ps % 4  # chi4(p): 0 at p = 2, else +-1
+            self.s, self.j0, self.small = limit, r + 1, np.cumsum(marks, axis=1)
+            self.large = self.small[:, :0]
+            return
+        j0 = x // (limit + 1) + 1
+        v = np.arange(r + 1, dtype=np.int64)
+        big = x // np.arange(j0, r + 1, dtype=np.int64)
         small = np.stack([np.maximum(v - 1, 0), _chi4_prefix(v)])
         large = np.stack([big - 1, _chi4_prefix(big)])
         for p in primes[: np.searchsorted(primes, isqrt(limit), side="right")]:
@@ -154,10 +164,9 @@ class _QuotientPrimes:
                 inner = large[:, j0 * p - j0 : jb * p - j0 + 1 : p]
                 outer = small[:, x // (np.arange(jb + 1, jmax + 1, dtype=np.int64) * p)]
                 large[:, : jmax - j0 + 1] -= f * (np.concatenate([inner, outer], axis=1) - below)
-            if p * p <= s:
+            if p * p <= r:
                 small[:, p * p :] -= f * (small[:, v[p * p :] // p] - below)
-        self.x, self.s, self.j0 = x, s, j0
-        self.small, self.large = small, large
+        self.s, self.j0, self.small, self.large = r, j0, small, large
 
     def counts(self, vs: np.ndarray) -> np.ndarray:
         """Rows (pi(v), sum chi4(p) over p <= v) for a descending array of

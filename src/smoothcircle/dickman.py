@@ -19,13 +19,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 from .errors import ConvergenceError, DomainError
 from .numutil import EULER_GAMMA, bracketed_newton
 
 RHO_UNDERFLOW = 1e-300  # rho values below this clamp to zero, flagged
-DEFAULT_RHO_UMAX = 64
 _SERIES_CAP = 4000
 _GUARD_BITS = 64
 _LOG10_2 = math.log10(2.0)
@@ -135,18 +133,19 @@ def _rho_interval_series(u_max: int, bits: int) -> Iterator[list[int]]:
     sum_{even m >= 2} A[m], and rho(k + 1) = sum A[m].  A series ends once
     the next term rounds to 0 with B used up (every later term is then 0 as
     well), trailing zeros trimmed.  Yields interval k = 1 .. u_max - 1 in
-    turn, holding only the previous one.
+    turn; each yielded list is emptied, term by term, as the next is built.
     """
     rho_left = 1 << bits  # rho(1)
     b = [rho_left]  # the constant series on [0, 1]
     for k in range(1, u_max):
         a = [0]  # a[0] is anchored below; the recurrence never reads it
         m = 0
+        b.reverse()  # b.pop() is then B[m], freed once read
         while True:
-            num = -((b[m] if m < len(b) else 0) + m * a[m])
+            num = -((b.pop() if b else 0) + m * a[m])
             den = (2 * k + 1) * (m + 1)
             nxt = (2 * num + den) // (2 * den)  # num / den, rounded to nearest
-            if nxt == 0 and m + 1 >= len(b):
+            if nxt == 0 and not b:
                 break
             a.append(nxt)
             m += 1
@@ -160,16 +159,44 @@ def _rho_interval_series(u_max: int, bits: int) -> Iterator[list[int]]:
         b = a
 
 
-@dataclass(frozen=True)
 class DickmanTable:
-    """rho on [0, u_max] as one float Taylor series per unit interval.
+    """rho on [0, u_max] as one float Taylor series per unit interval, each
+    computed on first use from one running _rho_interval_series at `bits`.
 
     coeffs[k - 1] is the series of rho about k + 1/2 on [k, k + 1], highest
     power first (k = 1 .. u_max - 1); values below RHO_UNDERFLOW read 0.
     """
 
-    u_max: int
-    coeffs: tuple[tuple[float, ...], ...] = field(repr=False)
+    def __init__(self, u_max: int, bits: int) -> None:
+        self.u_max, self.bits = u_max, bits
+        self._series = _rho_interval_series(u_max, bits)
+        self._coeffs: list[tuple[float, ...]] = []
+
+    def _fill(self, k: int) -> None:
+        """Convert each interval up to k that no call has reached yet.  A
+        float series ends at its last term that reaches 2^-70 max(rho(k +
+        1/2), RHO_UNDERFLOW) at |tau| = 1/2: later terms shrink like 3^-m
+        (rho's continuation is analytic within 3/2 of the midpoint) and rho
+        falls by less than 2^10 within the interval, so the cut stays far
+        below an ulp of every unclamped value and keeps at most ~40 terms.
+        Each coefficient is the correctly rounded float of its fixed-point
+        value; only those at or before a conservative cut, found from their
+        bit lengths with a factor 4 of slack, are converted."""
+        while len(self._coeffs) < k:
+            a, bits = next(self._series), self.bits
+            floor = 2.0**-70 * max(abs(a[0] / (1 << bits)), RHO_UNDERFLOW)
+            # The term a[m] 2^-bits is below 2^(bit_length - bits), so past
+            # `top` no term reaches floor / 4 >= 2^(frexp exponent - 3).
+            least = bits + math.frexp(floor)[1] - 2
+            top = max((m for m, am in enumerate(a) if am.bit_length() >= least), default=0)
+            cf = [am / (1 << (bits - m)) for m, am in enumerate(a[: top + 1])]
+            n = 1 + max((m for m, c in enumerate(cf) if abs(c) * 0.5**m >= floor), default=0)
+            self._coeffs.append(tuple(reversed(cf[:n])))
+
+    @property
+    def coeffs(self) -> tuple[tuple[float, ...], ...]:
+        self._fill(self.u_max - 1)  # the first read computes every interval
+        return tuple(self._coeffs)
 
     def value_at(self, u: float) -> float:
         """rho(u) for 0 <= u <= u_max by Horner's rule on u's interval."""
@@ -180,86 +207,57 @@ class DickmanTable:
         if u > self.u_max:
             raise DomainError(f"u={u} beyond table extent {self.u_max}")
         k = min(int(u), self.u_max - 1)
+        self._fill(k)
         tau = u - (k + 0.5)
         value = 0.0
-        for c in self.coeffs[k - 1]:
+        for c in self._coeffs[k - 1]:
             value = value * tau + c
         return value if value >= RHO_UNDERFLOW else 0.0
 
 
-def build_dickman_table(u_max: int = DEFAULT_RHO_UMAX) -> DickmanTable:
-    """rho's per-interval series on [1, u_max] as float coefficients.
+def build_dickman_table(u_max: int) -> DickmanTable:
+    """A DickmanTable on [0, u_max]; no interval is computed until read.
 
-    The series are computed in binary fixed point: every term at |tau| = 1/2
-    is an integer multiple of 2^-bits.  rho drops to about 10^-_rho_digits
-    while the rounding errors of the delay equation stay at the same
-    absolute size from interval to interval, so what the recurrence needs
-    is a uniform absolute precision, not a relative one per coefficient.
-    bits is _rho_digits(u_max) in binary plus 64 guard bits, which keep the
+    Every fixed-point term at |tau| = 1/2 is a multiple of 2^-bits.  rho drops
+    to about 10^-_rho_digits while the delay equation's rounding errors stay
+    at one absolute size from interval to interval, so the recurrence needs
+    a uniform absolute precision, not a relative one per coefficient.  bits
+    is _rho_digits(u_max) in binary plus 64 guard bits, which keep the
     divisions' rounding errors, piled up over ~10^3 terms per interval and
     u_max intervals, out of the last bit of every float coefficient.
-
-    A float series ends at its last term that reaches 2^-70 max(rho(k + 1/2),
-    RHO_UNDERFLOW) at |tau| = 1/2: later terms shrink like 3^-m (rho's
-    continuation is analytic within 3/2 of the midpoint) and rho falls by
-    less than 2^10 within the interval, so the cut stays far below an ulp of
-    every unclamped value and keeps at most ~40 terms.  Each coefficient is
-    the correctly rounded float of its fixed-point value; only those at or
-    before a conservative cut, found from their bit lengths with a factor 4
-    of slack, are converted.
     """
     if u_max < 2:
         raise DomainError(f"u_max must be >= 2, got {u_max}")
-    bits = math.ceil(_rho_digits(u_max) / _LOG10_2) + _GUARD_BITS
-    coeffs = []
-    for a in _rho_interval_series(u_max, bits):
-        floor = 2.0**-70 * max(abs(a[0] / (1 << bits)), RHO_UNDERFLOW)
-        # The term a[m] 2^-bits is below 2^(bit_length - bits), so past `top`
-        # no term reaches floor / 4 >= 2^(frexp exponent - 3).
-        least = bits + math.frexp(floor)[1] - 2
-        top = max((m for m, am in enumerate(a) if am.bit_length() >= least), default=0)
-        cf = [am / (1 << (bits - m)) for m, am in enumerate(a[: top + 1])]
-        n = 1 + max((m for m, c in enumerate(cf) if abs(c) * 0.5**m >= floor), default=0)
-        coeffs.append(tuple(reversed(cf[:n])))
-    return DickmanTable(u_max, tuple(coeffs))
+    return DickmanTable(u_max, math.ceil(_rho_digits(u_max) / _LOG10_2) + _GUARD_BITS)
 
-
-_table: DickmanTable | None = None  # rebuilt larger on demand
 
 # rho(u) < RHO_UNDERFLOW for every u >= _U_CUT, by the Laplace bound in
-# rho's docstring, so no table needs to pass _U_CUT + 2.
+# rho's docstring, so the table stops at _U_CUT + 2.
 _U_CUT = 126
+_table: DickmanTable | None = None  # the process's one table, made on first use
 
 
 def rho(u: float) -> float:
-    """The Dickman function rho(u) for u >= 0 (1 on [0, 1], cached table beyond).
+    """The Dickman function rho(u) for u >= 0, from the process's one table.
 
-    0.0, the table's clamp value, without building a table for u >= _U_CUT.
-    rho's Laplace transform gives int_0^inf rho(t) e^(xi t) dt = e^(gamma +
-    I(xi)) for real xi, I(v) = int_0^v (e^s - 1)/s ds (Tenenbaum,
-    Introduction to Analytic and Probabilistic Number Theory, III.5), and
-    rho is nonincreasing, so rho(u) (e^(xi u) - 1)/xi is at most that
-    integral:
+    The table reaches _U_CUT + 2, and a u in [k, k + 1] computes intervals
+    1 .. k once, whatever the order of the calls.  u >= _U_CUT reads 0.0,
+    the clamp value, from no interval: rho's Laplace transform gives
+    int_0^inf rho(t) e^(xi t) dt = e^(gamma + I(xi)) for real xi,
+    I(v) = int_0^v (e^s - 1)/s ds (Tenenbaum, Introduction to Analytic and
+    Probabilistic Number Theory, III.5), and rho is nonincreasing, so
+    rho(u) (e^(xi u) - 1)/xi is at most that integral:
 
         rho(u) <= xi e^(gamma + I(xi)) / (e^(xi u) - 1),   xi = xi(u).
 
     The bound lies within 2.3 decades of rho on [50, 120] and first drops
     below RHO_UNDERFLOW at the integer u = 126 (about 10^-301.5); since rho
-    is nonincreasing, so is every rho(u) with u >= 126.  The first table
-    reaches max(DEFAULT_RHO_UMAX, ceil(u) + 2); a u past it rebuilds to
-    _U_CUT + 2, so a process builds at most two tables.
+    is nonincreasing, so is every rho(u) with u >= 126.
     """
     global _table
-    if not u >= 0:
-        raise DomainError(f"rho needs u >= 0, got {u}")
-    if u <= 1.0:
-        return 1.0
     if u >= _U_CUT:
         return 0.0
     if _table is None:
-        _table = build_dickman_table(max(DEFAULT_RHO_UMAX, int(math.ceil(u)) + 2))
-    elif _table.u_max < u:
-        # u is below _U_CUT here, so this table covers every later u.
         _table = build_dickman_table(_U_CUT + 2)
     return _table.value_at(u)
 

@@ -291,9 +291,16 @@ def compare_grid(
     node_budget: int = Config.node_budget,
     epsilon0: float = Config.epsilon0,
 ) -> list[ComparisonRow]:
-    """One ComparisonRow per (x, y) in row-major input order."""
+    """One ComparisonRow per (x, y) in row-major input order; an x <= 1 or
+    a y < 2 anywhere in the grid raises before any cell runs."""
     if not x_list or not y_list:
         raise DomainError("compare_grid needs nonempty x and y lists")
+    for x in x_list:
+        if not x > 1:
+            raise DomainError(f"compare_grid needs x > 1, got {x}")
+    for y in y_list:
+        if y < 2:
+            raise DomainError(f"compare_grid needs y >= 2, got {y}")
     return [
         compare_cell(x, y, with_exact, node_budget=node_budget, epsilon0=epsilon0)
         for x in x_list

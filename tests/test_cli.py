@@ -342,6 +342,24 @@ def test_empty_list_option_exit1(argv):
     assert sum(ln.startswith("error:") for ln in err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compare", "--grid-x", "100", "--grid-y", "1"),
+        ("compare", "--grid-x", "-5", "--grid-y", "100"),
+        ("compare", "--grid-x", "1", "--grid-y", "100", "--with-exact"),
+        ("compare", "--grid-x", "1000,0.5", "--grid-y", "10"),  # one bad x stops the grid
+        ("estimate", "--u", "-1", "--y", "100"),  # x = 0.01
+    ],
+)
+def test_compare_and_estimate_reject_x_at_most_1_or_y_below_2(argv):
+    # each used to print one empty, unflagged row and exit 0
+    code, out, err = run_cli(*argv)
+    assert code == 1
+    assert out == ""
+    assert sum(ln.startswith("error:") for ln in err.splitlines()) == 1
+
+
 def test_compare_far_tail_thm2_finite_and_goswami_flagged():
     # u = 150: rho(u) is clamped below 1e-300, the saddle form of rho is not
     code, out, _ = run_cli("compare", "--grid-x", "1e300", "--grid-y", "100")

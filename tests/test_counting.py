@@ -205,6 +205,17 @@ def test_quotient_prime_counts(x):
         assert chi_sum.tolist() == [int(chi[:i].sum()) for i in k]
 
 
+@pytest.mark.parametrize("x, limit", [(10**8, 3001), (10**8, 10**4), (10**6 + 7, 2)])
+def test_quotient_rows_below_sqrt_x_match_the_lucy_rows(x, limit):
+    # limit <= sqrt x: the rows come from a prime sieve to limit; a table to
+    # limit = x runs the Lucy-Legendre pass and holds every v <= sqrt x too
+    sieved = _QuotientPrimes(x, limit, sieve_primes(math.isqrt(limit)))
+    lucy = _QuotientPrimes(x, x, sieve_primes(math.isqrt(x)))
+    assert sieved.small.tolist() == lucy.small[:, : limit + 1].tolist()
+    vs = np.arange(limit, 0, -1, dtype=np.int64)  # each is a quotient x // j
+    assert sieved.counts(vs).tolist() == lucy.counts(vs).tolist()
+
+
 @pytest.mark.parametrize("x, y", [(10**15, 7), (10**12, 13)])
 def test_leaf_route_matches_plain_walk(x, y):
     got = exact_circle_sum(x, y, "recursive")

@@ -120,8 +120,7 @@ def _rho_quadrature(N, umax):
 
 
 def test_rho_strictly_decreasing():
-    # in [0, 1], strictly decreasing while positive, 0 from the clamp on;
-    # taken from the top down, so the first call builds the one table needed
+    # in [0, 1], strictly decreasing while positive, 0 from the clamp on
     us = np.linspace(130, 1.01, 1200)
     vals = [rho(float(u)) for u in us][::-1]
     assert all(0.0 <= v <= 1.0 for v in vals)
@@ -172,8 +171,9 @@ def test_rho_table_cuts_as_if_every_coefficient_were_converted(u_max):
 def test_rho_series_cap_raises(monkeypatch):
     # interval 1 needs 133 terms at u_max = 8 (about 1 000 at u_max = 169)
     monkeypatch.setattr(dickman, "_SERIES_CAP", 40)
+    table = build_dickman_table(8)  # no interval is computed before a read
     with pytest.raises(ConvergenceError):
-        build_dickman_table(8)
+        table.coeffs
 
 
 @pytest.mark.parametrize(
@@ -248,26 +248,37 @@ def _record_builds(monkeypatch):
     return built
 
 
-def test_rho_ascending_sweep_builds_at_most_two_tables(monkeypatch):
+def test_rho_ascending_sweep_builds_one_table(monkeypatch):
     built = _record_builds(monkeypatch)
     vals = [rho(float(u)) for u in range(65, 131)]
-    assert len(built) <= 2
-    assert built == [67, 128]  # ceil(65) + 2, then two past _U_CUT
+    assert built == [128]  # two past _U_CUT
     live = [v for v in vals if v > 0.0]
     assert all(a > b for a, b in zip(live, live[1:]))
 
 
-def test_rho_growth_is_capped_at_the_gamma_cut(monkeypatch):
-    # the compare sweep's order: a small u, then a large one -- two tables,
-    # the second reaching _U_CUT + 2, so no later u builds another
+def test_rho_builds_one_table_in_any_order(monkeypatch):
+    # the compare sweep's order, a small u then a large one, and back down:
+    # the one table reaches _U_CUT + 2, so no later u builds another
     built = _record_builds(monkeypatch)
     rho(3.0)
     rho(120.0)
-    assert built == [64, 128]
+    rho(2.5)
     rho(125.9)
     rho(150.0)
-    assert built == [64, 128]
+    assert built == [128]
     assert rho(125.9) == dickman._table.value_at(125.9)
+
+
+def test_rho_first_call_converts_only_its_intervals(monkeypatch):
+    # rho(3.5) reads interval [3, 4], so a fresh table computes intervals
+    # 1, 2 and 3 and nothing past them
+    _record_builds(monkeypatch)
+    rho(3.5)
+    assert len(dickman._table._coeffs) == 3
+    rho(2.5)
+    assert len(dickman._table._coeffs) == 3
+    rho(7.25)
+    assert len(dickman._table._coeffs) == 7
 
 
 def _log_laplace_bound(u):

@@ -236,6 +236,9 @@ def test_compare_grid_order_and_errors():
     assert [(r.x, r.y) for r in rows] == [(100.0, 10), (100.0, 20), (1000.0, 10), (1000.0, 20)]
     with pytest.raises(DomainError):
         compare_grid([], [10])
+    for xs, ys in (([100.0], [1]), ([100.0, 1.0], [10]), ([math.nan], [10])):
+        with pytest.raises(DomainError):
+            compare_grid(xs, ys)
 
 
 def test_comparison_row_rejects_rankin_violation():
