@@ -3,7 +3,7 @@
 Subcommands: exact, alpha, hval, estimate, compare, perron, xi, rho,
 primesums, diffcheck.  Results go to stdout as CSV (or JSON with
 --format json), diagnostics to stderr.  Exit codes: 0 success, 1 input
-error, 2 resource or convergence error.
+error, 2 resource error (a refused allocation too) or convergence error.
 
 The global flags --config and --format may come before or after the
 subcommand; when one is given on both sides, the later occurrence wins.
@@ -149,7 +149,7 @@ def _resolve_x(args) -> float:
             return float(args.y) ** args.u
         except OverflowError:
             raise DomainError(f"x = y**u overflows at y={args.y}, u={args.u}") from None
-    raise CliInputError("one of --x or --u is required")
+    raise CliInputError("error: one of --x or --u is required")
 
 
 def _run(args, cfg: Config) -> tuple[tuple[str, ...], list[dict]]:
@@ -233,7 +233,7 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
     except DomainError as exc:
         err.write(f"error: {exc}\n")
         return 1
-    except (ResourceBudgetError, ConvergenceError) as exc:
+    except (ResourceBudgetError, ConvergenceError, MemoryError) as exc:
         err.write(f"error: {exc}\n")
         return 2
 

@@ -40,7 +40,8 @@ _KEY_MAP = {
 
 def parse_config_file(path: str | Path) -> dict:
     """Parse key=value lines ('#' comments and blanks ignored) into kwargs.
-    A file that cannot be read or decoded is a DomainError naming the path."""
+    A file that cannot be read or decoded is a DomainError naming the path;
+    a bad line, key or value is one naming the path and line."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -60,6 +61,7 @@ def parse_config_file(path: str | Path) -> dict:
         attr, conv = _KEY_MAP[key]
         try:
             out[attr] = conv(value.strip())
+            Config(**{attr: out[attr]})  # the field's own checks, reported at its line
         except ValueError as exc:
             raise DomainError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return out

@@ -11,14 +11,13 @@ evaluates log H on a vertical line as a blocked product, for the Perron
 integrand's many nodes.  Nothing is truncated, so no truncation bound
 exists.
 
-prime_terms evaluates the primes in fixed blocks written into one output
-array.  Whole-array temporaries (628 KB each at y = 1e6) went back to the
-OS on every free and were faulted in again on the next call, which cost
-more than the arithmetic; a call's scratch is a few block-sized rows,
-written in place, so its transient memory stays within a few blocks of its
-output.  One call can form several orders: the reciprocals are computed
-once per prime for all of them, so a Newton step's phi_1 and phi_2
-(phi1_phi2) and all of phi_derivatives each cost one pass over the primes.
+prime_terms evaluates the primes in blocks of a few thousand: the heap
+reuses block-sized temporaries from call to call, while whole-array ones
+(628 KB each at y = 1e6) were faulted in again on every call, which cost
+more than the arithmetic.  One call can form several orders: the
+reciprocals are computed once per prime for all of them, so a Newton
+step's phi_1 and phi_2 (phi1_phi2) and all of phi_derivatives each cost
+one pass over the primes.
 """
 
 from __future__ import annotations
@@ -33,13 +32,12 @@ from .numutil import csum
 from .primes import prime_table
 
 
-# Primes per prime_terms block: scratch rows of 32 KB, which the heap reuses
-# from call to call without page faults.  A call's transient memory peaks
-# at about 1.5 times a one-order output (1.3 times for two orders) here,
-# against 5 to 9 times for the whole array.
+# Primes per prime_terms block: temporaries of 32 KB, which the heap reuses
+# from call to call without page faults.  At y = 1e6 a call's transient
+# memory peaks at 1.3 to 1.7 times its output for one order, 1.3 times for
+# (1, 2) and 1.2 times for orders 0..4, against 5 to 9 times for the whole
+# array.
 _TERMS_BLOCK = 4096
-# Block-sized float rows of scratch one prime_terms call holds.
-_SCRATCH_ROWS = 8
 
 
 def prime_terms(sigma: float, y: int, k) -> np.ndarray | list[np.ndarray]:
@@ -59,78 +57,60 @@ def prime_terms(sigma: float, y: int, k) -> np.ndarray | list[np.ndarray]:
     order.  Separate arrays, not one 2-D array, so that each is the size
     the heap already reuses for one-order calls.
 
-    The primes are taken _TERMS_BLOCK at a time, each block written into
-    the one output array: the same floats as one whole-array expression,
-    but every temporary is a row of block-sized scratch allocated once per
-    call and written in place, so none is faulted in afresh on every call
-    and the call's transient memory is bounded.
+    The primes are taken _TERMS_BLOCK at a time, each block's terms
+    assigned into their slice of the output: the same floats as one
+    whole-array expression, but every temporary is block-sized, so none is
+    faulted in afresh on every call and the call's transient memory stays
+    within a few blocks of its output.
     """
     single = np.ndim(k) == 0
     orders = [k] if single else list(k)
     table = prime_table(y)
     n = len(table)
     out = [np.empty(n) for _ in orders]
-    scratch = np.empty((_SCRATCH_ROWS, min(n, _TERMS_BLOCK)))
     for lo in range(0, n, _TERMS_BLOCK):
         hi = lo + _TERMS_BLOCK
-        _block_terms(
-            sigma, table.logp[lo:hi], table.chi[lo:hi], orders,
-            [row[lo:hi] for row in out], scratch[:, : hi - lo],
-        )
+        terms = _block_terms(sigma, table.logp[lo:hi], table.chi[lo:hi], orders)
+        for row, block in zip(out, terms):
+            row[lo:hi] = block
     return out[0] if single else out
 
 
-def _block_terms(sigma, lp, chi4, orders, rows, scratch) -> None:
-    """prime_terms on one block of primes, order orders[i] into rows[i].
+def _block_terms(sigma, lp, chi4, orders):
+    """prime_terms on one block of primes: yields one array per order.
 
-    Each step of a closed form writes into a row of scratch, in the order of
-    operations of the one-expression form; the reciprocals r1 = 1/(P - 1),
-    r2 = 1/(P - chi4(p)) and, for k >= 2, a = c r (1 + c r) are formed once
-    for all orders.  At chi4(p) = 0 (p = 2) the c = chi4(p) half reads 0.
+    Each closed form keeps the order of operations of the whole-array
+    form; the reciprocals r1 = 1/(P - 1), r2 = 1/(P - chi4(p)) and, for
+    k >= 2, a = c r (1 + c r) are formed once for all orders.  At
+    chi4(p) = 0 (p = 2) the c = chi4(p) half reads 0.
     """
-    chi, r1, r2, a1, a2, t, v, w = scratch[:, : lp.size]
-    np.copyto(chi, chi4)
+    chi = chi4.astype(np.float64)
     if max(orders) > 0:
         with np.errstate(over="ignore"):  # P = inf is fine: every r is then 0
-            em1 = np.expm1(np.multiply(sigma, lp, out=r1), out=r1)
-        np.divide(1.0, np.add(em1, np.subtract(1.0, chi, out=t), out=t), out=r2)
-        np.divide(1.0, em1, out=r1)
+            em1 = np.expm1(sigma * lp)
+        r1, r2 = 1.0 / em1, 1.0 / (em1 + (1.0 - chi))
+        cr = chi * r2
     if max(orders) > 1:
-        np.multiply(r1, np.add(1.0, r1, out=t), out=a1)
-        cr = np.multiply(chi, r2, out=v)
-        np.multiply(cr, np.add(1.0, cr, out=t), out=a2)
-    for k, row in zip(orders, rows):
+        a1, a2 = r1 * (1.0 + r1), cr * (1.0 + cr)
+    # Li_0(c/P) = c r, and with a = c r (1 + c r):
+    # Li_-1(c/P) = cP/(P - c)^2 = a,
+    # Li_-2(c/P) = cP(P + c)/(P - c)^3 = a (1 + 2 c r),
+    # Li_-3(c/P) = cP(P^2 + 4cP + c^2)/(P - c)^4 = a (1 + 6 c r + 6 r^2).
+    # At c = 1 the factor c is dropped: 1.0 * r is r.
+    for k in orders:
         if k == 0:  # -log1p(-z) - log1p(-chi4(p) z), z = p^-sigma
-            z = np.exp(np.multiply(-sigma, lp, out=t), out=t)
-            np.negative(np.log1p(np.negative(z, out=v), out=v), out=row)
-            np.log1p(np.multiply(np.negative(chi, out=w), z, out=w), out=w)
-            np.subtract(row, w, out=row)
-            continue
-        # Li_0(c/P) = c r, and with a = c r (1 + c r):
-        # Li_-1(c/P) = cP/(P - c)^2 = a,
-        # Li_-2(c/P) = cP(P + c)/(P - c)^3 = a (1 + 2 c r),
-        # Li_-3(c/P) = cP(P^2 + 4cP + c^2)/(P - c)^4 = a (1 + 6 c r + 6 r^2).
-        # At c = 1 the factor c is dropped: 1.0 * r is r.
-        if k == 1:
-            np.add(r1, np.multiply(chi, r2, out=t), out=t)
+            z = np.exp(-sigma * lp)
+            yield -np.log1p(-z) - np.log1p(-chi * z)
+        elif k == 1:
+            yield lp * (r1 + cr)
         elif k == 2:
-            np.add(a1, a2, out=t)
-        elif k == 3:  # tail 1 + 2 c r
-            np.add(1.0, np.multiply(2.0, r1, out=t), out=t)
-            np.multiply(a1, t, out=t)
-            np.add(1.0, np.multiply(np.multiply(2.0, chi, out=v), r2, out=v), out=v)
-            np.add(t, np.multiply(a2, v, out=v), out=t)
-        else:  # tail 1 + 6 c r + 6 r^2
-            six_r = np.multiply(6.0, r1, out=t)
-            np.add(np.add(1.0, six_r, out=v), np.multiply(six_r, r1, out=w), out=v)
-            np.multiply(a1, v, out=v)
-            np.add(1.0, np.multiply(np.multiply(6.0, chi, out=t), r2, out=t), out=t)
-            six_r = np.multiply(6.0, r2, out=w)
-            np.add(t, np.multiply(six_r, r2, out=w), out=t)
-            np.add(v, np.multiply(a2, t, out=t), out=t)
-        # (log p)^k as lp**k
-        lpk = lp if k == 1 else np.square(lp, out=w) if k == 2 else np.power(lp, k, out=w)
-        np.multiply(lpk, t, out=row)
+            yield np.square(lp) * (a1 + a2)
+        elif k == 3:
+            yield np.power(lp, 3) * (a1 * (1.0 + 2.0 * r1) + a2 * (1.0 + 2.0 * chi * r2))
+        else:
+            tail1 = 1.0 + 6.0 * r1 + 6.0 * r1 * r1
+            tail2 = 1.0 + 6.0 * chi * r2 + 6.0 * r2 * r2
+            yield np.power(lp, 4) * (a1 * tail1 + a2 * tail2)
 
 
 # A block of the line product ends before the log-magnitude bound of its

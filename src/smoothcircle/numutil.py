@@ -196,7 +196,8 @@ def integrate_panels(
 
     f must map an array of abscissae to an array of values.  Each panel is
     evaluated with nested 15/31-point Gauss-Legendre rules and bisected until
-    the two agree; exceeding the split budget raises ConvergenceError.  f is
+    the two agree; exceeding the split budget raises ConvergenceError, and
+    so do more base panels than max_splits, before f is called.  f is
     called once per panel, on the 15 nodes followed by the 31 nodes, so for
     an f that acts elementwise the result is the same float as calling it
     once per rule.  The final reduction order is deterministic (panels
@@ -206,6 +207,10 @@ def integrate_panels(
         return 0.0
 
     n_base = max(1, math.ceil((b - a) / panel_width))
+    if n_base > max_splits:
+        raise ConvergenceError(
+            f"quadrature budget exceeded: {n_base} base panels ({max_splits} splits)"
+        )
     edges = np.linspace(a, b, n_base + 1)
     work = [(edges[i], edges[i + 1]) for i in range(n_base)]
     done: list[tuple[float, float]] = []

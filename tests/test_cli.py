@@ -222,11 +222,21 @@ def test_config_hash_in_header(tmp_path):
 
 
 def test_bad_config_key(tmp_path):
-    cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text("frobnicate=1\n")
-    code, _, err = run_cli("--config", str(cfgfile), "xi", "--u", "2")
-    assert code == 1
-    assert "unknown config key" in err
+    # Every bad line of a config file exits 1 with one error naming its
+    # path and line.
+    for line, reason in [
+        ("frobnicate=1", "unknown config key"),
+        ("node_budget=0", "must be positive"),
+        ("output_format=xml", "must be csv or json"),
+        ("node_budget", "expected key=value"),
+        ("lambda=abc", "bad value for lambda"),
+    ]:
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"# line 1\n{line}\n")
+        code, out, err = run_cli("--config", str(cfgfile), "xi", "--u", "2")
+        assert code == 1 and out == "", line
+        assert err.startswith(f"error: {cfgfile}:2: ") and reason in err, line
+        assert len(err.splitlines()) == 1, line
 
 
 @pytest.mark.parametrize("line", ["residual_tol=1e-10", "sieve_segment_size=4096"])
@@ -317,6 +327,8 @@ def test_undecodable_config_file_exit1(tmp_path):
         ("alpha", "--x", "inf", "--y", "100"),
         ("hval", "--sigma", "nan", "--y", "100"),
         ("alpha", "--u", "1000", "--y", "1000000"),  # x = y**u overflows
+        ("alpha", "--x", "abc", "--y", "10"),
+        ("compare", "--grid-x", "100", "--grid-y", "1.5"),  # y must be an integer
     ],
 )
 def test_non_finite_input_exit1(argv):
@@ -333,6 +345,7 @@ def test_non_finite_input_exit1(argv):
         ("rho", "--u", ","),
         ("primesums", "--x", ","),
         ("compare", "--grid-x", ",", "--grid-y", "10"),
+        ("alpha", "--y", "10"),  # neither --x nor --u
     ],
 )
 def test_empty_list_option_exit1(argv):
@@ -368,6 +381,24 @@ def test_compare_far_tail_thm2_finite_and_goswami_flagged():
     thm2 = float(row["thm2"])
     assert math.isfinite(thm2) and thm2 > 0
     assert float(row["goswami"]) > 0 or "rho-underflow" in row["flags"].split(";")
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        # y = 1e18: the prime sieve would need 444 PiB, beyond any address
+        # space, so the allocation is refused at once
+        (("hval", "--sigma", "0.6", "--y", "1000000000000000000"), "Unable to allocate"),
+        (("primesums", "--x", "1e18"), "Unable to allocate"),
+        (("compare", "--grid-x", "1e30", "--grid-y", "1000000000000000000"), "Unable to allocate"),
+        # 3.7e14 Perron base panels: refused before any panel is allocated
+        (("perron", "--x", "1.5", "--y", "10", "--T", "1e15"), "base panels"),
+    ],
+)
+def test_exhausted_resource_exit2(argv, reason):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and reason in err and len(err.splitlines()) == 1
 
 
 def test_hval_sigma_out_of_range_exit1():

@@ -310,8 +310,8 @@ def test_prime_terms_orders_equal_the_whole_array_bitwise(y):
 )
 def test_prime_terms_transient_memory_is_a_few_blocks(s, k):
     # The whole-array form peaks at 5-9 times its output; block-sized
-    # scratch written in place keeps a call, for one order or several,
-    # within a few blocks of its output.
+    # temporaries keep a call, for one order or several, within a few
+    # blocks of its output.
     prime_table(10**6)  # cached before tracing: the table is not transient
     tracemalloc.start()
     try:

@@ -294,6 +294,20 @@ def test_integrate_panels_smooth_needs_no_split():
     assert calls == [46, 46, 46]
 
 
+def test_integrate_panels_split_budget_raises():
+    f, a, b, width = INTEGRANDS["peaked"]  # 2 base panels, more than 2 splits
+    with pytest.raises(ConvergenceError, match="refinement budget"):
+        integrate_panels(f, a, b, width, max_splits=2)
+
+
+def test_integrate_panels_base_panels_over_budget_raise_before_f():
+    # 1e15 base panels: refused before the edges are allocated or f is called
+    calls = []
+    with pytest.raises(ConvergenceError, match="base panels"):
+        integrate_panels(lambda ts: calls.append(ts) or np.cos(ts), 0.0, 1e15, 1.0)
+    assert calls == []
+
+
 @pytest.mark.parametrize("name", sorted(INTEGRANDS))
 def test_integrate_panels_matches_two_calls_bitwise(name):
     f, a, b, width = INTEGRANDS[name]
