@@ -16,6 +16,8 @@ import math
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from .config import Config, config_hash, load_config
 from .counting import exact_circle_sum
 from .errors import (
@@ -28,7 +30,7 @@ from .estimators import FLAG_OVERFLOW, FLAG_UNDERFLOW
 from .estimators import compare_grid, difference_check, perron_verify
 from .euler import h_value, phi_derivatives
 from .prime_sums import weighted_prime_sum
-from .report import COMPARE_COLUMNS, render
+from .report import render
 from .saddle import solve_alpha
 from . import dickman
 
@@ -152,29 +154,32 @@ def _resolve_x(args) -> float:
     raise CliInputError("error: one of --x or --u is required")
 
 
-def _run(args, cfg: Config) -> tuple[tuple[str, ...], list[dict]]:
+def _run(args, cfg: Config) -> list[dict]:
+    """The result rows of one subcommand, each dict's keys in column order."""
     if args.command == "exact":
         c = exact_circle_sum(args.x, args.y, args.method, node_budget=cfg.node_budget)
-        return ("x", "y", "value", "terms", "method", "nodes"), [asdict(c)]
+        return [asdict(c)]
 
     if args.command == "alpha":
-        r = solve_alpha(_resolve_x(args), args.y)
-        row = asdict(r)
+        row = asdict(solve_alpha(_resolve_x(args), args.y))
         row["bracket_lo"], row["bracket_hi"] = row.pop("bracket")
-        cols = ("x", "y", "u", "alpha", "residual", "iters", "bracket_lo", "bracket_hi")
-        return cols, [row]
+        return [row]
 
     if args.command == "hval":
-        hv = h_value(complex(args.sigma, args.t), args.y)
-        # |H| past float range reads inf (or 0), flagged; at t = 0 phi keeps log H
-        flags = (FLAG_OVERFLOW,) if math.isinf(abs(hv)) else (FLAG_UNDERFLOW,) if hv == 0 else ()
-        row = {"sigma": args.sigma, "t": args.t, "y": args.y, "re": hv.real, "im": hv.imag,
-               "flags": flags}  # off the axis the phi columns stay empty
+        # At t = 0, H = exp(phi) from the one kernel pass that gives the phi
+        # columns; off the axis those columns stay empty.
+        phi = d1 = d2 = d3 = d4 = None
         if args.t == 0.0:
             d = phi_derivatives(args.sigma, args.y)
-            row.update(phi=d.phi, phi1=d.d[0], phi2=d.d[1], phi3=d.d[2], phi4=d.d[3])
-        cols = ("sigma", "t", "y", "re", "im", "phi", "phi1", "phi2", "phi3", "phi4", "flags")
-        return cols, [row]
+            phi, (d1, d2, d3, d4) = d.phi, d.d
+            with np.errstate(over="ignore"):
+                hv = complex(np.exp(phi))
+        else:
+            hv = h_value(complex(args.sigma, args.t), args.y)
+        # |H| past float range reads inf (or 0), flagged
+        flags = (FLAG_OVERFLOW,) if math.isinf(abs(hv)) else (FLAG_UNDERFLOW,) if hv == 0 else ()
+        return [{"sigma": args.sigma, "t": args.t, "y": args.y, "re": hv.real, "im": hv.imag,
+                 "phi": phi, "phi1": d1, "phi2": d2, "phi3": d3, "phi4": d4, "flags": flags}]
 
     if args.command in ("estimate", "compare"):
         if args.command == "estimate":
@@ -185,36 +190,24 @@ def _run(args, cfg: Config) -> tuple[tuple[str, ...], list[dict]]:
             xs, ys, args.with_exact,
             node_budget=cfg.node_budget, epsilon0=cfg.epsilon0,
         )
-        return COMPARE_COLUMNS, [asdict(r) for r in rows]
+        return [asdict(r) for r in rows]
 
     if args.command == "perron":
         r = perron_verify(args.x, args.y, args.T, node_budget=cfg.node_budget)
-        return ("x", "y", "T", "alpha", "integral", "exact", "error"), [asdict(r)]
+        return [asdict(r)]
 
-    if args.command == "xi":
-        rows = [{"u": u, "value": dickman.xi(u)} for u in args.u]
-        return ("u", "value"), rows
-
-    if args.command == "rho":
-        rows = [{"u": u, "value": dickman.rho(u)} for u in args.u]
-        return ("u", "value"), rows
+    if args.command in ("xi", "rho"):
+        f = dickman.xi if args.command == "xi" else dickman.rho
+        return [{"u": u, "value": f(u)} for u in args.u]
 
     if args.command == "primesums":
-        rows = []
-        for x in args.x:
-            rep = weighted_prime_sum(x, args.sigma, args.twist)
-            rows.append({
-                "x": x, "sigma": args.sigma, "twist": args.twist,
-                "value": rep.value, "main_term": rep.main_term, "deviation": rep.deviation,
-            })
-        return ("x", "sigma", "twist", "value", "main_term", "deviation"), rows
+        # the report's fields after the options; its x is the row's x
+        return [{"x": x, "sigma": args.sigma, "twist": args.twist}
+                | asdict(weighted_prime_sum(x, args.sigma, args.twist)) for x in args.x]
 
-    if args.command == "diffcheck":
-        r = difference_check(args.x, args.y, args.z, lam=cfg.lambda_, node_budget=cfg.node_budget)
-        cols = ("x", "y", "z", "u", "alpha", "lhs", "scale", "ratio")
-        return cols, [asdict(r)]
-
-    raise CliInputError(f"unknown command {args.command!r}")
+    # diffcheck: the required subparsers admit no other command
+    r = difference_check(args.x, args.y, args.z, lam=cfg.lambda_, node_budget=cfg.node_budget)
+    return [asdict(r)]
 
 
 def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
@@ -224,8 +217,7 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config, output_format=args.format)
-        cols, rows = _run(args, cfg)
-        out.write(render(cols, rows, config_hash(cfg), cfg.output_format))
+        out.write(render(_run(args, cfg), config_hash(cfg), cfg.output_format))
         return 0
     except CliInputError as exc:
         err.write(f"{exc}\n")

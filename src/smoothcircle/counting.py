@@ -19,7 +19,7 @@ primes <= p.  Each node has its own y-smooth cur <= x, so a walk has at
 most as many nodes as there are terms, and never more than x.  Most
 subtrees close without a walk:
 
-- m <= p (every k counts), or only the prime 2 left: closed forms.
+- m <= p (every k counts): a closed form.
 - p < 128 and m <= 2^14: one lookup in the small-m table, which holds the
   weight and the count of the p-smooth k <= m for each of the 31 primes
   below 128 and every m <= 2^14 (the small-argument table of Meissel-Lehmer
@@ -36,10 +36,14 @@ subtrees close without a walk:
   and read pi(v) and sum chi4(p) over p <= v at the quotients v = x // j
   from one Lucy-Legendre table.
 
-Past the table, a node with m <= 2^14 has p >= 131 > sqrt(2^14), so m <= p
-or p^2 >= m: no node with m <= 2^14 is walked.  Every node, whether walked,
-closed in a closed form, a table lookup or a Buchstab leaf, counts as one
-node against the enumeration budget.
+A walked node closes the powers of 2 itself: it counts k = 1, 2, 4, ...
+<= m, m.bit_length() terms of weight r(2^e)/4 = 1 each, and has children
+only for the primes from 3 up, so a node with p = 2 is a table lookup or a
+walked node without children.  Past the table, a node with m <= 2^14 has
+p >= 131 > sqrt(2^14), so m <= p or p^2 >= m: no node with m <= 2^14 is
+walked.  Every node, whether walked, closed in a closed form, a table
+lookup or a Buchstab leaf, counts as one node against the enumeration
+budget.
 """
 
 from __future__ import annotations
@@ -94,8 +98,9 @@ class ExactCount:
     value is a plain (unbounded) int and is always a multiple of 4;
     terms is the number of y-smooth n <= x, n = 1 included, whichever
     route counted them.  nodes is what the call charged against its node
-    budget: the recursive route's nodes (walked, closed-form, table lookups
-    and Buchstab leaves, one each), or x for the sieve.  The same call
+    budget: the recursive route's nodes (walked nodes, which count their
+    powers of 2 themselves, closed forms, table lookups and Buchstab
+    leaves, one each), or x for the sieve.  The same call
     succeeds with node_budget=nodes and raises with nodes - 1.
     """
 
@@ -268,11 +273,6 @@ def _exact_recursive(x: int, y: int, node_budget: int) -> tuple[int, int, int]:
                 f"smooth enumeration exceeded node budget {node_budget}"
             )
         m = x // cur
-        if hi <= 0:  # k = 1, or k a power of 2
-            c = m.bit_length() if hi == 0 else 1
-            total += w * c
-            terms += c
-            return
         if hi < _SMALL_PRIMES and m <= _SMALL_M:  # one small-m table lookup
             total += w * small_w[hi][m]
             terms += small_c[hi][m]
@@ -287,12 +287,13 @@ def _exact_recursive(x: int, y: int, node_budget: int) -> tuple[int, int, int]:
             total += w * weight
             terms += count
             return
-        total += w
-        terms += 1
+        c = m.bit_length()  # k = 1, 2, 4, ..., each of weight r(2^e)/4 = 1
+        total += w * c
+        terms += c
         top = bisect_right(ps, m) - 1
         if top > hi:
             top = hi
-        for i in range(top, -1, -1):
+        for i in range(top, 0, -1):  # every prime but 2, whose powers are counted above
             p = ps[i]
             v = cur * p
             e = 1

@@ -137,7 +137,7 @@ def h_log_line(sigma: float, y: int) -> Callable[[np.ndarray], np.ndarray]:
     on sigma alone -- a, b and the block starts -- is computed here, once;
     the returned function does only the per-t work.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise DomainError(f"h_log_line needs sigma > 0, got {sigma}")
     table = prime_table(y)
     lp = table.logp
@@ -174,21 +174,21 @@ def h_value(s: complex, y: int) -> complex:
 
 def h_log_real(sigma: float, y: int) -> float:
     """log H(sigma; y) for real sigma > 0: the real-axis evaluator."""
-    if sigma <= 0:
+    if not sigma > 0:
         raise DomainError(f"h_log_real needs sigma > 0, got {sigma}")
     return csum(prime_terms(sigma, y, 0))
 
 
 def phi1_closed(sigma: float, y: int) -> float:
     """phi_1(sigma; y) = -sum_p [log p/(p^sigma - 1) + chi4(p) log p/(p^sigma - chi4(p))]."""
-    if sigma <= 0:
+    if not sigma > 0:
         raise DomainError(f"phi1_closed needs sigma > 0, got {sigma}")
     return -csum(prime_terms(sigma, y, 1))
 
 
 def phi2_closed(sigma: float, y: int) -> float:
     """phi_2(sigma; y) = sum_p (log p)^2 p^sigma [1/(p^sigma-1)^2 + chi4(p)/(p^sigma-chi4(p))^2]."""
-    if sigma <= 0:
+    if not sigma > 0:
         raise DomainError(f"phi2_closed needs sigma > 0, got {sigma}")
     return csum(prime_terms(sigma, y, 2))
 
@@ -196,7 +196,7 @@ def phi2_closed(sigma: float, y: int) -> float:
 def phi1_phi2(sigma: float, y: int) -> tuple[float, float]:
     """(phi1_closed(sigma, y), phi2_closed(sigma, y)), bitwise, from one
     kernel pass: a Newton step's value and slope at the cost of one."""
-    if sigma <= 0:
+    if not sigma > 0:
         raise DomainError(f"phi1_phi2 needs sigma > 0, got {sigma}")
     t1, t2 = prime_terms(sigma, y, (1, 2))
     return -csum(t1), csum(t2)
@@ -234,7 +234,7 @@ def phi_derivatives(sigma: float, y: int, kmax: int = 4) -> PhiDerivatives:
     """phi and phi_1..phi_kmax at real sigma > 0, each an exact sum of
     prime_terms, phi_k = (-1)^k sum_p prime_terms(sigma, y, k), with every
     order's row from one kernel pass."""
-    if sigma <= 0:
+    if not sigma > 0:
         raise DomainError(f"phi_derivatives needs sigma > 0, got {sigma}")
     if not 1 <= kmax <= 4:
         raise DomainError(f"kmax must be in 1..4, got {kmax}")

@@ -7,7 +7,9 @@ import warnings
 
 import pytest
 
+from smoothcircle import cli, euler
 from smoothcircle.cli import main
+from smoothcircle.euler import h_value
 
 
 @pytest.fixture(autouse=True)
@@ -255,6 +257,68 @@ def test_module_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().split("\n")[-1] == "10,2,16,4,recursive,1"
+
+
+def test_console_main(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["smoothcircle", "exact", "--x", "10", "--y", "2"])
+    with pytest.raises(SystemExit) as exc:
+        cli.console_main()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip().split("\n")[-1] == "10,2,16,4,recursive,1"
+
+
+# The column line of each subcommand; every JSON row has the same keys in
+# the same order.
+COLUMN_LINES = [
+    (("exact", "--x", "10", "--y", "2"), "x,y,value,terms,method,nodes"),
+    (("alpha", "--x", "4", "--y", "2"),
+     "x,y,u,alpha,residual,iters,bracket_lo,bracket_hi"),
+    (("hval", "--sigma", "1", "--y", "3"), "sigma,t,y,re,im,phi,phi1,phi2,phi3,phi4,flags"),
+    (("hval", "--sigma", "1", "--t", "2.5", "--y", "3"),
+     "sigma,t,y,re,im,phi,phi1,phi2,phi3,phi4,flags"),
+    (("estimate", "--x", "100", "--y", "10"),
+     "x,y,u,alpha,residual,exact,thm1,thm2,goswami,"
+     "rankin,ratio_thm1,ratio_thm2,ratio_goswami,flags"),
+    (("compare", "--grid-x", "100,1000", "--grid-y", "10", "--with-exact"),
+     "x,y,u,alpha,residual,exact,thm1,thm2,goswami,"
+     "rankin,ratio_thm1,ratio_thm2,ratio_goswami,flags"),
+    (("perron", "--x", "20.5", "--y", "10", "--T", "25"), "x,y,T,alpha,integral,exact,error"),
+    (("xi", "--u", "1,10"), "u,value"),
+    (("rho", "--u", "0.5,2"), "u,value"),
+    (("primesums", "--x", "10,100", "--sigma", "1"), "x,sigma,twist,value,main_term,deviation"),
+    (("diffcheck", "--x", "1000", "--y", "50", "--z", "5"), "x,y,z,u,alpha,lhs,scale,ratio"),
+]
+
+
+@pytest.mark.parametrize("argv, columns", COLUMN_LINES, ids=[a[0] for a, _ in COLUMN_LINES])
+def test_column_order(argv, columns):
+    code, out, _ = run_cli(*argv)
+    lines = out.strip().split("\n")[1:]
+    assert code == 0 and lines[0] == columns
+    code, out, _ = run_cli(*argv, "--format", "json")
+    keys = [",".join(row) for row in json.loads(out)["rows"]]
+    assert code == 0 and keys == [columns] * (len(lines) - 1)
+
+
+@pytest.mark.parametrize("sigma", ["0.05", "0.3", "0.6", "2", "1e-4"])
+def test_hval_on_axis_is_h_value(sigma):
+    # H at t = 0 comes from the phi pass: bitwise the value h_value gives
+    row = parse_csv(run_cli("hval", "--sigma", sigma, "--y", "1000000")[1])[0]
+    hv = h_value(float(sigma), 1000000)
+    assert (row["re"], row["im"]) == (format(hv.real, ".17g"), format(hv.imag, ".17g"))
+
+
+def test_hval_on_axis_makes_one_kernel_pass(monkeypatch):
+    calls = []
+    prime_terms = euler.prime_terms
+
+    def counting(*args):
+        calls.append(args)
+        return prime_terms(*args)
+
+    monkeypatch.setattr(euler, "prime_terms", counting)
+    assert run_cli("hval", "--sigma", "0.6", "--y", "1000000")[0] == 0
+    assert len(calls) == 1
 
 
 def test_format_before_subcommand():

@@ -93,6 +93,11 @@ def test_r_over_4_matches_lattice(n):
     assert 4 * r_over_4(n, factorize(n)) == lattice_r(n)
 
 
+def test_lattice_table_rejects_negative_limit():
+    with pytest.raises(DomainError):
+        lattice_r_table(-1)
+
+
 def test_lattice_table_matches_pointwise():
     table = lattice_r_table(2000)
     assert table[0] == 1  # origin
@@ -278,6 +283,18 @@ def test_pinned_value_at_1e9():
     # Computed once by both routes; the budget enforces < 1M nodes.
     got = exact_circle_sum(10**9, 10**3, node_budget=10**6)
     assert (got.value, got.terms) == (174522924, 59244184)
+
+
+@pytest.mark.parametrize(
+    "x, y, nodes", [(10**5, 100, 87), (10**6, 100, 706), (10**12, 13, 7861)]
+)
+def test_walked_node_counts_its_powers_of_2(x, y, nodes):
+    # no node is spent on k = 2^e alone: the walked node above counts them
+    c = exact_circle_sum(x, y)
+    assert c.nodes == nodes
+    if x <= 10**6:
+        sieve = exact_circle_sum(x, y, "sieve")
+        assert (c.value, c.terms) == (sieve.value, sieve.terms)
 
 
 @pytest.mark.parametrize(

@@ -152,6 +152,8 @@ def test_rho_table_validate_and_extent():
     assert tab.value_at(8.0) == pytest.approx(rho(8.0), rel=1e-15)
     with pytest.raises(DomainError):
         tab.value_at(9.0)
+    with pytest.raises(DomainError):
+        build_dickman_table(1)
 
 
 # 38, 59, 70 and 100 each lose a float bit of a coefficient without the

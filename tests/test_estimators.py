@@ -28,7 +28,7 @@ from smoothcircle.estimators import (
     log_saddle_point_estimate,
     perron_verify,
 )
-from smoothcircle.report import COMPARE_COLUMNS, rows_to_csv, rows_to_json
+from smoothcircle.report import rows_to_csv, rows_to_json
 
 
 def test_saddle_estimate_single_prime_closed_form():
@@ -249,18 +249,27 @@ def test_comparison_row_rejects_rankin_violation():
 def test_csv_and_json_rendering():
     rows = compare_grid([100.0], [10], with_exact=True)
     dicts = [r.__dict__.copy() for r in rows]
-    assert tuple(dicts[0]) == COMPARE_COLUMNS  # the row carries nothing unrendered
-    csv_text = rows_to_csv(COMPARE_COLUMNS, dicts, "cafe01234567")
+    columns = (
+        "x,y,u,alpha,residual,exact,thm1,thm2,goswami,"
+        "rankin,ratio_thm1,ratio_thm2,ratio_goswami,flags"
+    )
+    csv_text = rows_to_csv(dicts, "cafe01234567")
     lines = csv_text.strip().split("\n")
     assert lines[0].startswith("# smoothcircle ")
     assert "config=cafe01234567" in lines[0]
-    assert lines[1] == ",".join(COMPARE_COLUMNS)
+    assert lines[1] == columns  # the row's fields, in order
     assert len(lines) == 3
 
-    doc = json.loads(rows_to_json(COMPARE_COLUMNS, dicts, "cafe01234567"))
+    doc = json.loads(rows_to_json(dicts, "cafe01234567"))
     assert doc["config"] == "cafe01234567"
-    assert list(doc["rows"][0].keys()) == list(COMPARE_COLUMNS)
+    assert ",".join(doc["rows"][0]) == columns
     assert doc["rows"][0]["exact"] == rows[0].exact
 
     # determinism: identical inputs give identical bytes
-    assert csv_text == rows_to_csv(COMPARE_COLUMNS, dicts, "cafe01234567")
+    assert csv_text == rows_to_csv(dicts, "cafe01234567")
+
+
+def test_nan_renders_as_nan():
+    rows = [{"x": 2.0, "value": math.nan}]
+    assert rows_to_csv(rows, "cafe01234567").splitlines()[1:] == ["x,value", "2,nan"]
+    assert json.loads(rows_to_json(rows, "cafe01234567"))["rows"] == [{"x": 2.0, "value": "nan"}]

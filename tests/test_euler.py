@@ -112,6 +112,16 @@ def test_phi_domain():
         phi1_phi2(0.0, 100)
 
 
+@pytest.mark.parametrize(
+    "evaluator",
+    [h_log_line, h_log_real, phi1_closed, phi2_closed, phi1_phi2, phi_derivatives],
+    ids=lambda f: f.__name__,
+)
+def test_sigma_nan_is_a_domain_error(evaluator):
+    with pytest.raises(DomainError, match="needs sigma > 0, got nan"):
+        evaluator(math.nan, 100)
+
+
 def test_convexity_on_grid():
     # sigma -> sigma log x + phi(sigma) convex; log x drops out of second
     # differences, so check phi itself

@@ -308,6 +308,13 @@ def test_integrate_panels_base_panels_over_budget_raise_before_f():
     assert calls == []
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 1.0)])
+def test_integrate_panels_empty_interval_is_zero_before_f(a, b):
+    calls = []
+    assert integrate_panels(lambda ts: calls.append(ts) or np.cos(ts), a, b, 1.0) == 0.0
+    assert calls == []
+
+
 @pytest.mark.parametrize("name", sorted(INTEGRANDS))
 def test_integrate_panels_matches_two_calls_bitwise(name):
     f, a, b, width = INTEGRANDS[name]
