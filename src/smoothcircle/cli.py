@@ -84,6 +84,13 @@ def _global_flags(default) -> argparse.ArgumentParser:
     return flags
 
 
+def _add_x_or_u(sp: argparse.ArgumentParser) -> None:
+    """Exactly one of --x and --u; giving both, or neither, is a usage error."""
+    group = sp.add_mutually_exclusive_group(required=True)
+    group.add_argument("--x", type=_finite_float)
+    group.add_argument("--u", type=_finite_float, help="alternative to --x: x = y**u")
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="smoothcircle", description=__doc__, parents=[_global_flags(None)])
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -100,8 +107,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--method", choices=("auto", "sieve", "recursive"), default="auto")
 
     sp = add_parser("alpha", "solve the saddle-point equation")
-    sp.add_argument("--x", type=_finite_float)
-    sp.add_argument("--u", type=_finite_float, help="alternative to --x: x = y**u")
+    _add_x_or_u(sp)
     sp.add_argument("--y", type=int, required=True)
 
     sp = add_parser("hval", "Euler product H(s; y) and log-derivatives")
@@ -110,8 +116,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--y", type=int, required=True)
 
     sp = add_parser("estimate", "asymptotic estimates for one cell")
-    sp.add_argument("--x", type=_finite_float)
-    sp.add_argument("--u", type=_finite_float)
+    _add_x_or_u(sp)
     sp.add_argument("--y", type=int, required=True)
     sp.add_argument("--with-exact", action="store_true")
 
@@ -146,12 +151,10 @@ def build_parser() -> _Parser:
 def _resolve_x(args) -> float:
     if args.x is not None:
         return args.x
-    if getattr(args, "u", None) is not None:
-        try:
-            return float(args.y) ** args.u
-        except OverflowError:
-            raise DomainError(f"x = y**u overflows at y={args.y}, u={args.u}") from None
-    raise CliInputError("error: one of --x or --u is required")
+    try:
+        return float(args.y) ** args.u
+    except OverflowError:
+        raise DomainError(f"x = y**u overflows at y={args.y}, u={args.u}") from None
 
 
 def _run(args, cfg: Config) -> list[dict]:

@@ -36,10 +36,11 @@ def _exp_or_inf(log_value: float) -> float:
     return math.exp(log_value) if log_value < 709.0 else math.inf
 
 
-def log_saddle_point_estimate(x: float, y: int) -> float:
+def log_saddle_point_estimate(x: float, y: int, *, seed: float | None = None) -> float:
     """log of the saddle-point main term 4 x^a H(a; y) / (a sqrt(2 pi phi_2(a; y))),
-    which is the smooth circle sum up to a factor 1 + O(1/u)."""
-    res = solve_alpha(x, y)
+    which is the smooth circle sum up to a factor 1 + O(1/u).  seed starts
+    the saddle solve (solve_alpha's keyword)."""
+    res = solve_alpha(x, y, seed=seed)
     a = res.alpha
     d = phi_derivatives(a, y, kmax=2)
     return (
@@ -72,12 +73,13 @@ def dickman_estimate(x: float, y: int) -> float:
     return math.pi * rho(u) * x
 
 
-def log_rankin_bound(x: float, y: int) -> float:
+def log_rankin_bound(x: float, y: int, *, seed: float | None = None) -> float:
     """log of the Rankin bound 4 x^a H(a; y) at the minimizing exponent a, an
-    unconditional upper bound on the exact circle sum."""
+    unconditional upper bound on the exact circle sum.  seed starts the
+    saddle solve (solve_alpha's keyword)."""
     if x == 1:
         return math.log(4.0)  # inf over sigma of 4 H(sigma; y) = 4, attained in the limit
-    res = solve_alpha(x, y)
+    res = solve_alpha(x, y, seed=seed)
     return math.log(4.0) + res.alpha * math.log(x) + h_log_real(res.alpha, y)
 
 
@@ -245,8 +247,10 @@ def compare_cell(
         return ComparisonRow(x=x, y=y)
     u = res.u
 
-    thm1 = _exp_or_inf(log_saddle_point_estimate(x, y))
-    rankin = _exp_or_inf(log_rankin_bound(x, y))
+    # Seeded at the cell's alpha, each solve stops on its first kernel pass
+    # and both estimates read that alpha bit for bit.
+    thm1 = _exp_or_inf(log_saddle_point_estimate(x, y, seed=res.alpha))
+    rankin = _exp_or_inf(log_rankin_bound(x, y, seed=res.alpha))
     try:
         thm2 = closed_form_estimate(x, y)
     except DomainError:

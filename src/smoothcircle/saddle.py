@@ -42,6 +42,7 @@ def solve_alpha(
     x: float,
     y: int,
     *,
+    seed: float | None = None,
     max_iters: int = 200,
 ) -> SaddleResult:
     """Solve log x + phi_1(alpha; y) = 0 for the unique alpha > 0.
@@ -51,11 +52,19 @@ def solve_alpha(
     log x; the returned bracket strictly encloses alpha, f < 0 at its lower
     end and f > 0 at its upper end, which is inf while no iterate has
     landed above alpha.
+
+    Newton starts from seed, a finite number > 0, or from a closed-form
+    approximant when seed is None.  The first iterate is evaluated like
+    any other: a seed that already meets the tolerance, such as the alpha
+    of an earlier solve of the same (x, y), stops on that first pass and
+    returns it unchanged, with iters == 1 and the bracket (0, inf).
     """
     if y < 2:
         raise DomainError(f"solve_alpha needs y >= 2, got {y}")
     if not 1 < x < math.inf:
         raise DomainError(f"solve_alpha needs finite x > 1, got {x}")
+    if seed is not None and not 0 < seed < math.inf:
+        raise DomainError(f"solve_alpha needs a finite seed > 0, got {seed}")
     logx = math.log(x)
     logy = math.log(y)
 
@@ -65,7 +74,8 @@ def solve_alpha(
         q = f / -phi1
         return f, phi2 * (q / math.log1p(q) if q else 1.0)  # the ratio tends to 1 as q -> 0
 
-    seed = math.log1p(y / logx) / logy  # closed-form approximant, good everywhere
+    if seed is None:
+        seed = math.log1p(y / logx) / logy  # closed-form approximant, good everywhere
     alpha, residual, iters, bracket = bracketed_newton(
         fdf, 0.0, math.inf, seed, ftol=0.25 * RESIDUAL_TOL * logx, max_iters=max_iters,
     )

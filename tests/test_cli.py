@@ -85,6 +85,31 @@ def test_alpha_via_u():
     assert float(parse_csv(out)[0]["alpha"]) == pytest.approx(math.log2(1.5), abs=1e-12)
 
 
+@pytest.mark.parametrize("command", ["alpha", "estimate"])
+@pytest.mark.parametrize(
+    "given, message",
+    [
+        (("--x", "1e6", "--u", "5"), "argument --u: not allowed with argument --x"),
+        (("--u", "5", "--x", "1e6"), "argument --x: not allowed with argument --u"),
+        ((), "one of the arguments --x --u is required"),
+    ],
+)
+def test_x_and_u_are_exclusive_and_one_is_required(command, given, message):
+    code, out, err = run_cli(command, *given, "--y", "10")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage: smoothcircle {command}")
+    assert err.count("error:") == 1 and err.rstrip("\n").endswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("command", ["alpha", "estimate"])
+def test_x_or_u_alone_names_the_same_cell(command):
+    # 10.0 ** 3 is 1000.0 exactly, so the two rows are the same bytes
+    code_x, out_x, _ = run_cli(command, "--x", "1000", "--y", "10")
+    code_u, out_u, _ = run_cli(command, "--u", "3", "--y", "10")
+    assert code_x == code_u == 0
+    assert out_x == out_u and parse_csv(out_x)[0]["x"] == "1000"
+
+
 def test_hval_subcommand():
     code, out, _ = run_cli("hval", "--sigma", "1", "--y", "3")
     assert code == 0

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from smoothcircle import estimators
+from smoothcircle import estimators, saddle
 from smoothcircle.config import (
     GAUSS_BASELINE_COEF,
     PERRON_REL_TOL,
@@ -29,6 +29,8 @@ from smoothcircle.estimators import (
     perron_verify,
 )
 from smoothcircle.report import rows_to_csv, rows_to_json
+
+from conftest import WORKLOAD_CELLS
 
 
 def test_saddle_estimate_single_prime_closed_form():
@@ -222,6 +224,30 @@ def test_compare_cell_infinite_x_is_a_failed_cell():
     # solve_alpha rejects x = inf, so the row is the one of a failed solve,
     # not estimates at u = inf with an unflagged goswami = nan
     assert compare_cell(math.inf, 100, with_exact=False) == ComparisonRow(x=math.inf, y=100)
+
+
+@pytest.mark.parametrize("x, y", WORKLOAD_CELLS)
+def test_compare_cell_estimates_are_the_unseeded_ones(x, y):
+    # compare_cell seeds both solves at its own alpha: the floats do not move
+    row = compare_cell(x, y, with_exact=False)
+    assert row.thm1 == estimators._exp_or_inf(log_saddle_point_estimate(x, y))
+    assert row.rankin == estimators._exp_or_inf(log_rankin_bound(x, y))
+
+
+def test_compare_cell_makes_seven_kernel_passes(monkeypatch):
+    # One cold solve (5 passes here), then one pass each for the Thm 1 and
+    # Rankin solves seeded at its alpha.
+    passes = []
+
+    def counting(s, y):
+        passes.append(s)
+        return phi1_phi2(s, y)
+
+    phi1_phi2 = saddle.phi1_phi2
+    monkeypatch.setattr(saddle, "phi1_phi2", counting)
+    row = compare_cell(1e30, 10**6, False)
+    assert len(passes) <= 7
+    assert passes[-2:] == [row.alpha, row.alpha]
 
 
 def test_compare_cell_budget_flag():

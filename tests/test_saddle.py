@@ -15,6 +15,7 @@ from smoothcircle.errors import ConvergenceError, DomainError
 from smoothcircle.euler import h_log_real, phi1_closed, phi1_phi2, phi2_closed
 from smoothcircle.saddle import RESIDUAL_TOL, solve_alpha
 
+from conftest import WORKLOAD_CELLS
 from oracles import bracketed_newton_two_callbacks
 
 
@@ -78,6 +79,36 @@ def test_domain_errors():
     for bad in (math.inf, math.nan):  # named in the error, not met as a bad sigma
         with pytest.raises(DomainError, match=f"finite x > 1, got {bad}"):
             solve_alpha(bad, 100)
+
+
+@pytest.mark.parametrize("seed", [0.0, -1.0, math.nan, math.inf])
+def test_bad_seed_is_a_domain_error(seed):
+    # named as an input error, not met as a bisection walk or a ConvergenceError
+    with pytest.raises(DomainError, match=f"finite seed > 0, got {seed}"):
+        solve_alpha(1e6, 1000, seed=seed)
+
+
+# Every cell a compare workload solves (with (1e300, 100)), two single-prime
+# cells, and one past the estimates grid's largest x and y.
+_SEEDED_CELLS = WORKLOAD_CELLS + [(2, 2), (4, 2), (1e305, 3 * 10**6)]
+
+
+@pytest.mark.parametrize("x, y", _SEEDED_CELLS)
+def test_seeded_at_alpha_is_the_cold_solve(x, y):
+    cold = solve_alpha(x, y)
+    warm = solve_alpha(x, y, seed=cold.alpha)
+    assert warm.alpha.hex() == cold.alpha.hex()
+    assert warm.residual.hex() == cold.residual.hex()
+    assert warm.iters == 1 and warm.bracket == (0.0, math.inf)
+
+
+@pytest.mark.parametrize("x, y", _SEEDED_CELLS)
+@pytest.mark.parametrize("scale", [0.01, 50.0])
+def test_far_seeds_converge(x, y, scale):
+    alpha = solve_alpha(x, y).alpha
+    res = solve_alpha(x, y, seed=scale * alpha)
+    assert abs(res.residual) <= RESIDUAL_TOL * math.log(x)
+    assert res.alpha == pytest.approx(alpha, rel=1e-11)
 
 
 def test_nonconvergence_budget():
