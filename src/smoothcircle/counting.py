@@ -59,7 +59,7 @@ from .config import Config
 from .errors import DomainError, ResourceBudgetError
 from .primes import prime_table, sieve_primes
 
-DEFAULT_SEGMENT_SIZE = 1 << 20
+_SEGMENT_SIZE = 1 << 20  # integers per sieve segment: 8 MB per int64 array
 
 
 def _local_r4(p: int, e: int) -> int:
@@ -306,7 +306,7 @@ def _exact_recursive(x: int, y: int, node_budget: int) -> tuple[int, int, int]:
     return 4 * total, terms, nodes
 
 
-def _exact_sieve(x: int, y: int, node_budget: int, segment_size: int) -> tuple[int, int, int]:
+def _exact_sieve(x: int, y: int, node_budget: int) -> tuple[int, int, int]:
     if x > node_budget:
         raise ResourceBudgetError(
             f"sieve range {x} exceeds node budget {node_budget}"
@@ -316,7 +316,7 @@ def _exact_sieve(x: int, y: int, node_budget: int, segment_size: int) -> tuple[i
     terms = 0
     lo = 1
     while lo <= x:
-        hi = min(lo + segment_size, x + 1)
+        hi = min(lo + _SEGMENT_SIZE, x + 1)
         smooth = np.ones(hi - lo, dtype=np.int64)  # y-smooth part of n
         val = np.ones(hi - lo, dtype=np.int64)  # r(n)/4 over the primes so far
         e = np.zeros(hi - lo, dtype=np.int8)  # exponent of the current prime
@@ -348,22 +348,17 @@ def exact_circle_sum(
     method: str = "auto",
     *,
     node_budget: int = Config.node_budget,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> ExactCount:
     """Exact sum of r(n) over y-smooth n <= x (n = 1 counts, with r(1) = 4).
 
-    "recursive" (what "auto" takes, for every x and y) walks the smooth
-    numbers by descending primes and closes most subtrees at once: a closed
-    form, a lookup in the small-m table or a Buchstab leaf (see the module
-    docstring).  Each node, a lookup or a leaf included, counts as one
-    against node_budget, and more than node_budget nodes raise
-    ResourceBudgetError.  Every node has its own y-smooth number <= x, so
-    the walk never needs more budget than the sieve.  "sieve" factors every
-    integer in [1, x] over the primes <= y with strided slices, segment by
-    segment, and refuses x > node_budget; it is the independent cross-check
-    of the walk.  Both routes use exact integer arithmetic and agree bit for
-    bit; terms is the number of y-smooth n <= x either way, and nodes is
-    what the call charged against node_budget.
+    "recursive" (what "auto" takes) walks the smooth numbers by descending
+    primes and closes most subtrees at once (see the module docstring);
+    more than node_budget nodes raise ResourceBudgetError, and since each
+    node has its own y-smooth number <= x, the walk never needs more
+    budget than the sieve.  "sieve", the independent cross-check, factors
+    [1, x] segment by segment and refuses x > node_budget.  Both routes
+    agree bit for bit; terms is the number of y-smooth n <= x, and nodes
+    what the call charged.
     """
     if x < 1:
         raise DomainError(f"exact_circle_sum needs x >= 1, got {x}")
@@ -372,7 +367,7 @@ def exact_circle_sum(
     if method == "auto":
         method = "recursive"
     if method == "sieve":
-        value, terms, nodes = _exact_sieve(x, y, node_budget, segment_size)
+        value, terms, nodes = _exact_sieve(x, y, node_budget)
     elif method == "recursive":
         value, terms, nodes = _exact_recursive(x, y, node_budget)
     else:

@@ -72,7 +72,7 @@ def xi(u: float) -> float:
     # u log u overflows.
     u_log_u = u * log_u
     seed = math.log(u_log_u + 1.0) if u_log_u < math.inf else log_u + math.log(log_u)
-    root, _, _, _ = bracketed_newton(fdf, 0.0, math.inf, seed, ftol=0.0, max_iters=200)
+    root, _, _, _ = bracketed_newton(fdf, seed, ftol=0.0)
     return root
 
 
@@ -140,7 +140,10 @@ def _rho_interval_series(u_max: int, bits: int) -> Iterator[list[int]]:
     for k in range(1, u_max):
         a = [0]  # a[0] is anchored below; the recurrence never reads it
         m = 0
-        b.reverse()  # b.pop() is then B[m], freed once read
+        # b.pop() is then B[m], freed once read.  Reading b[m] in place
+        # would keep the previous interval's ~750 big ints alive until this
+        # one is built: one pymalloc arena, about 1 MB, more at peak.
+        b.reverse()
         while True:
             num = -((b.pop() if b else 0) + m * a[m])
             den = (2 * k + 1) * (m + 1)

@@ -77,8 +77,6 @@ def log_rankin_bound(x: float, y: int, *, seed: float | None = None) -> float:
     """log of the Rankin bound 4 x^a H(a; y) at the minimizing exponent a, an
     unconditional upper bound on the exact circle sum.  seed starts the
     saddle solve (solve_alpha's keyword)."""
-    if x == 1:
-        return math.log(4.0)  # inf over sigma of 4 H(sigma; y) = 4, attained in the limit
     res = solve_alpha(x, y, seed=seed)
     return math.log(4.0) + res.alpha * math.log(x) + h_log_real(res.alpha, y)
 

@@ -42,7 +42,8 @@ _TERMS_BLOCK = 4096
 
 def prime_terms(sigma: float, y: int, k) -> np.ndarray | list[np.ndarray]:
     """Per-prime terms of (-1)^k phi_k, the k-th sigma-derivative of log H(sigma; y),
-    at real sigma.
+    at real sigma > 0.  Every real-axis evaluator reaches sigma through
+    here, so this is where sigma <= 0 or nan raises DomainError.
 
     k = 0: the log-factors -log1p(-z) - log1p(-chi4(p) z), z = p^-sigma.
     k = 1..4: (log p)^k [Li_{1-k}(1/P) + Li_{1-k}(chi4(p)/P)], P = p^sigma,
@@ -63,6 +64,8 @@ def prime_terms(sigma: float, y: int, k) -> np.ndarray | list[np.ndarray]:
     faulted in afresh on every call and the call's transient memory stays
     within a few blocks of its output.
     """
+    if not sigma > 0:
+        raise DomainError(f"the Euler product needs sigma > 0, got {sigma}")
     single = np.ndim(k) == 0
     orders = [k] if single else list(k)
     table = prime_table(y)
@@ -174,30 +177,22 @@ def h_value(s: complex, y: int) -> complex:
 
 def h_log_real(sigma: float, y: int) -> float:
     """log H(sigma; y) for real sigma > 0: the real-axis evaluator."""
-    if not sigma > 0:
-        raise DomainError(f"h_log_real needs sigma > 0, got {sigma}")
     return csum(prime_terms(sigma, y, 0))
 
 
 def phi1_closed(sigma: float, y: int) -> float:
     """phi_1(sigma; y) = -sum_p [log p/(p^sigma - 1) + chi4(p) log p/(p^sigma - chi4(p))]."""
-    if not sigma > 0:
-        raise DomainError(f"phi1_closed needs sigma > 0, got {sigma}")
     return -csum(prime_terms(sigma, y, 1))
 
 
 def phi2_closed(sigma: float, y: int) -> float:
     """phi_2(sigma; y) = sum_p (log p)^2 p^sigma [1/(p^sigma-1)^2 + chi4(p)/(p^sigma-chi4(p))^2]."""
-    if not sigma > 0:
-        raise DomainError(f"phi2_closed needs sigma > 0, got {sigma}")
     return csum(prime_terms(sigma, y, 2))
 
 
 def phi1_phi2(sigma: float, y: int) -> tuple[float, float]:
     """(phi1_closed(sigma, y), phi2_closed(sigma, y)), bitwise, from one
     kernel pass: a Newton step's value and slope at the cost of one."""
-    if not sigma > 0:
-        raise DomainError(f"phi1_phi2 needs sigma > 0, got {sigma}")
     t1, t2 = prime_terms(sigma, y, (1, 2))
     return -csum(t1), csum(t2)
 
@@ -234,8 +229,6 @@ def phi_derivatives(sigma: float, y: int, kmax: int = 4) -> PhiDerivatives:
     """phi and phi_1..phi_kmax at real sigma > 0, each an exact sum of
     prime_terms, phi_k = (-1)^k sum_p prime_terms(sigma, y, k), with every
     order's row from one kernel pass."""
-    if not sigma > 0:
-        raise DomainError(f"phi_derivatives needs sigma > 0, got {sigma}")
     if not 1 <= kmax <= 4:
         raise DomainError(f"kmax must be in 1..4, got {kmax}")
     terms = prime_terms(sigma, y, range(kmax + 1))

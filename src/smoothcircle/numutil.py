@@ -39,13 +39,15 @@ EULER_GAMMA = 0.5772156649015329
 
 
 # csum's fast path: arrays shorter than _CSUM_MIN go to math.fsum, which is
-# as fast there; the extraction runs _CSUM_BLOCK values at a time, which
-# bounds its scratch memory; an array of n values with n + 2 above
+# as fast there (best of 3 x 3000 calls on a 2-vCPU Xeon: 21 us against
+# certified_sum's 24 at 256 values, 29 against 17 at 512, 72 against 18 at
+# 1 229); the extraction runs _CSUM_BLOCK values at a time, which bounds
+# its scratch memory; an array of n values with n + 2 above
 # _CSUM_EXTRACT_LIMIT = 2^26 goes to math.fsum, since two extractions leave
 # a bound that grows like 2^(4M) and stops deciding near there; max|x| in
 # (_CSUM_TINY, _CSUM_LIMIT / n) keeps every unit of extraction normal and
 # every partial sum, here and in math.fsum, far from overflow.
-_CSUM_MIN = 2048
+_CSUM_MIN = 512
 _CSUM_BLOCK = 1 << 15
 _CSUM_EXTRACT_LIMIT = 1 << 26
 _CSUM_TINY = 2.0**-800
@@ -135,30 +137,32 @@ def certified_sum(x: np.ndarray) -> float | None:
     return None
 
 
+# bracketed_newton's iteration budget: xi runs to float stagnation in at
+# most about 55 iterations, and the saddle solve stops in under 10.
+_NEWTON_ITERS = 200
+
+
 def bracketed_newton(
     fdf: Callable[[float], tuple[float, float]],
-    lo: float,
-    hi: float,
     x0: float,
     *,
     ftol: float,
-    max_iters: int = 100,
 ) -> tuple[float, float, int, tuple[float, float]]:
-    """Newton iteration inside a bracket the caller knows, with a bisection fallback.
+    """Newton iteration for a root on (0, inf), with a bisection fallback.
 
-    The caller vouches for the ends, which are never evaluated: f <= 0 on
-    (lo, root] and f >= 0 on [root, hi), and lo < x0 < hi; hi may be inf
-    if lo >= 0.  Every iterate is evaluated once, by fdf(x) = (f(x), d),
-    the step being x - f/d: d = f'(x) for plain Newton, or the slope that
-    makes it a Newton step on a monotone transform of f.  Each iterate
-    becomes the new lo or hi by the sign of f; a step that leaves (lo, hi),
-    or has no finite d > 0, is replaced by the midpoint, or by 2x while hi
-    is inf.  Stops once |f| <= ftol or the step no longer moves x, and
-    raises ConvergenceError after max_iters.  Returns (root, f(root),
-    iterations, (lo, hi)), lo < root < hi.
+    f <= 0 on (0, root] and f >= 0 on [root, inf), and x0 > 0.  Every
+    iterate is evaluated once, by fdf(x) = (f(x), d), the step being
+    x - f/d: d = f'(x) for plain Newton, or the slope that makes it a
+    Newton step on a monotone transform of f.  Each iterate becomes the
+    new lo or hi of the bracket (0, inf) by the sign of f; a step that
+    leaves (lo, hi), or has no finite d > 0, is replaced by the midpoint,
+    or by 2x while hi is inf.  Stops once |f| <= ftol or the step no
+    longer moves x, and raises ConvergenceError after _NEWTON_ITERS.
+    Returns (root, f(root), iterations, (lo, hi)), lo < root < hi.
     """
+    lo, hi = 0.0, math.inf
     x = x0
-    for it in range(1, max_iters + 1):
+    for it in range(1, _NEWTON_ITERS + 1):
         fx, d = fdf(x)
         if abs(fx) <= ftol:
             return x, fx, it, (lo, hi)
@@ -172,7 +176,7 @@ def bracketed_newton(
         if step == x:  # float resolution exhausted
             return x, fx, it, (lo, hi)
         x = step
-    raise ConvergenceError(f"no convergence after {max_iters} iterations (|f|={abs(fx):.3e})")
+    raise ConvergenceError(f"no convergence after {_NEWTON_ITERS} iterations (|f|={abs(fx):.3e})")
 
 
 _GL_LO = leggauss(15)
@@ -180,6 +184,9 @@ _GL_HI = leggauss(31)
 # Both rules' nodes in one array: a panel evaluates f once, on all 46.
 _GL_NODES = np.concatenate((_GL_LO[0], _GL_HI[0]))
 _GL_SPLIT = _GL_LO[0].size
+# integrate_panels' budget of bisections, and of base panels, which
+# refuses perron --T 1e15 before any panel is allocated.
+_MAX_SPLITS = 4000
 
 
 def integrate_panels(
@@ -190,26 +197,24 @@ def integrate_panels(
     *,
     rtol: float = 1e-10,
     atol: float = 1e-10,
-    max_splits: int = 4000,
 ) -> float:
-    """Integrate f over [a, b] with fixed panels refined adaptively.
+    """Integrate f, which maps an array of abscissae to an array of values,
+    over [a, b] with fixed panels refined adaptively.
 
-    f must map an array of abscissae to an array of values.  Each panel is
-    evaluated with nested 15/31-point Gauss-Legendre rules and bisected until
-    the two agree; exceeding the split budget raises ConvergenceError, and
-    so do more base panels than max_splits, before f is called.  f is
-    called once per panel, on the 15 nodes followed by the 31 nodes, so for
-    an f that acts elementwise the result is the same float as calling it
-    once per rule.  The final reduction order is deterministic (panels
-    sorted by position).
+    Each panel is bisected until its nested 15/31-point Gauss-Legendre
+    rules agree; more than _MAX_SPLITS bisections, or base panels, raise
+    ConvergenceError, the latter before f is called.  f is called once per
+    panel, on the 15 nodes followed by the 31, so an elementwise f gives
+    the same float as one call per rule.  Panels are summed in order of
+    position.
     """
     if b <= a:
         return 0.0
 
     n_base = max(1, math.ceil((b - a) / panel_width))
-    if n_base > max_splits:
+    if n_base > _MAX_SPLITS:
         raise ConvergenceError(
-            f"quadrature budget exceeded: {n_base} base panels ({max_splits} splits)"
+            f"quadrature budget exceeded: {n_base} base panels ({_MAX_SPLITS} splits)"
         )
     edges = np.linspace(a, b, n_base + 1)
     work = [(edges[i], edges[i + 1]) for i in range(n_base)]
@@ -225,9 +230,9 @@ def integrate_panels(
             done.append((lo, fine))
             continue
         splits += 1
-        if splits > max_splits:
+        if splits > _MAX_SPLITS:
             raise ConvergenceError(
-                f"quadrature refinement budget exceeded ({max_splits} splits)"
+                f"quadrature refinement budget exceeded ({_MAX_SPLITS} splits)"
             )
         work.append((mid, hi))
         work.append((lo, mid))

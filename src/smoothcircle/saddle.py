@@ -38,26 +38,18 @@ class SaddleResult:
     bracket: tuple[float, float]
 
 
-def solve_alpha(
-    x: float,
-    y: int,
-    *,
-    seed: float | None = None,
-    max_iters: int = 200,
-) -> SaddleResult:
-    """Solve log x + phi_1(alpha; y) = 0 for the unique alpha > 0.
+def solve_alpha(x: float, y: int, *, seed: float | None = None) -> SaddleResult:
+    """Solve log x + phi_1(alpha; y) = 0 for the unique alpha > 0, any finite x > 1.
 
-    The usual smooth-counting regime has x >= y, but any finite x > 1 is
-    accepted.  The residual satisfies |log x + phi_1(alpha)| <= RESIDUAL_TOL
-    log x; the returned bracket strictly encloses alpha, f < 0 at its lower
-    end and f > 0 at its upper end, which is inf while no iterate has
-    landed above alpha.
+    |log x + phi_1(alpha)| <= RESIDUAL_TOL log x.  The returned bracket
+    strictly encloses alpha, f < 0 at its lower end and f > 0 at its upper
+    end, which is inf while no iterate has landed above alpha.
 
     Newton starts from seed, a finite number > 0, or from a closed-form
-    approximant when seed is None.  The first iterate is evaluated like
-    any other: a seed that already meets the tolerance, such as the alpha
-    of an earlier solve of the same (x, y), stops on that first pass and
-    returns it unchanged, with iters == 1 and the bracket (0, inf).
+    approximant when seed is None.  A seed that already meets the
+    tolerance, such as the alpha of an earlier solve of the same (x, y),
+    stops on the first pass and is returned unchanged, with iters == 1 and
+    the bracket (0, inf).
     """
     if y < 2:
         raise DomainError(f"solve_alpha needs y >= 2, got {y}")
@@ -76,9 +68,7 @@ def solve_alpha(
 
     if seed is None:
         seed = math.log1p(y / logx) / logy  # closed-form approximant, good everywhere
-    alpha, residual, iters, bracket = bracketed_newton(
-        fdf, 0.0, math.inf, seed, ftol=0.25 * RESIDUAL_TOL * logx, max_iters=max_iters,
-    )
+    alpha, residual, iters, bracket = bracketed_newton(fdf, seed, ftol=0.25 * RESIDUAL_TOL * logx)
     return SaddleResult(
         x=x, y=y, u=logx / logy, alpha=alpha, residual=residual,
         iters=iters, bracket=bracket,

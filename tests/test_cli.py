@@ -1,9 +1,11 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -276,9 +278,11 @@ def test_removed_config_keys_exit1(tmp_path, line):
 
 
 def test_module_entrypoint_subprocess():
+    # this checkout's __main__.py, not whatever copy the caller's path holds
+    env = os.environ | {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "smoothcircle", "exact", "--x", "10", "--y", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().split("\n")[-1] == "10,2,16,4,recursive,1"

@@ -140,8 +140,9 @@ def test_methods_agree(y):
         assert a.terms == b.terms
 
 
-def test_methods_agree_1e7_spot():
-    a = exact_circle_sum(10**7, 30, "sieve", segment_size=1 << 19)
+def test_methods_agree_1e7_spot(monkeypatch):
+    monkeypatch.setattr(counting, "_SEGMENT_SIZE", 1 << 19)
+    a = exact_circle_sum(10**7, 30, "sieve")
     b = exact_circle_sum(10**7, 30, "recursive")
     assert a.value == b.value
     assert a.terms == b.terms
@@ -166,12 +167,13 @@ def test_node_budget_enforced():
         exact_circle_sum(10**6, 3, "sieve", node_budget=10**5)
 
 
-def test_segment_size_does_not_change_result():
+def test_segment_size_does_not_change_result(monkeypatch):
     # At 2^8 the prime powers 2^9, 3^6 and the prime 997 exceed the segment.
     for x, y in ((54321, 50), (10**5 + 7, 997)):
         base = exact_circle_sum(x, y, "recursive")
         for seg in (1 << 8, 1 << 12, 1 << 20):
-            got = exact_circle_sum(x, y, "sieve", segment_size=seg)
+            monkeypatch.setattr(counting, "_SEGMENT_SIZE", seg)
+            got = exact_circle_sum(x, y, "sieve")
             assert (got.value, got.terms) == (base.value, base.terms)
 
 

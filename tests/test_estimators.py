@@ -18,6 +18,7 @@ from smoothcircle.estimators import (
     FLAG_ORACLE_SKIPPED,
     FLAG_OUTSIDE_THM1,
     FLAG_OUTSIDE_THM2,
+    FLAG_OVERFLOW,
     ComparisonRow,
     closed_form_estimate,
     compare_cell,
@@ -92,7 +93,8 @@ def test_rankin_bound_values():
     want = 4 * 10**a / (1 - 2**-a)
     assert math.exp(log_rankin_bound(10, 2)) == pytest.approx(want, rel=1e-12)
     assert math.exp(log_rankin_bound(10, 2)) >= 16
-    assert math.exp(log_rankin_bound(1, 2)) == 4.0  # limiting exponent; exact value is 4
+    with pytest.raises(DomainError):  # x = 1 has no saddle point
+        log_rankin_bound(1, 2)
 
 
 def test_rankin_dominates_exact():
@@ -218,6 +220,14 @@ def test_compare_cell_without_exact():
     assert row.exact is None
     assert row.ratio_thm1 is None and row.ratio_goswami is None
     assert row.thm1 > 0 and row.goswami > 0 and row.rankin > 0
+
+
+def test_compare_cell_flags_an_overflowing_thm1(monkeypatch):
+    # a main term past float range reads inf and is flagged, never silently
+    monkeypatch.setattr(estimators, "log_saddle_point_estimate", lambda x, y, seed=None: 800.0)
+    row = compare_cell(1e12, 100, False)
+    assert row.thm1 == math.inf
+    assert FLAG_OVERFLOW in row.flags
 
 
 def test_compare_cell_infinite_x_is_a_failed_cell():

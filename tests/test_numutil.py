@@ -97,7 +97,8 @@ def test_csum_is_fsum_bitwise(kind, n, seed, scale):
     assert got is None or got.hex() == math.fsum(x).hex()
 
 
-@pytest.mark.parametrize("n", [2, _CSUM_MIN, _CSUM_BLOCK + 1])
+# below the fast path's cutoff, at it, further inside the first block, and past it
+@pytest.mark.parametrize("n", [2, _CSUM_MIN, 2048, _CSUM_BLOCK + 1])
 @pytest.mark.parametrize(
     "head",
     [
@@ -131,7 +132,7 @@ def test_csum_hand_made_cases(head, n):
         [1e300] * 3000,  # finite, but n max|x| is past the fast path's limit
     ],
 )
-@pytest.mark.parametrize("n", [_CSUM_MIN, _CSUM_BLOCK + 7])
+@pytest.mark.parametrize("n", [_CSUM_MIN, 2048, _CSUM_BLOCK + 7])
 def test_csum_non_finite_and_overflow_as_fsum(special, n):
     x = np.full(max(n, len(special)), 0.25)
     x[: len(special)] = special
@@ -203,7 +204,7 @@ def test_fast_path_certifies_strided_complex_parts():
         assert certified_sum(part) == math.fsum(part)
 
 
-def test_bracketed_newton_doubles_toward_an_infinite_hi():
+def test_bracketed_newton_doubles_toward_an_infinite_hi(monkeypatch):
     # With no usable slope every step falls back: x doubles while hi is inf,
     # then bisects the bracket the first positive f closes.
     calls = []
@@ -212,11 +213,12 @@ def test_bracketed_newton_doubles_toward_an_infinite_hi():
         calls.append(x)
         return x - 10.0, 0.0
 
-    x, fx, iters, bracket = bracketed_newton(fdf, 0.0, math.inf, 1.0, ftol=0.0)
+    x, fx, iters, bracket = bracketed_newton(fdf, 1.0, ftol=0.0)
     assert calls == [1.0, 2.0, 4.0, 8.0, 16.0, 12.0, 10.0]
     assert (x, fx, iters, bracket) == (10.0, 0.0, 7, (8.0, 12.0))
+    monkeypatch.setattr(numutil, "_NEWTON_ITERS", 6)
     with pytest.raises(ConvergenceError):
-        bracketed_newton(fdf, 0.0, math.inf, 1.0, ftol=0.0, max_iters=6)
+        bracketed_newton(fdf, 1.0, ftol=0.0)
 
 
 def _two_call_panels(f, a, b, panel_width, *, rtol=1e-10, atol=1e-10, max_splits=4000):
@@ -294,10 +296,11 @@ def test_integrate_panels_smooth_needs_no_split():
     assert calls == [46, 46, 46]
 
 
-def test_integrate_panels_split_budget_raises():
+def test_integrate_panels_split_budget_raises(monkeypatch):
     f, a, b, width = INTEGRANDS["peaked"]  # 2 base panels, more than 2 splits
+    monkeypatch.setattr(numutil, "_MAX_SPLITS", 2)
     with pytest.raises(ConvergenceError, match="refinement budget"):
-        integrate_panels(f, a, b, width, max_splits=2)
+        integrate_panels(f, a, b, width)
 
 
 def test_integrate_panels_base_panels_over_budget_raise_before_f():

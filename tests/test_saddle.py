@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothcircle import euler, saddle
+from smoothcircle import euler, numutil, saddle
 from smoothcircle.config import (
     ALPHA_NEAR_ONE_ENVELOPE,
     XI_GAP_LOGY2_COEF,
@@ -111,9 +111,10 @@ def test_far_seeds_converge(x, y, scale):
     assert res.alpha == pytest.approx(alpha, rel=1e-11)
 
 
-def test_nonconvergence_budget():
+def test_nonconvergence_budget(monkeypatch):
+    monkeypatch.setattr(numutil, "_NEWTON_ITERS", 1)
     with pytest.raises(ConvergenceError):
-        solve_alpha(10**6, 10**3, max_iters=1)
+        solve_alpha(10**6, 10**3)
 
 
 def test_each_iteration_is_one_kernel_pass(monkeypatch):
