@@ -16,8 +16,6 @@ import math
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from .config import Config, config_hash, load_config
 from .counting import exact_circle_sum
 from .errors import (
@@ -169,16 +167,13 @@ def _run(args, cfg: Config) -> list[dict]:
         return [row]
 
     if args.command == "hval":
-        # At t = 0, H = exp(phi) from the one kernel pass that gives the phi
+        # At t = 0, h_value reads phi from the kernel pass that gives the phi
         # columns; off the axis those columns stay empty.
         phi = d1 = d2 = d3 = d4 = None
         if args.t == 0.0:
             d = phi_derivatives(args.sigma, args.y)
             phi, (d1, d2, d3, d4) = d.phi, d.d
-            with np.errstate(over="ignore"):
-                hv = complex(np.exp(phi))
-        else:
-            hv = h_value(complex(args.sigma, args.t), args.y)
+        hv = h_value(complex(args.sigma, args.t), args.y)
         # |H| past float range reads inf (or 0), flagged
         flags = (FLAG_OVERFLOW,) if math.isinf(abs(hv)) else (FLAG_UNDERFLOW,) if hv == 0 else ()
         return [{"sigma": args.sigma, "t": args.t, "y": args.y, "re": hv.real, "im": hv.imag,

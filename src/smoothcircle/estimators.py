@@ -245,8 +245,10 @@ def compare_cell(
         return ComparisonRow(x=x, y=y)
     u = res.u
 
-    # Seeded at the cell's alpha, each solve stops on its first kernel pass
-    # and both estimates read that alpha bit for bit.
+    # Seeded at the cell's alpha, each solve stops on its first iteration
+    # and both estimates read that alpha bit for bit.  The kernel still
+    # holds phi_1 and phi_2 at alpha from the solve's last step, so of the
+    # reads at alpha below only Thm 1's phi makes a kernel pass.
     thm1 = _exp_or_inf(log_saddle_point_estimate(x, y, seed=res.alpha))
     rankin = _exp_or_inf(log_rankin_bound(x, y, seed=res.alpha))
     try:

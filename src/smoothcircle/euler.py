@@ -18,10 +18,18 @@ more than the arithmetic.  One call can form several orders: the
 reciprocals are computed once per prime for all of them, so a Newton
 step's phi_1 and phi_2 (phi1_phi2) and all of phi_derivatives each cost
 one pass over the primes.
+
+The real-axis evaluators sum each order once per point: they read the sums
+csum(prime_terms(sigma, y, k)) of the last (sigma, y) evaluated from a
+one-point memo, and a call makes one pass for the orders it lacks.  The
+saddle terms read phi_0..phi_2 at one alpha from several calls, of which
+only the first at that alpha (the solve's last Newton step, phi_1 and
+phi_2) and the first that needs phi_0 make a pass.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -175,26 +183,51 @@ def h_value(s: complex, y: int) -> complex:
         return complex(np.exp(log_h))
 
 
+# The memo: the real-axis point (sigma, y) evaluated last, and its sums
+# csum(prime_terms(sigma, y, k)) by order k.  Floats only, so it keeps no
+# array alive.  A dict is only ever filled for its own point, so a thread
+# that finds the memo replaced under it still reads its own point's sums.
+_memo: tuple[float, int, dict[int, float]] = (math.nan, 0, {})
+
+
+def _order_sums(sigma: float, y: int, orders: tuple[int, ...]) -> list[float]:
+    """csum(prime_terms(sigma, y, k)) for each k in orders, bitwise.
+
+    The orders the memo lacks at (sigma, y) come from one prime_terms
+    pass, which also checks sigma; a call at another point replaces the
+    memo.  The point is compared with ==, so nan never matches.
+    """
+    global _memo
+    memo = _memo
+    if not (memo[0] == sigma and memo[1] == y):
+        memo = _memo = (sigma, y, {})
+    sums = memo[2]
+    missing = tuple(k for k in orders if k not in sums)
+    if missing:
+        sums.update(zip(missing, map(csum, prime_terms(sigma, y, missing))))
+    return [sums[k] for k in orders]
+
+
 def h_log_real(sigma: float, y: int) -> float:
     """log H(sigma; y) for real sigma > 0: the real-axis evaluator."""
-    return csum(prime_terms(sigma, y, 0))
+    return _order_sums(sigma, y, (0,))[0]
 
 
 def phi1_closed(sigma: float, y: int) -> float:
     """phi_1(sigma; y) = -sum_p [log p/(p^sigma - 1) + chi4(p) log p/(p^sigma - chi4(p))]."""
-    return -csum(prime_terms(sigma, y, 1))
+    return -_order_sums(sigma, y, (1,))[0]
 
 
 def phi2_closed(sigma: float, y: int) -> float:
     """phi_2(sigma; y) = sum_p (log p)^2 p^sigma [1/(p^sigma-1)^2 + chi4(p)/(p^sigma-chi4(p))^2]."""
-    return csum(prime_terms(sigma, y, 2))
+    return _order_sums(sigma, y, (2,))[0]
 
 
 def phi1_phi2(sigma: float, y: int) -> tuple[float, float]:
-    """(phi1_closed(sigma, y), phi2_closed(sigma, y)), bitwise, from one
-    kernel pass: a Newton step's value and slope at the cost of one."""
-    t1, t2 = prime_terms(sigma, y, (1, 2))
-    return -csum(t1), csum(t2)
+    """(phi1_closed(sigma, y), phi2_closed(sigma, y)), bitwise, from at most
+    one kernel pass: a Newton step's value and slope at the cost of one."""
+    s1, s2 = _order_sums(sigma, y, (1, 2))
+    return -s1, s2
 
 
 @dataclass(frozen=True)
@@ -227,14 +260,14 @@ class PhiDerivatives:
 
 def phi_derivatives(sigma: float, y: int, kmax: int = 4) -> PhiDerivatives:
     """phi and phi_1..phi_kmax at real sigma > 0, each an exact sum of
-    prime_terms, phi_k = (-1)^k sum_p prime_terms(sigma, y, k), with every
-    order's row from one kernel pass."""
+    prime_terms, phi_k = (-1)^k sum_p prime_terms(sigma, y, k), the orders
+    not yet summed at (sigma, y) from one kernel pass."""
     if not 1 <= kmax <= 4:
         raise DomainError(f"kmax must be in 1..4, got {kmax}")
-    terms = prime_terms(sigma, y, range(kmax + 1))
-    if not terms[1].any():
+    sums = _order_sums(sigma, y, tuple(range(kmax + 1)))
+    if sums[1] == 0.0:  # every order-1 term is >= 0: r1 >= r2 in floats
         raise DomainError(
             f"sigma={sigma} is out of range for y={y}: every term of phi_1 underflows to 0"
         )
-    d = tuple((-1.0) ** k * csum(terms[k]) for k in range(1, kmax + 1))
-    return PhiDerivatives(sigma=sigma, y=y, phi=csum(terms[0]), d=d)
+    d = tuple((-1.0) ** k * sums[k] for k in range(1, kmax + 1))
+    return PhiDerivatives(sigma=sigma, y=y, phi=sums[0], d=d)

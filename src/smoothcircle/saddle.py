@@ -9,7 +9,9 @@ takes Newton steps on h = log log x - log(-phi_1), which has the root of f
 and is increasing and concave: from below the root Newton climbs without
 overshoot, from above it lands below.  A step costs one kernel pass
 (euler.phi1_phi2), and its slope for f is phi_2 q / log1p(q), q = f / -phi_1,
-since h = log1p(q) and h' = phi_2 / -phi_1.
+since h = log1p(q) and h' = phi_2 / -phi_1.  The kernel remembers the sums
+of the last point it evaluated, so the step at a point it has just seen,
+such as the alpha of the solve before, costs no pass.
 """
 
 from __future__ import annotations
@@ -48,8 +50,10 @@ def solve_alpha(x: float, y: int, *, seed: float | None = None) -> SaddleResult:
     Newton starts from seed, a finite number > 0, or from a closed-form
     approximant when seed is None.  A seed that already meets the
     tolerance, such as the alpha of an earlier solve of the same (x, y),
-    stops on the first pass and is returned unchanged, with iters == 1 and
-    the bracket (0, inf).
+    stops on the first iteration and is returned unchanged, with iters == 1
+    and the bracket (0, inf).  That iteration costs no kernel pass when the
+    kernel's last real-axis point was (seed, y), as it is straight after
+    the solve that found the seed.
     """
     if y < 2:
         raise DomainError(f"solve_alpha needs y >= 2, got {y}")

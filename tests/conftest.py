@@ -1,8 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
+from smoothcircle import euler
 from smoothcircle.counting import lattice_r_table
 from smoothcircle.primes import prime_table
+
+
+@pytest.fixture(autouse=True)
+def empty_kernel_memo(monkeypatch):
+    """Each test starts with no real-axis kernel sums remembered, so that a
+    count of kernel passes does not depend on which tests ran before."""
+    monkeypatch.setattr(euler, "_memo", (math.nan, 0, {}))
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from smoothcircle import estimators, saddle
+from smoothcircle import estimators, euler
 from smoothcircle.config import (
     GAUSS_BASELINE_COEF,
     PERRON_REL_TOL,
@@ -30,6 +30,7 @@ from smoothcircle.estimators import (
     perron_verify,
 )
 from smoothcircle.report import rows_to_csv, rows_to_json
+from smoothcircle.saddle import solve_alpha
 
 from conftest import WORKLOAD_CELLS
 
@@ -244,20 +245,26 @@ def test_compare_cell_estimates_are_the_unseeded_ones(x, y):
     assert row.rankin == estimators._exp_or_inf(log_rankin_bound(x, y))
 
 
-def test_compare_cell_makes_seven_kernel_passes(monkeypatch):
-    # One cold solve (5 passes here), then one pass each for the Thm 1 and
-    # Rankin solves seeded at its alpha.
+def test_compare_cell_sums_each_order_once_at_alpha(monkeypatch):
+    # The cold solve's passes, one of orders (1, 2) per Newton iteration,
+    # and then one pass for Thm 1's phi: the seeded solves, phi_2 at alpha
+    # and the Rankin bound's log H read the sums the kernel already holds.
     passes = []
 
-    def counting(s, y):
-        passes.append(s)
-        return phi1_phi2(s, y)
+    def counting(s, y, k):
+        passes.append(k)
+        return prime_terms(s, y, k)
 
-    phi1_phi2 = saddle.phi1_phi2
-    monkeypatch.setattr(saddle, "phi1_phi2", counting)
-    row = compare_cell(1e30, 10**6, False)
-    assert len(passes) <= 7
-    assert passes[-2:] == [row.alpha, row.alpha]
+    cells = WORKLOAD_CELLS[:9]
+    iters = [solve_alpha(x, y).iters for x, y in cells]
+    assert dict(zip(cells, iters))[1e30, 10**6] == 5  # 6 passes there, 9 before the memo
+    euler._memo = (math.nan, 0, {})
+    prime_terms = euler.prime_terms
+    monkeypatch.setattr(euler, "prime_terms", counting)
+    for (x, y), n in zip(cells, iters):
+        passes.clear()
+        compare_cell(x, y, False)
+        assert passes == [(1, 2)] * n + [(0,)], (x, y)
 
 
 def test_compare_cell_budget_flag():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from decimal import Decimal
@@ -17,6 +18,7 @@ from smoothcircle.euler import (
     phi_derivatives,
     prime_terms,
 )
+from smoothcircle.numutil import csum
 from smoothcircle.primes import prime_table, sieve_primes
 from smoothcircle.saddle import solve_alpha
 
@@ -62,12 +64,79 @@ def _assert_matches_series(sigma, y):
         assert got == pytest.approx(float(ref), rel=1e-12, abs=0.0)
 
 
+def _direct_sums(sigma, y):
+    """(phi, phi_1..phi_4) each summed straight from its own prime_terms row,
+    past the evaluators' memo."""
+    return tuple((-1.0) ** k * csum(prime_terms(sigma, y, k)) for k in range(5))
+
+
 @pytest.mark.parametrize("sigma", [0.4, 0.8, 1.3])
 @pytest.mark.parametrize("y", [100, 10**4])
 def test_phi_series_matches_closed_forms(sigma, y):
     _assert_matches_series(sigma, y)
-    assert phi_derivatives(sigma, y).d[:2] == (phi1_closed(sigma, y), phi2_closed(sigma, y))
-    assert phi1_phi2(sigma, y) == (phi1_closed(sigma, y), phi2_closed(sigma, y))
+    phi, phi1, phi2, _, _ = _direct_sums(sigma, y)
+    assert phi_derivatives(sigma, y, kmax=2).d == (phi1, phi2)
+    assert (phi1_closed(sigma, y), phi2_closed(sigma, y)) == (phi1, phi2)
+    assert phi1_phi2(sigma, y) == (phi1, phi2)
+    assert h_log_real(sigma, y) == phi
+
+
+def _evaluator_reads(name, sigma, y):
+    """What one real-axis evaluator returns, as (order, float) pairs."""
+    if name == "h_log_real":
+        return [(0, h_log_real(sigma, y))]
+    if name == "phi1_closed":
+        return [(1, phi1_closed(sigma, y))]
+    if name == "phi2_closed":
+        return [(2, phi2_closed(sigma, y))]
+    if name == "phi1_phi2":
+        return list(zip((1, 2), phi1_phi2(sigma, y)))
+    d = phi_derivatives(sigma, y, kmax=2 if name == "phi_derivatives2" else 4)
+    return list(enumerate((d.phi, *d.d)))
+
+
+_EVALUATORS = ("h_log_real", "phi1_closed", "phi2_closed", "phi1_phi2", "phi_derivatives2",
+               "phi_derivatives")
+
+
+@pytest.mark.parametrize("sigma, y", [(0.6, 10**4), (0.05, 1000)])
+def test_evaluators_are_the_direct_sums_in_every_call_order(sigma, y):
+    # Whichever call filled the memo, and with whatever orders, every float
+    # is bitwise the sum of its own prime_terms row.
+    want = _direct_sums(sigma, y)
+    for order in itertools.permutations(_EVALUATORS):
+        euler._memo = (math.nan, 0, {})
+        for name in order:
+            for k, got in _evaluator_reads(name, sigma, y):
+                assert got.hex() == want[k].hex(), (order, name, k)
+
+
+def test_evaluators_sum_each_order_once_per_point(monkeypatch):
+    passes = []
+
+    def counting(s, y, k):
+        passes.append(k)
+        return prime_terms(s, y, k)
+
+    monkeypatch.setattr(euler, "prime_terms", counting)
+    phi1_phi2(0.7, 1000)
+    phi1_closed(0.7, 1000)
+    phi_derivatives(0.7, 1000, kmax=2)
+    h_log_real(0.7, 1000)
+    phi_derivatives(0.7, 1000)
+    assert passes == [(1, 2), (0,), (3, 4)]
+
+
+@pytest.mark.parametrize("first, second", [((0.6, 100), (0.6, 1000)), ((0.6, 1000), (0.9, 1000))])
+def test_a_new_point_reads_its_own_values(first, second):
+    # Only sigma, or only y, moves: the second call gives the second point's
+    # floats, not the first point's.
+    want = _direct_sums(*second)
+    assert want != _direct_sums(*first)
+    for name in _EVALUATORS:
+        _evaluator_reads(name, *first)
+        for k, got in _evaluator_reads(name, *second):
+            assert got.hex() == want[k].hex(), (name, k)
 
 
 @pytest.mark.parametrize(
@@ -118,6 +187,7 @@ def test_phi_domain():
     ids=lambda f: f.__name__,
 )
 def test_sigma_nan_is_a_domain_error(evaluator):
+    evaluator(0.6, 100)  # a valid point first: nan must not read its values
     with pytest.raises(DomainError, match="needs sigma > 0, got nan"):
         evaluator(math.nan, 100)
 
