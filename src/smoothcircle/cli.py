@@ -77,7 +77,7 @@ def _global_flags(default) -> argparse.ArgumentParser:
     )
     flags.add_argument(
         "--format", choices=("csv", "json"), default=default,
-        help="output format (default from config)",
+        help="output format (default csv)",
     )
     return flags
 
@@ -184,10 +184,7 @@ def _run(args, cfg: Config) -> list[dict]:
             xs, ys = [_resolve_x(args)], [args.y]
         else:
             xs, ys = args.grid_x, args.grid_y
-        rows = compare_grid(
-            xs, ys, args.with_exact,
-            node_budget=cfg.node_budget, epsilon0=cfg.epsilon0,
-        )
+        rows = compare_grid(xs, ys, args.with_exact, node_budget=cfg.node_budget)
         return [asdict(r) for r in rows]
 
     if args.command == "perron":
@@ -204,7 +201,7 @@ def _run(args, cfg: Config) -> list[dict]:
                 | asdict(weighted_prime_sum(x, args.sigma, args.twist)) for x in args.x]
 
     # diffcheck: the required subparsers admit no other command
-    r = difference_check(args.x, args.y, args.z, lam=cfg.lambda_, node_budget=cfg.node_budget)
+    r = difference_check(args.x, args.y, args.z, node_budget=cfg.node_budget)
     return [asdict(r)]
 
 
@@ -214,8 +211,8 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = load_config(args.config, output_format=args.format)
-        out.write(render(_run(args, cfg), config_hash(cfg), cfg.output_format))
+        cfg = load_config(args.config)
+        out.write(render(_run(args, cfg), config_hash(cfg), args.format or "csv"))
         return 0
     except CliInputError as exc:
         err.write(f"{exc}\n")

@@ -1,6 +1,6 @@
-"""Runtime configuration: a key=value file (named by SMOOTHCIRCLE_CONFIG or
---config) overridden by command-line flags, hashed into every report header
-so that sweep outputs are reproducible byte for byte."""
+"""Runtime configuration: the node budget, from a key=value file named by
+SMOOTHCIRCLE_CONFIG or --config, hashed into every report header so that
+sweep outputs are reproducible byte for byte."""
 
 from __future__ import annotations
 
@@ -16,26 +16,12 @@ ENV_VAR = "SMOOTHCIRCLE_CONFIG"
 
 @dataclass(frozen=True)
 class Config:
-    # These defaults are also those of the library's keyword arguments.
+    # This default is also that of the library's node_budget keywords.
     node_budget: int = 10**9
-    epsilon0: float = 0.1
-    lambda_: float = 0.25
-    output_format: str = "csv"
 
     def __post_init__(self) -> None:
-        for name in ("node_budget", "epsilon0", "lambda_"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"config field {name} must be positive")
-        if self.output_format not in ("csv", "json"):
-            raise DomainError(f"output_format must be csv or json, got {self.output_format!r}")
-
-
-_KEY_MAP = {
-    "node_budget": ("node_budget", int),
-    "epsilon0": ("epsilon0", float),
-    "lambda": ("lambda_", float),
-    "output_format": ("output_format", str),
-}
+        if not self.node_budget > 0:
+            raise DomainError("config field node_budget must be positive")
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -56,27 +42,25 @@ def parse_config_file(path: str | Path) -> dict:
             raise DomainError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _KEY_MAP:
+        if key != "node_budget":
             raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-        attr, conv = _KEY_MAP[key]
         try:
-            out[attr] = conv(value.strip())
-            Config(**{attr: out[attr]})  # the field's own checks, reported at its line
+            out[key] = int(value.strip())
+            Config(**out)  # the field's own check, reported at its line
         except ValueError as exc:
             raise DomainError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return out
 
 
-def load_config(path: str | Path | None = None, **overrides) -> Config:
+def load_config(path: str | Path | None = None) -> Config:
     """Config from (in increasing precedence) defaults, the file named by
-    SMOOTHCIRCLE_CONFIG, an explicit path, and keyword overrides."""
+    SMOOTHCIRCLE_CONFIG and an explicit path."""
     kwargs = {}
     env_path = os.environ.get(ENV_VAR)
     if env_path:
         kwargs.update(parse_config_file(env_path))
     if path is not None:
         kwargs.update(parse_config_file(path))
-    kwargs.update({k: v for k, v in overrides.items() if v is not None})
     return Config(**kwargs)
 
 

@@ -21,6 +21,8 @@ from .numutil import integrate_panels
 from .saddle import solve_alpha
 
 PERRON_QUAD_RTOL = 1e-9  # relative tolerance of each Perron panel's refinement
+EPSILON0 = 0.1  # the fixed epsilon_0 > 0 of the Thm 1 and Thm 2 windows
+LAMBDA = 0.25  # the fixed lambda of the short-interval range z <= exp((log y)^(3/2 - lambda))
 
 FLAG_OUTSIDE_THM1 = "outside-thm1-range"
 FLAG_OUTSIDE_THM2 = "outside-thm2-range"
@@ -163,11 +165,10 @@ def difference_check(
     y: int,
     z: float,
     *,
-    lam: float = Config.lambda_,
     node_budget: int = Config.node_budget,
 ) -> DifferenceReport:
     """Exact increment of the circle sum over (x, x + x/z] against its bound scale."""
-    big_z = math.exp(math.log(y) ** (1.5 - lam))
+    big_z = math.exp(math.log(y) ** (1.5 - LAMBDA))
     if not 1.0 <= z <= big_z:
         raise DomainError(f"difference_check needs 1 <= z <= {big_z:.6g}, got {z}")
     res = solve_alpha(x, y)
@@ -218,15 +219,15 @@ class ComparisonRow:
             )
 
 
-def _thm1_window(u: float, y: int, epsilon0: float) -> bool:
+def _thm1_window(u: float, y: int) -> bool:
     lly = math.log(math.log(y))
     low = max(1.0, lly * lly) if lly > 0 else 1.0
-    high = y ** (1.0 / (2.0 + epsilon0)) / math.log(y)
+    high = y ** (1.0 / (2.0 + EPSILON0)) / math.log(y)
     return low <= u <= high
 
 
-def _thm2_window(x: float, y: int, epsilon0: float) -> bool:
-    return math.log(x) ** (2.0 + epsilon0) < y < x
+def _thm2_window(x: float, y: int) -> bool:
+    return math.log(x) ** (2.0 + EPSILON0) < y < x
 
 
 def compare_cell(
@@ -235,7 +236,6 @@ def compare_cell(
     with_exact: bool,
     *,
     node_budget: int = Config.node_budget,
-    epsilon0: float = Config.epsilon0,
 ) -> ComparisonRow:
     """Build one ComparisonRow; per-cell failures are recorded, not raised."""
     flags: list[str] = []
@@ -259,9 +259,9 @@ def compare_cell(
         flags.append(FLAG_OVERFLOW)
     if thm1 == 0.0 or rankin == 0.0 or thm2 == 0.0:
         flags.append(FLAG_UNDERFLOW)
-    if not _thm1_window(u, y, epsilon0):
+    if not _thm1_window(u, y):
         flags.append(FLAG_OUTSIDE_THM1)
-    if not _thm2_window(x, y, epsilon0):
+    if not _thm2_window(x, y):
         flags.append(FLAG_OUTSIDE_THM2)
     goswami = dickman_estimate(x, y) if u >= 1.0 else None
     if goswami == 0.0:
@@ -293,7 +293,6 @@ def compare_grid(
     with_exact: bool = False,
     *,
     node_budget: int = Config.node_budget,
-    epsilon0: float = Config.epsilon0,
 ) -> list[ComparisonRow]:
     """One ComparisonRow per (x, y) in row-major input order; an x <= 1 or
     a y < 2 anywhere in the grid raises before any cell runs."""
@@ -306,7 +305,7 @@ def compare_grid(
         if y < 2:
             raise DomainError(f"compare_grid needs y >= 2, got {y}")
     return [
-        compare_cell(x, y, with_exact, node_budget=node_budget, epsilon0=epsilon0)
+        compare_cell(x, y, with_exact, node_budget=node_budget)
         for x in x_list
         for y in y_list
     ]

@@ -138,7 +138,7 @@ def certified_sum(x: np.ndarray) -> float | None:
 
 
 # bracketed_newton's iteration budget: xi runs to float stagnation in at
-# most about 55 iterations, and the saddle solve stops in under 10.
+# most about 10 iterations, and the saddle solve stops in under 10.
 _NEWTON_ITERS = 200
 
 
@@ -155,9 +155,10 @@ def bracketed_newton(
     x - f/d: d = f'(x) for plain Newton, or the slope that makes it a
     Newton step on a monotone transform of f.  Each iterate becomes the
     new lo or hi of the bracket (0, inf) by the sign of f; a step that
-    leaves (lo, hi), or has no finite d > 0, is replaced by the midpoint,
-    or by 2x while hi is inf.  Stops once |f| <= ftol or the step no
-    longer moves x, and raises ConvergenceError after _NEWTON_ITERS.
+    moves x out of (lo, hi), or has no finite d > 0, is replaced by the
+    midpoint, or by 2x while hi is inf.  Stops once |f| <= ftol or the
+    Newton step no longer moves x, and raises ConvergenceError after
+    _NEWTON_ITERS.
     Returns (root, f(root), iterations, (lo, hi)), lo < root < hi.
     """
     lo, hi = 0.0, math.inf
@@ -171,7 +172,9 @@ def bracketed_newton(
         else:
             lo = x
         step = x - fx / d if (d > 0 and math.isfinite(d)) else math.nan
-        if not (lo < step < hi):
+        # A step that rounds back onto x has stagnated; replacing it would
+        # bisect from a stale end of the bracket.
+        if step != x and not (lo < step < hi):
             step = 2.0 * x if hi == math.inf else 0.5 * (lo + hi)
         if step == x:  # float resolution exhausted
             return x, fx, it, (lo, hi)

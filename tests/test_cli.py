@@ -226,7 +226,7 @@ def test_header_and_determinism():
 
 def test_config_file_and_env(tmp_path, monkeypatch):
     cfgfile = tmp_path / "sweep.cfg"
-    cfgfile.write_text("node_budget=10\n# comment line\noutput_format=csv\n")
+    cfgfile.write_text("node_budget=10\n# comment line\n")
     code, out, err = run_cli("--config", str(cfgfile), "exact", "--x", "100000", "--y", "30")
     assert code == 2  # budget exhausted -> resource error
     assert "budget" in err
@@ -240,10 +240,12 @@ def test_config_file_and_env(tmp_path, monkeypatch):
 
 
 def test_config_hash_in_header(tmp_path):
-    cfgfile = tmp_path / "a.cfg"
-    cfgfile.write_text("epsilon0=0.2\n")
-    _, out1, _ = run_cli("xi", "--u", "2")
-    _, out2, _ = run_cli("--config", str(cfgfile), "xi", "--u", "2")
+    a = tmp_path / "a.cfg"
+    a.write_text("node_budget=1000000\n")
+    b = tmp_path / "b.cfg"
+    b.write_text("node_budget=1000001\n")
+    _, out1, _ = run_cli("--config", str(a), "xi", "--u", "2")
+    _, out2, _ = run_cli("--config", str(b), "xi", "--u", "2")
     h1 = out1.split("\n")[0].split("config=")[1]
     h2 = out2.split("\n")[0].split("config=")[1]
     assert h1 != h2  # different config, different hash
@@ -256,9 +258,8 @@ def test_bad_config_key(tmp_path):
     for line, reason in [
         ("frobnicate=1", "unknown config key"),
         ("node_budget=0", "must be positive"),
-        ("output_format=xml", "must be csv or json"),
         ("node_budget", "expected key=value"),
-        ("lambda=abc", "bad value for lambda"),
+        ("node_budget=abc", "bad value for node_budget"),
     ]:
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(f"# line 1\n{line}\n")
@@ -268,7 +269,16 @@ def test_bad_config_key(tmp_path):
         assert len(err.splitlines()) == 1, line
 
 
-@pytest.mark.parametrize("line", ["residual_tol=1e-10", "sieve_segment_size=4096"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "residual_tol=1e-10",
+        "sieve_segment_size=4096",
+        "epsilon0=0.2",
+        "lambda=0.3",
+        "output_format=json",
+    ],
+)
 def test_removed_config_keys_exit1(tmp_path, line):
     cfgfile = tmp_path / "old.cfg"
     cfgfile.write_text(line + "\n")
@@ -380,13 +390,15 @@ def test_global_flag_later_occurrence_wins(tmp_path):
     code, out, _ = run_cli("--format", "csv", "xi", "--u", "2", "--format", "json")
     assert code == 0 and json.loads(out)["rows"][0]["u"] == 2.0
 
+    # a's budget exhausts this count (exit 2), b's (the default) does not
     a = tmp_path / "a.cfg"
-    a.write_text("epsilon0=0.2\n")
+    a.write_text("node_budget=10\n")
     b = tmp_path / "b.cfg"
-    b.write_text("epsilon0=0.3\n")
-    both = run_cli("--config", str(a), "xi", "--u", "2", "--config", str(b))
-    assert both == run_cli("--config", str(b), "xi", "--u", "2")
-    assert both != run_cli("--config", str(a), "xi", "--u", "2")
+    b.write_text("node_budget=1000000000\n")
+    argv = ("exact", "--x", "100000", "--y", "30")
+    both = run_cli("--config", str(a), *argv, "--config", str(b))
+    assert both[0] == 0 and both == run_cli("--config", str(b), *argv)
+    assert both != run_cli("--config", str(a), *argv)
 
 
 def test_missing_config_file_exit1(tmp_path):

@@ -19,7 +19,7 @@ from smoothcircle.dickman import (
     xi_prime,
 )
 from smoothcircle.errors import ConvergenceError, DomainError
-from smoothcircle.numutil import EULER_GAMMA, integrate_panels
+from smoothcircle.numutil import EULER_GAMMA, bracketed_newton, integrate_panels
 
 from oracles import rho_interval_series_decimal, xi_decimal
 
@@ -211,10 +211,28 @@ def test_xi_past_the_exp_range(u):
 
 
 def test_xi_below_the_guard_is_unchanged():
-    # Up to u = 1e150 no evaluation passes z = 709: the floats the solve
-    # has always returned.
+    # Up to u = 1e150 no evaluation passes z = 709.  xi(1e150) was
+    # 351.2492600631708, 0.82 ulp from the root, while the solve bisected
+    # from a stale bracket end once Newton had stagnated; it now stops on
+    # the Newton iterate, 0.18 ulp from the root (a 60-digit solve).
     assert xi(1e100) == 235.72115887568532
-    assert xi(1e150) == 351.2492600631708
+    assert xi(1e150) == 351.2492600631709
+
+
+def test_xi_stops_when_newton_stagnates(monkeypatch):
+    # A Newton step that rounds back onto an iterate that just became the
+    # bracket's hi ends the solve; it used to bisect from the first
+    # iterate instead, 50 iterations at u = 1e10, 45 of them bisections.
+    iters = []
+
+    def counted(*args, **kwargs):
+        res = bracketed_newton(*args, **kwargs)
+        iters.append(res[2])
+        return res
+
+    monkeypatch.setattr(dickman, "bracketed_newton", counted)
+    assert xi(1e10) == 26.29523881925088
+    assert len(iters) == 1 and iters[0] <= 8
 
 
 @pytest.mark.parametrize("u", [1 + 1e-12, 1 + 1e-8, 1 + 1.6e-8, 1 + 1e-4, 1.5, 2.0])

@@ -1,11 +1,14 @@
-"""The settable parameters of the package's solvers, sums and quadrature:
-a value that one caller needs is a module constant, not a parameter."""
+"""The settable parameters of the package's solvers, sums, quadrature,
+estimators and config loader: a value that one caller needs is a module
+constant, not a parameter."""
 
 import inspect
 
 import pytest
 
+from smoothcircle.config import load_config
 from smoothcircle.counting import exact_circle_sum
+from smoothcircle.estimators import compare_cell, compare_grid, difference_check
 from smoothcircle.numutil import bracketed_newton, integrate_panels
 from smoothcircle.saddle import solve_alpha
 
@@ -28,6 +31,10 @@ SIGNATURES = {
     solve_alpha: "(x, y, *, seed=None)",
     exact_circle_sum: "(x, y, method='auto', *, node_budget=…)",
     integrate_panels: "(f, a, b, panel_width, *, rtol=…, atol=…)",
+    compare_grid: "(x_list, y_list, with_exact=…, *, node_budget=…)",
+    compare_cell: "(x, y, with_exact, *, node_budget=…)",
+    difference_check: "(x, y, z, *, node_budget=…)",
+    load_config: "(path=None)",
 }
 
 
