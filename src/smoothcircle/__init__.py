@@ -2,8 +2,9 @@
 
 Exact evaluation of sum r(n) over y-smooth n <= x by two independent
 algorithms, the saddle-point and closed-form asymptotic routes to the same
-quantity, the Rankin upper bound, the Dickman function and its saddle
-form, and the weighted prime sum with its main term.
+quantity, the Rankin upper bound, the Dickman function (rho, read from one
+table per process) and its saddle form, and the weighted prime sum with its
+main term.
 """
 
 __version__ = "0.1.0"
@@ -11,8 +12,6 @@ __version__ = "0.1.0"
 from .config import Config, load_config
 from .counting import ExactCount, exact_circle_sum, lattice_r_table
 from .dickman import (
-    DickmanTable,
-    build_dickman_table,
     exp_integral,
     rho,
     rho_saddle_form,
@@ -46,8 +45,6 @@ __all__ = [
     "ExactCount",
     "exact_circle_sum",
     "lattice_r_table",
-    "DickmanTable",
-    "build_dickman_table",
     "exp_integral",
     "rho",
     "rho_saddle_form",

@@ -366,10 +366,12 @@ def exact_circle_sum(
         raise DomainError(f"exact_circle_sum needs y >= 2, got {y}")
     if method == "auto":
         method = "recursive"
+    # No prime above x divides an n <= x, so the routes sieve to min(x, y).
+    y_sieve = max(min(x, y), 2)
     if method == "sieve":
-        value, terms, nodes = _exact_sieve(x, y, node_budget)
+        value, terms, nodes = _exact_sieve(x, y_sieve, node_budget)
     elif method == "recursive":
-        value, terms, nodes = _exact_recursive(x, y, node_budget)
+        value, terms, nodes = _exact_recursive(x, y_sieve, node_budget)
     else:
         raise DomainError(f"unknown method {method!r}")
     return ExactCount(x=x, y=y, value=value, terms=terms, method=method, nodes=nodes)

@@ -11,8 +11,8 @@ into an exact coefficient recurrence, advanced interval by interval in
 binary fixed point on Python ints, and rho(u) is the float Horner sum of its
 interval's series.  The same absolute error floor is why the arithmetic is
 fixed point: rounding errors do not shrink with rho, so every coefficient
-carries one absolute precision, 2^-bits, with bits scaled to the requested
-range (-log2 rho(u_max) and some headroom) plus 64 guard bits.
+carries one absolute precision, 2^-1197.  The process holds one table, to
+u = 128 at those 1 197 bits, and rho reads it.
 """
 
 from __future__ import annotations
@@ -25,8 +25,18 @@ from .numutil import EULER_GAMMA, bracketed_newton
 
 RHO_UNDERFLOW = 1e-300  # rho values below this clamp to zero, flagged
 _SERIES_CAP = 4000
-_GUARD_BITS = 64
-_LOG10_2 = math.log10(2.0)
+# rho(u) < RHO_UNDERFLOW for every u >= _U_CUT, by the Laplace bound in
+# rho's docstring, so the table stops at _U_CUT + 2.
+_U_CUT = 126
+# The one absolute precision of the table's fixed point, 2^-_BITS.  rho falls
+# to about 10^-300 on the table while the delay recurrence's rounding errors
+# keep one absolute size from interval to interval, so every term needs the
+# same absolute precision, not a relative one: 341 decimal digits (an
+# estimate of -log10 rho(128), 301, plus 40 of headroom) in binary, and 64
+# guard bits, which keep the divisions' rounding, piled up over ~10^3 terms
+# per interval and 127 intervals, out of the last bit of every float
+# coefficient.
+_BITS = 1197
 _EXP_SAFE = 709.0  # e^z is finite, below 1e308, for z up to here
 
 
@@ -110,17 +120,7 @@ def exp_integral(v: float) -> float:
             return total
 
 
-def _rho_digits(u_max: float) -> int:
-    # Roughly -log10 rho(u_max): the cancellation the interval recursion has
-    # to survive, plus fixed headroom.
-    if u_max <= 3:
-        lg = 3.0
-    else:
-        lg = u_max * (math.log(u_max) + math.log(math.log(u_max)) - 1.0) / math.log(10.0)
-    return 40 + int(lg)
-
-
-def _rho_interval_series(u_max: int, bits: int) -> Iterator[list[int]]:
+def _rho_interval_series() -> Iterator[list[int]]:
     """Taylor coefficients of rho about k + 1/2 for each interval [k, k + 1],
     in binary fixed point.
 
@@ -128,16 +128,16 @@ def _rho_interval_series(u_max: int, bits: int) -> Iterator[list[int]]:
     equation gives (c + tau) f_k'(tau) = -f_{k-1}(tau) with c = k + 1/2.  In
     the terms at |tau| = 1/2, A[m] = a[m] 2^-m, that is the exact recurrence
     A[m+1] = -(B[m] + m A[m]) / ((2k + 1)(m + 1)), B being the previous
-    interval's terms; each A[m] is held as the integer nearest A[m] 2^bits.
+    interval's terms; each A[m] is held as the integer nearest A[m] 2^_BITS.
     Continuity at tau = -1/2 anchors A[0] = rho(k) + sum_{odd m} A[m] -
     sum_{even m >= 2} A[m], and rho(k + 1) = sum A[m].  A series ends once
     the next term rounds to 0 with B used up (every later term is then 0 as
-    well), trailing zeros trimmed.  Yields interval k = 1 .. u_max - 1 in
+    well), trailing zeros trimmed.  Yields interval k = 1 .. _U_CUT + 1 in
     turn; each yielded list is emptied, term by term, as the next is built.
     """
-    rho_left = 1 << bits  # rho(1)
+    rho_left = 1 << _BITS  # rho(1)
     b = [rho_left]  # the constant series on [0, 1]
-    for k in range(1, u_max):
+    for k in range(1, _U_CUT + 2):
         a = [0]  # a[0] is anchored below; the recurrence never reads it
         m = 0
         # b.pop() is then B[m], freed once read.  Reading b[m] in place
@@ -164,15 +164,16 @@ def _rho_interval_series(u_max: int, bits: int) -> Iterator[list[int]]:
 
 class DickmanTable:
     """rho on [0, u_max] as one float Taylor series per unit interval, each
-    computed on first use from one running _rho_interval_series at `bits`.
+    computed on first use from one running _rho_interval_series.
 
-    coeffs[k - 1] is the series of rho about k + 1/2 on [k, k + 1], highest
+    _coeffs[k - 1] is the series of rho about k + 1/2 on [k, k + 1], highest
     power first (k = 1 .. u_max - 1); values below RHO_UNDERFLOW read 0.
     """
 
-    def __init__(self, u_max: int, bits: int) -> None:
-        self.u_max, self.bits = u_max, bits
-        self._series = _rho_interval_series(u_max, bits)
+    u_max = _U_CUT + 2  # the extent bench/spans.py reads from each build
+
+    def __init__(self) -> None:
+        self._series = _rho_interval_series()
         self._coeffs: list[tuple[float, ...]] = []
 
     def _fill(self, k: int) -> None:
@@ -186,30 +187,19 @@ class DickmanTable:
         value; only those at or before a conservative cut, found from their
         bit lengths with a factor 4 of slack, are converted."""
         while len(self._coeffs) < k:
-            a, bits = next(self._series), self.bits
-            floor = 2.0**-70 * max(abs(a[0] / (1 << bits)), RHO_UNDERFLOW)
-            # The term a[m] 2^-bits is below 2^(bit_length - bits), so past
+            a = next(self._series)
+            floor = 2.0**-70 * max(abs(a[0] / (1 << _BITS)), RHO_UNDERFLOW)
+            # The term a[m] 2^-_BITS is below 2^(bit_length - _BITS), so past
             # `top` no term reaches floor / 4 >= 2^(frexp exponent - 3).
-            least = bits + math.frexp(floor)[1] - 2
+            least = _BITS + math.frexp(floor)[1] - 2
             top = max((m for m, am in enumerate(a) if am.bit_length() >= least), default=0)
-            cf = [am / (1 << (bits - m)) for m, am in enumerate(a[: top + 1])]
+            cf = [am / (1 << (_BITS - m)) for m, am in enumerate(a[: top + 1])]
             n = 1 + max((m for m, c in enumerate(cf) if abs(c) * 0.5**m >= floor), default=0)
             self._coeffs.append(tuple(reversed(cf[:n])))
 
-    @property
-    def coeffs(self) -> tuple[tuple[float, ...], ...]:
-        self._fill(self.u_max - 1)  # the first read computes every interval
-        return tuple(self._coeffs)
-
     def value_at(self, u: float) -> float:
-        """rho(u) for 0 <= u <= u_max by Horner's rule on u's interval."""
-        if not u >= 0:
-            raise DomainError(f"rho needs u >= 0, got {u}")
-        if u <= 1.0:
-            return 1.0
-        if u > self.u_max:
-            raise DomainError(f"u={u} beyond table extent {self.u_max}")
-        k = min(int(u), self.u_max - 1)
+        """rho(u) for 1 < u < _U_CUT by Horner's rule on u's interval."""
+        k = int(u)
         self._fill(k)
         tau = u - (k + 0.5)
         value = 0.0
@@ -218,34 +208,25 @@ class DickmanTable:
         return value if value >= RHO_UNDERFLOW else 0.0
 
 
-def build_dickman_table(u_max: int) -> DickmanTable:
-    """A DickmanTable on [0, u_max]; no interval is computed until read.
+def build_dickman_table() -> DickmanTable:
+    """A fresh DickmanTable; no interval is computed until read.
 
-    Every fixed-point term at |tau| = 1/2 is a multiple of 2^-bits.  rho drops
-    to about 10^-_rho_digits while the delay equation's rounding errors stay
-    at one absolute size from interval to interval, so the recurrence needs
-    a uniform absolute precision, not a relative one per coefficient.  bits
-    is _rho_digits(u_max) in binary plus 64 guard bits, which keep the
-    divisions' rounding errors, piled up over ~10^3 terms per interval and
-    u_max intervals, out of the last bit of every float coefficient.
+    rho makes its one table through this name, not DickmanTable(), because
+    bench/spans.py wraps it by name to count and time the build.
     """
-    if u_max < 2:
-        raise DomainError(f"u_max must be >= 2, got {u_max}")
-    return DickmanTable(u_max, math.ceil(_rho_digits(u_max) / _LOG10_2) + _GUARD_BITS)
+    return DickmanTable()
 
 
-# rho(u) < RHO_UNDERFLOW for every u >= _U_CUT, by the Laplace bound in
-# rho's docstring, so the table stops at _U_CUT + 2.
-_U_CUT = 126
 _table: DickmanTable | None = None  # the process's one table, made on first use
 
 
 def rho(u: float) -> float:
     """The Dickman function rho(u) for u >= 0, from the process's one table.
 
-    The table reaches _U_CUT + 2, and a u in [k, k + 1] computes intervals
-    1 .. k once, whatever the order of the calls.  u >= _U_CUT reads 0.0,
-    the clamp value, from no interval: rho's Laplace transform gives
+    u <= 1 reads 1.0, and a u in [k, k + 1] below _U_CUT computes the
+    table's intervals 1 .. k once, whatever the order of the calls; no
+    table is built before such a u.  u >= _U_CUT reads 0.0, the clamp
+    value, from no interval: rho's Laplace transform gives
     int_0^inf rho(t) e^(xi t) dt = e^(gamma + I(xi)) for real xi,
     I(v) = int_0^v (e^s - 1)/s ds (Tenenbaum, Introduction to Analytic and
     Probabilistic Number Theory, III.5), and rho is nonincreasing, so
@@ -258,10 +239,14 @@ def rho(u: float) -> float:
     is nonincreasing, so is every rho(u) with u >= 126.
     """
     global _table
+    if not u >= 0:
+        raise DomainError(f"rho needs u >= 0, got {u}")
+    if u <= 1.0:
+        return 1.0
     if u >= _U_CUT:
         return 0.0
     if _table is None:
-        _table = build_dickman_table(_U_CUT + 2)
+        _table = build_dickman_table()
     return _table.value_at(u)
 
 

@@ -208,8 +208,8 @@ def integrate_panels(
     rules agree; more than _MAX_SPLITS bisections, or base panels, raise
     ConvergenceError, the latter before f is called.  f is called once per
     panel, on the 15 nodes followed by the 31, so an elementwise f gives
-    the same float as one call per rule.  Panels are summed in order of
-    position.
+    the same float as one call per rule.  math.fsum rounds the exact sum
+    of the panels once, so their order does not matter.
     """
     if b <= a:
         return 0.0
@@ -221,7 +221,7 @@ def integrate_panels(
         )
     edges = np.linspace(a, b, n_base + 1)
     work = [(edges[i], edges[i + 1]) for i in range(n_base)]
-    done: list[tuple[float, float]] = []
+    done: list[float] = []
     splits = 0
     while work:
         lo, hi = work.pop()
@@ -230,7 +230,7 @@ def integrate_panels(
         coarse = hw * float(np.dot(_GL_LO[1], v[:_GL_SPLIT]))
         fine = hw * float(np.dot(_GL_HI[1], v[_GL_SPLIT:]))
         if abs(fine - coarse) <= max(atol, rtol * abs(fine)):
-            done.append((lo, fine))
+            done.append(fine)
             continue
         splits += 1
         if splits > _MAX_SPLITS:
@@ -239,5 +239,4 @@ def integrate_panels(
             )
         work.append((mid, hi))
         work.append((lo, mid))
-    done.sort(key=lambda t: t[0])
-    return math.fsum(v for _, v in done)
+    return math.fsum(done)

@@ -17,11 +17,18 @@ def sieve_primes(limit: int) -> np.ndarray:
     The sieve holds the odd numbers only: index i stands for 2i + 1.  An
     odd prime p strikes its odd multiples from p^2 on, which are indices
     p^2 // 2, p^2 // 2 + p, ...  Index 0 (the number 1) is never struck,
-    and its slot in the result holds 2.
+    and its slot in the result holds 2.  A sieve past numpy's index range
+    raises MemoryError, as one numpy cannot allocate does.
     """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    odd = np.ones((limit + 1) // 2, dtype=bool)
+    size = (limit + 1) // 2
+    index_max = np.iinfo(np.intp).max
+    if size > index_max:
+        raise MemoryError(
+            f"Unable to allocate a prime sieve of over {index_max} entries (numpy's index range)"
+        )
+    odd = np.ones(size, dtype=bool)
     for i in range(1, (isqrt(limit) + 1) // 2):
         if odd[i]:
             p = 2 * i + 1

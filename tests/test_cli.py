@@ -41,6 +41,13 @@ def test_exact_subcommand():
     assert row["nodes"] == "1"
 
 
+def test_exact_y_far_above_x():
+    # every n <= 10 is 10-smooth: the primes are sieved to x, not to y
+    code, out, err = run_cli("exact", "--x", "10", "--y", "1000000000000000000")
+    assert code == 0 and err == ""
+    assert out.strip().splitlines()[-1] == "10,1000000000000000000,36,10,recursive,1"
+
+
 def test_exact_rejects_y1():
     code, out, err = run_cli("exact", "--x", "10", "--y", "1")
     assert code == 1
@@ -498,6 +505,13 @@ def test_compare_far_tail_thm2_finite_and_goswami_flagged():
         (("compare", "--grid-x", "1e30", "--grid-y", "1000000000000000000"), "Unable to allocate"),
         # 3.7e14 Perron base panels: refused before any panel is allocated
         (("perron", "--x", "1.5", "--y", "10", "--T", "1e15"), "base panels"),
+        # y = 1e20: the sieve's index range ends below 2^63, so it is refused
+        # before numpy is asked, as a MemoryError, not a ValueError
+        (("hval", "--sigma", "2", "--y", "100000000000000000000"), "Unable to allocate"),
+        (("compare", "--grid-x", "1e30", "--grid-y", "1e20"), "Unable to allocate"),
+        (("primesums", "--x", "1e300", "--sigma", "1"), "Unable to allocate"),
+        (("exact", "--x", "100000000000000000000", "--y", "100000000000000000000"),
+         "Unable to allocate"),
     ],
 )
 def test_exhausted_resource_exit2(argv, reason):

@@ -116,6 +116,14 @@ def test_exact_examples():
         assert got.method == method
 
 
+@pytest.mark.parametrize("y", [10**18, 10**30])
+@pytest.mark.parametrize("method", ["sieve", "recursive"])
+def test_y_above_x_sieves_only_to_x(y, method):
+    # no prime above x divides an n <= x, so y past x costs no sieve
+    got = exact_circle_sum(10, y, method)
+    assert (got.value, got.terms, got.y) == (36, 10, y)
+
+
 def test_exact_domain_errors():
     with pytest.raises(DomainError):
         exact_circle_sum(0, 2)

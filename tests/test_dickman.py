@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from smoothcircle import dickman
 from smoothcircle.config import RHO_SADDLE_WINDOW, XI_LOGLOG_ENVELOPE
 from smoothcircle.dickman import (
+    DickmanTable,
     build_dickman_table,
     exp_integral,
     rho,
@@ -147,40 +148,29 @@ def test_rho_matches_closed_forms_off_grid():
         assert rho(float(u)) == pytest.approx(want, rel=5e-14, abs=0)
 
 
-def test_rho_table_validate_and_extent():
-    tab = build_dickman_table(8)
-    assert tab.value_at(8.0) == pytest.approx(rho(8.0), rel=1e-15)
-    with pytest.raises(DomainError):
-        tab.value_at(9.0)
-    with pytest.raises(DomainError):
-        build_dickman_table(1)
-
-
-# 38, 59, 70 and 100 each lose a float bit of a coefficient without the
-# fixed point's guard bits.
-@pytest.mark.parametrize("u_max", [2, 3, 17, 38, 59, 64, 70, 100, 152, 169])
-def test_rho_table_cuts_as_if_every_coefficient_were_converted(u_max):
-    # The oracle converts every decimal coefficient, then applies the cut.
+def test_rho_table_cuts_as_if_every_coefficient_were_converted():
+    # The oracle converts every decimal coefficient of intervals 1 .. 127,
+    # at the table's 341 digits, then applies the cut.
     want = []
-    for a in rho_interval_series_decimal(u_max, dickman._rho_digits(u_max)):
+    for a in rho_interval_series_decimal(128, 341):
         cf = [float(am) for am in a]
         floor = 2.0**-70 * max(abs(cf[0]), dickman.RHO_UNDERFLOW)
         n = 1 + max((m for m, c in enumerate(cf) if abs(c) * 0.5**m >= floor), default=0)
         want.append(tuple(reversed(cf[:n])))
-    assert build_dickman_table(u_max).coeffs == tuple(want)
+    table = DickmanTable()
+    table._fill(127)
+    assert table._coeffs == want
 
 
 def test_rho_series_cap_raises(monkeypatch):
-    # interval 1 needs 133 terms at u_max = 8 (about 1 000 at u_max = 169)
+    # interval 1 needs 750 terms at the table's precision
     monkeypatch.setattr(dickman, "_SERIES_CAP", 40)
-    table = build_dickman_table(8)  # no interval is computed before a read
+    table = DickmanTable()  # no interval is computed before a read
     with pytest.raises(ConvergenceError):
-        table.coeffs
+        table.value_at(1.5)
 
 
-@pytest.mark.parametrize(
-    "f", [rho, lambda u: build_dickman_table(8).value_at(u), xi], ids=["rho", "value_at", "xi"]
-)
+@pytest.mark.parametrize("f", [rho, xi], ids=["rho", "xi"])
 def test_nan_raises_domain_error(f):
     with pytest.raises(DomainError):
         f(math.nan)
@@ -247,8 +237,10 @@ def test_xi_near_1_within_4_ulps(u):
 
 
 def test_rho_underflow_clamp():
-    # rho(130.5) is far below 1e-300: the deep tail clamps to zero, flagged
-    assert build_dickman_table(131).value_at(130.5) == 0.0
+    # rho(125) is already below 1e-300: the table's clamp, not the cut at
+    # _U_CUT, reads 0 at 125.5
+    assert DickmanTable().value_at(125.5) == 0.0
+    assert rho(125.5) == 0.0
 
 
 def test_rho_auto_extends_table():
@@ -259,9 +251,10 @@ def _record_builds(monkeypatch):
     built = []
     real = dickman.build_dickman_table
 
-    def recording(u_max):
-        built.append(u_max)
-        return real(u_max)
+    def recording():
+        table = real()
+        built.append(table.u_max)
+        return table
 
     monkeypatch.setattr(dickman, "build_dickman_table", recording)
     monkeypatch.setattr(dickman, "_table", None)
@@ -289,6 +282,12 @@ def test_rho_builds_one_table_in_any_order(monkeypatch):
     assert rho(125.9) == dickman._table.value_at(125.9)
 
 
+def test_rho_up_to_1_builds_no_table(monkeypatch):
+    built = _record_builds(monkeypatch)
+    assert rho(0.0) == rho(0.5) == rho(1.0) == 1.0
+    assert built == [] and dickman._table is None
+
+
 def test_rho_first_call_converts_only_its_intervals(monkeypatch):
     # rho(3.5) reads interval [3, 4], so a fresh table computes intervals
     # 1, 2 and 3 and nothing past them
@@ -310,7 +309,7 @@ def _log_laplace_bound(u):
 
 
 def test_laplace_bound_is_above_the_table():
-    table = build_dickman_table(128)
+    table = build_dickman_table()
     for u in np.linspace(1.5, 127.0, 1001):
         value = table.value_at(u)
         if value > 0.0:
@@ -325,16 +324,6 @@ def test_u_cut_from_the_laplace_bound():
     log_clamp = math.log(dickman.RHO_UNDERFLOW)
     assert dickman._U_CUT == next(k for k in range(2, 200) if _log_laplace_bound(k) < log_clamp)
     assert dickman._U_CUT == 126
-
-
-def test_rho_matches_a_table_built_to_169(monkeypatch):
-    # the same floats, zeros included, as a table to 169, the reach of the
-    # 1/Gamma(u + 1) cut; top down, the first u below _U_CUT builds one to 128
-    built = _record_builds(monkeypatch)
-    wide = build_dickman_table(169)
-    for u in np.linspace(168.0, 64.0, 417):
-        assert rho(u) == wide.value_at(u)
-    assert built == [128]
 
 
 def test_rho_gamma_bound_and_cut():

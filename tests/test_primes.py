@@ -16,6 +16,13 @@ def test_sieve_small():
     assert sieve_primes(2).tolist() == [2]
 
 
+def test_sieve_past_the_index_range_is_a_memory_error():
+    # (limit + 1) // 2 entries past np.intp's range: refused before numpy,
+    # which would raise ValueError, is asked
+    with pytest.raises(MemoryError, match="Unable to allocate"):
+        sieve_primes(2 * int(np.iinfo(np.intp).max) + 1)
+
+
 def test_sieve_against_trial_division():
     def is_prime(n):
         if n < 2:

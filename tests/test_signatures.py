@@ -1,6 +1,6 @@
 """The settable parameters of the package's solvers, sums, quadrature,
-estimators and config loader: a value that one caller needs is a module
-constant, not a parameter."""
+estimators, Dickman table and config loader: a value that one caller needs
+is a module constant, not a parameter."""
 
 import inspect
 
@@ -8,6 +8,7 @@ import pytest
 
 from smoothcircle.config import load_config
 from smoothcircle.counting import exact_circle_sum
+from smoothcircle.dickman import DickmanTable, build_dickman_table
 from smoothcircle.estimators import compare_cell, compare_grid, difference_check
 from smoothcircle.numutil import bracketed_newton, integrate_panels
 from smoothcircle.saddle import solve_alpha
@@ -35,6 +36,8 @@ SIGNATURES = {
     compare_cell: "(x, y, with_exact, *, node_budget=…)",
     difference_check: "(x, y, z, *, node_budget=…)",
     load_config: "(path=None)",
+    build_dickman_table: "()",
+    DickmanTable: "()",
 }
 
 
