@@ -198,7 +198,10 @@ class DickmanTable:
             self._coeffs.append(tuple(reversed(cf[:n])))
 
     def value_at(self, u: float) -> float:
-        """rho(u) for 1 < u < _U_CUT by Horner's rule on u's interval."""
+        """rho(u) for 1 < u < _U_CUT by Horner's rule on u's interval.  A u
+        off the table, nan included, raises rather than read a wrong interval."""
+        if not 1.0 < u < self.u_max:
+            raise DomainError(f"the rho table reads 1 < u < {self.u_max}, got {u}")
         k = int(u)
         self._fill(k)
         tau = u - (k + 0.5)

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 from decimal import Decimal
@@ -148,18 +149,27 @@ def test_rho_matches_closed_forms_off_grid():
         assert rho(float(u)) == pytest.approx(want, rel=5e-14, abs=0)
 
 
-def test_rho_table_cuts_as_if_every_coefficient_were_converted():
+@functools.cache
+def _converted_oracle_series():
     # The oracle converts every decimal coefficient of intervals 1 .. 127,
     # at the table's 341 digits, then applies the cut.
     want = []
-    for a in rho_interval_series_decimal(128, 341):
+    for a in rho_interval_series_decimal(DickmanTable.u_max, 341):
         cf = [float(am) for am in a]
         floor = 2.0**-70 * max(abs(cf[0]), dickman.RHO_UNDERFLOW)
         n = 1 + max((m for m, c in enumerate(cf) if abs(c) * 0.5**m >= floor), default=0)
         want.append(tuple(reversed(cf[:n])))
+    return want
+
+
+# A fresh table read up to each extent, at the one precision; extents past
+# the table's 128 read all of its 127 intervals.
+@pytest.mark.parametrize("u_max", [2, 3, 17, 38, 59, 64, 70, 100, 152, 169])
+def test_rho_table_cuts_as_if_every_coefficient_were_converted(u_max):
+    k = min(u_max, DickmanTable.u_max) - 1
     table = DickmanTable()
-    table._fill(127)
-    assert table._coeffs == want
+    table._fill(k)
+    assert table._coeffs == _converted_oracle_series()[:k]
 
 
 def test_rho_series_cap_raises(monkeypatch):
@@ -170,7 +180,9 @@ def test_rho_series_cap_raises(monkeypatch):
         table.value_at(1.5)
 
 
-@pytest.mark.parametrize("f", [rho, xi], ids=["rho", "xi"])
+@pytest.mark.parametrize(
+    "f", [rho, lambda u: DickmanTable().value_at(u), xi], ids=["rho", "value_at", "xi"]
+)
 def test_nan_raises_domain_error(f):
     with pytest.raises(DomainError):
         f(math.nan)
