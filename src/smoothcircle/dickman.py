@@ -6,37 +6,28 @@ u^-u while perturbations of the delay equation decay only polynomially, so
 any fixed-order forward quadrature leaves an absolute error floor that
 swamps rho(u) beyond u of about 15.  rho is therefore held as one Taylor
 series per unit interval, about its midpoint (the power-series method of
-Marsaglia, Zaman and Marsaglia, Math. Comp. 1989): the delay equation turns
-into an exact coefficient recurrence, advanced interval by interval in
-binary fixed point on Python ints, and rho(u) is the float Horner sum of its
-interval's series.  The same absolute error floor is why the arithmetic is
-fixed point: rounding errors do not shrink with rho, so every coefficient
-carries one absolute precision, 2^-1197.  The process holds one table, to
-u = 128 at those 1 197 bits, and rho reads it.
+Marsaglia, Zaman and Marsaglia, Math. Comp. 1989), and rho(u) is the float
+Horner sum of its interval's series.  The delay equation turns into an
+exact coefficient recurrence, whose rounding errors keep one absolute size
+while rho falls to 10^-300, so it is run once, at 341 decimal digits, by
+rho_table_text in tests/oracles.py, and its floats ship as data:
+rho_table.txt holds one line per interval k = 1 .. 127, highest power
+first, each coefficient in float.hex form, which reads back exactly.  The
+process holds one table, to u = 128, and rho reads it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from importlib import resources
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .numutil import EULER_GAMMA, bracketed_newton
 
 RHO_UNDERFLOW = 1e-300  # rho values below this clamp to zero, flagged
-_SERIES_CAP = 4000
 # rho(u) < RHO_UNDERFLOW for every u >= _U_CUT, by the Laplace bound in
 # rho's docstring, so the table stops at _U_CUT + 2.
 _U_CUT = 126
-# The one absolute precision of the table's fixed point, 2^-_BITS.  rho falls
-# to about 10^-300 on the table while the delay recurrence's rounding errors
-# keep one absolute size from interval to interval, so every term needs the
-# same absolute precision, not a relative one: 341 decimal digits (an
-# estimate of -log10 rho(128), 301, plus 40 of headroom) in binary, and 64
-# guard bits, which keep the divisions' rounding, piled up over ~10^3 terms
-# per interval and 127 intervals, out of the last bit of every float
-# coefficient.
-_BITS = 1197
 _EXP_SAFE = 709.0  # e^z is finite, below 1e308, for z up to here
 
 
@@ -120,82 +111,33 @@ def exp_integral(v: float) -> float:
             return total
 
 
-def _rho_interval_series() -> Iterator[list[int]]:
-    """Taylor coefficients of rho about k + 1/2 for each interval [k, k + 1],
-    in binary fixed point.
-
-    Writing f_k(tau) = rho(k + 1/2 + tau) = sum a[m] tau^m, the delay
-    equation gives (c + tau) f_k'(tau) = -f_{k-1}(tau) with c = k + 1/2.  In
-    the terms at |tau| = 1/2, A[m] = a[m] 2^-m, that is the exact recurrence
-    A[m+1] = -(B[m] + m A[m]) / ((2k + 1)(m + 1)), B being the previous
-    interval's terms; each A[m] is held as the integer nearest A[m] 2^_BITS.
-    Continuity at tau = -1/2 anchors A[0] = rho(k) + sum_{odd m} A[m] -
-    sum_{even m >= 2} A[m], and rho(k + 1) = sum A[m].  A series ends once
-    the next term rounds to 0 with B used up (every later term is then 0 as
-    well), trailing zeros trimmed.  Yields interval k = 1 .. _U_CUT + 1 in
-    turn; each yielded list is emptied, term by term, as the next is built.
-    """
-    rho_left = 1 << _BITS  # rho(1)
-    b = [rho_left]  # the constant series on [0, 1]
-    for k in range(1, _U_CUT + 2):
-        a = [0]  # a[0] is anchored below; the recurrence never reads it
-        m = 0
-        # b.pop() is then B[m], freed once read.  Reading b[m] in place
-        # would keep the previous interval's ~750 big ints alive until this
-        # one is built: one pymalloc arena, about 1 MB, more at peak.
-        b.reverse()
-        while True:
-            num = -((b.pop() if b else 0) + m * a[m])
-            den = (2 * k + 1) * (m + 1)
-            nxt = (2 * num + den) // (2 * den)  # num / den, rounded to nearest
-            if nxt == 0 and not b:
-                break
-            a.append(nxt)
-            m += 1
-            if m > _SERIES_CAP:
-                raise ConvergenceError(f"rho series stalled on interval [{k}, {k + 1}]")
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-        a[0] = rho_left + sum(a[1::2]) - sum(a[2::2])
-        rho_left = sum(a)
-        yield a
-        b = a
-
-
 class DickmanTable:
     """rho on [0, u_max] as one float Taylor series per unit interval, each
-    computed on first use from one running _rho_interval_series.
+    parsed from its line of rho_table.txt on first use.
 
     _coeffs[k - 1] is the series of rho about k + 1/2 on [k, k + 1], highest
-    power first (k = 1 .. u_max - 1); values below RHO_UNDERFLOW read 0.
+    power first (k = 1 .. u_max - 1), cut where its terms at |tau| = 1/2
+    fall below 2^-70 of rho (tests/oracles.py gives the rule); values below
+    RHO_UNDERFLOW read 0.
     """
 
     u_max = _U_CUT + 2  # the extent bench/spans.py reads from each build
 
     def __init__(self) -> None:
-        self._series = _rho_interval_series()
+        with resources.files(__package__).joinpath("rho_table.txt").open(encoding="utf-8") as f:
+            self._lines = f.readlines()
         self._coeffs: list[tuple[float, ...]] = []
 
     def _fill(self, k: int) -> None:
-        """Convert each interval up to k that no call has reached yet.  A
-        float series ends at its last term that reaches 2^-70 max(rho(k +
-        1/2), RHO_UNDERFLOW) at |tau| = 1/2: later terms shrink like 3^-m
-        (rho's continuation is analytic within 3/2 of the midpoint) and rho
-        falls by less than 2^10 within the interval, so the cut stays far
-        below an ulp of every unclamped value and keeps at most ~40 terms.
-        Each coefficient is the correctly rounded float of its fixed-point
-        value; only those at or before a conservative cut, found from their
-        bit lengths with a factor 4 of slack, are converted."""
-        while len(self._coeffs) < k:
-            a = next(self._series)
-            floor = 2.0**-70 * max(abs(a[0] / (1 << _BITS)), RHO_UNDERFLOW)
-            # The term a[m] 2^-_BITS is below 2^(bit_length - _BITS), so past
-            # `top` no term reaches floor / 4 >= 2^(frexp exponent - 3).
-            least = _BITS + math.frexp(floor)[1] - 2
-            top = max((m for m, am in enumerate(a) if am.bit_length() >= least), default=0)
-            cf = [am / (1 << (_BITS - m)) for m, am in enumerate(a[: top + 1])]
-            n = 1 + max((m for m, c in enumerate(cf) if abs(c) * 0.5**m >= floor), default=0)
-            self._coeffs.append(tuple(reversed(cf[:n])))
+        """Parse the line of each interval up to k that no call has reached
+        yet.  Line i + 1 goes to index i by one slice assignment, a single
+        list operation: the list never shrinks and holds every index below
+        i, so the assignment appends where the list ends at i and otherwise
+        replaces the equal tuple another thread parsed first.  Concurrent
+        reads thus neither raise nor put an interval in the wrong slot."""
+        coeffs = self._coeffs
+        for i in range(len(coeffs), k):
+            coeffs[i : i + 1] = [tuple(map(float.fromhex, self._lines[i].split()))]
 
     def value_at(self, u: float) -> float:
         """rho(u) for 1 < u < _U_CUT by Horner's rule on u's interval.  A u
@@ -212,7 +154,7 @@ class DickmanTable:
 
 
 def build_dickman_table() -> DickmanTable:
-    """A fresh DickmanTable; no interval is computed until read.
+    """A fresh DickmanTable; no interval is parsed until read.
 
     rho makes its one table through this name, not DickmanTable(), because
     bench/spans.py wraps it by name to count and time the build.
@@ -226,7 +168,7 @@ _table: DickmanTable | None = None  # the process's one table, made on first use
 def rho(u: float) -> float:
     """The Dickman function rho(u) for u >= 0, from the process's one table.
 
-    u <= 1 reads 1.0, and a u in [k, k + 1] below _U_CUT computes the
+    u <= 1 reads 1.0, and a u in [k, k + 1] below _U_CUT parses the
     table's intervals 1 .. k once, whatever the order of the calls; no
     table is built before such a u.  u >= _U_CUT reads 0.0, the clamp
     value, from no interval: rho's Laplace transform gives

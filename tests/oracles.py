@@ -1,12 +1,14 @@
 """Slow, obviously correct reference functions that the tests check the
 package against: trial-division factorization, r(n)/4 from a
 factorization, r(n) by a lattice scan, chi4, the Dickman rho interval
-series and xi(u) in decimal arithmetic, the Euler kernel's per-prime terms
+series and xi(u) in decimal arithmetic, the text of the shipped rho table
+rendered from that series, the Euler kernel's per-prime terms
 evaluated over the whole prime array at once and in decimal arithmetic,
 and plain bracketed Newton with separate callbacks for f and f'."""
 
 from __future__ import annotations
 
+import functools
 import math
 from decimal import Decimal, localcontext
 from math import isqrt
@@ -14,6 +16,7 @@ from math import isqrt
 import numpy as np
 
 from smoothcircle.counting import _local_r4
+from smoothcircle.dickman import RHO_UNDERFLOW, DickmanTable
 from smoothcircle.errors import ConvergenceError, DomainError
 from smoothcircle.primes import prime_table
 
@@ -106,7 +109,7 @@ def rho_interval_series_decimal(u_max: int, prec: int) -> list[list[Decimal]]:
     interval's coefficients; a[0] is anchored by continuity at tau = -1/2.
     Every coefficient carries prec significant digits, and a series runs
     until its term at |tau| = 1/2 is below 10^-(prec - 8) of rho at the
-    interval's left end.  The reference for dickman's fixed-point series.
+    interval's left end.  The source of dickman's shipped float table.
     """
     with localcontext() as ctx:
         ctx.prec = prec
@@ -140,6 +143,38 @@ def rho_interval_series_decimal(u_max: int, prec: int) -> list[list[Decimal]]:
             rho_left = right
             b = a
     return out
+
+
+@functools.cache
+def converted_oracle_series() -> list[tuple[float, ...]]:
+    """The float series of dickman's table: every decimal coefficient of
+    intervals 1 .. 127 at 341 digits (an estimate of -log10 rho(128), 301,
+    plus 40 of headroom) rounded to its float, highest power first.  A
+    series ends at its last term that reaches 2^-70 max(rho(k + 1/2),
+    RHO_UNDERFLOW) at |tau| = 1/2: later terms shrink like 3^-m (rho's
+    continuation is analytic within 3/2 of the midpoint) and rho falls by
+    less than 2^10 within the interval, so the cut stays far below an ulp
+    of every unclamped value and keeps at most ~40 terms."""
+    want = []
+    for a in rho_interval_series_decimal(DickmanTable.u_max, 341):
+        cf = [float(am) for am in a]
+        floor = 2.0**-70 * max(abs(cf[0]), RHO_UNDERFLOW)
+        n = 1 + max((m for m, c in enumerate(cf) if abs(c) * 0.5**m >= floor), default=0)
+        want.append(tuple(reversed(cf[:n])))
+    return want
+
+
+def rho_table_text() -> str:
+    """src/smoothcircle/rho_table.txt as converted_oracle_series renders it:
+    one line per interval, its coefficients in float.hex form, one space
+    apart.  A tier-1 test holds the file to this string byte for byte; to
+    regenerate the file (say at more digits, for a longer table), write
+    the string to it, from the repository root:
+
+        PYTHONPATH=src:tests python -c "from oracles import rho_table_text; \\
+            open('src/smoothcircle/rho_table.txt', 'w').write(rho_table_text())"
+    """
+    return "".join(" ".join(c.hex() for c in cf) + "\n" for cf in converted_oracle_series())
 
 
 def xi_decimal(u: float, digits: int = 40) -> Decimal:

@@ -1,8 +1,13 @@
-import functools
 import math
+import os
+import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +25,10 @@ from smoothcircle.dickman import (
     xi,
     xi_prime,
 )
-from smoothcircle.errors import ConvergenceError, DomainError
+from smoothcircle.errors import DomainError
 from smoothcircle.numutil import EULER_GAMMA, bracketed_newton, integrate_panels
 
-from oracles import rho_interval_series_decimal, xi_decimal
+from oracles import converted_oracle_series, rho_table_text, xi_decimal
 
 E = math.e
 
@@ -149,19 +154,6 @@ def test_rho_matches_closed_forms_off_grid():
         assert rho(float(u)) == pytest.approx(want, rel=5e-14, abs=0)
 
 
-@functools.cache
-def _converted_oracle_series():
-    # The oracle converts every decimal coefficient of intervals 1 .. 127,
-    # at the table's 341 digits, then applies the cut.
-    want = []
-    for a in rho_interval_series_decimal(DickmanTable.u_max, 341):
-        cf = [float(am) for am in a]
-        floor = 2.0**-70 * max(abs(cf[0]), dickman.RHO_UNDERFLOW)
-        n = 1 + max((m for m, c in enumerate(cf) if abs(c) * 0.5**m >= floor), default=0)
-        want.append(tuple(reversed(cf[:n])))
-    return want
-
-
 # A fresh table read up to each extent, at the one precision; extents past
 # the table's 128 read all of its 127 intervals.
 @pytest.mark.parametrize("u_max", [2, 3, 17, 38, 59, 64, 70, 100, 152, 169])
@@ -169,15 +161,46 @@ def test_rho_table_cuts_as_if_every_coefficient_were_converted(u_max):
     k = min(u_max, DickmanTable.u_max) - 1
     table = DickmanTable()
     table._fill(k)
-    assert table._coeffs == _converted_oracle_series()[:k]
+    assert table._coeffs == converted_oracle_series()[:k]
 
 
-def test_rho_series_cap_raises(monkeypatch):
-    # interval 1 needs 750 terms at the table's precision
-    monkeypatch.setattr(dickman, "_SERIES_CAP", 40)
-    table = DickmanTable()  # no interval is computed before a read
-    with pytest.raises(ConvergenceError):
-        table.value_at(1.5)
+def test_rho_table_file_is_the_oracle_text():
+    # the shipped table is exactly what the 341-digit oracle renders
+    shipped = resources.files("smoothcircle").joinpath("rho_table.txt").read_bytes()
+    assert shipped == rho_table_text().encode("ascii")
+
+
+def test_concurrent_first_reads_match_one_thread():
+    # threads released together on a fresh table each parse the intervals
+    # they reach; none raises, and every interval lands in its own slot.  A
+    # short switch interval lets the threads interleave within one parse.
+    us = (60.5, 61.5, 90.5, 120.5)
+    want = [DickmanTable().value_at(u) for u in us]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            table = DickmanTable()
+            barrier = threading.Barrier(2 * len(us))
+
+            def read(u):
+                barrier.wait(timeout=30)
+                return table.value_at(u)
+
+            with ThreadPoolExecutor(2 * len(us)) as pool:
+                got = list(pool.map(read, us + us))
+            assert got == want + want
+            assert table._coeffs == converted_oracle_series()[:120]
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_import_reads_no_table():
+    # importing the CLI reads nothing: the first rho builds the table,
+    # which reads the file
+    env = os.environ | {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import sys, smoothcircle.cli, smoothcircle.dickman as d; sys.exit(d._table is not None)"
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 @pytest.mark.parametrize(
