@@ -15,6 +15,7 @@ import argparse
 import math
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 
 from .config import Config, config_hash, load_config
 from .counting import exact_circle_sum
@@ -146,6 +147,13 @@ def build_parser() -> _Parser:
     return p
 
 
+@lru_cache(maxsize=1)
+def _parser() -> _Parser:
+    """build_parser's parser, built once per process: parse_args keeps no
+    state between calls, so main reuses it (about 2 ms a build)."""
+    return build_parser()
+
+
 def _resolve_x(args) -> float:
     if args.x is not None:
         return args.x
@@ -208,9 +216,8 @@ def _run(args, cfg: Config) -> list[dict]:
 def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         cfg = load_config(args.config)
         out.write(render(_run(args, cfg), config_hash(cfg), args.format or "csv"))
         return 0

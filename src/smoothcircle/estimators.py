@@ -116,6 +116,17 @@ def perron_verify(
     product over the primes, one complex log per block and node, correct
     modulo 2 pi i, which exp removes.  Each panel evaluates the integrand
     once, on both Gauss rules' nodes.
+
+    The integrand anchors log H at ts[7], the 15-point rule's middle node,
+    which is 0.0, so ts[7] is the panel's midpoint bit for bit.  With the
+    range starting at 0, every offset is at most the midpoint, so
+    ts - ts[7] is exact and the anchored nodes are the panel's own.  The
+    offsets depend only on the panel width and the binade of its midpoint,
+    so panels share them, and h_log_line forms their phase factors once
+    per offset array (19 and 23 over the 110 and 238 panels of the two
+    cells the diagnostics benchmark runs) and one complex exp per prime
+    per panel.  integrate_panels keeps its f(ts) contract, nodes in and
+    values out: the anchor is read from the nodes, not passed alongside.
     """
     if float(x).is_integer():
         raise DomainError(f"perron_verify needs non-integer x; shift to {x} + 0.5")
@@ -128,7 +139,7 @@ def perron_verify(
 
     def f(ts: np.ndarray) -> np.ndarray:
         sv = a + 1j * ts
-        return (np.exp(log_h(ts) + sv * logx) / sv).real
+        return (np.exp(log_h(ts - ts[7], ts[7]) + sv * logx) / sv).real
 
     period = 2.0 * math.pi / max(logx, math.log(y))
     integral = 4.0 / math.pi * integrate_panels(

@@ -11,6 +11,11 @@ evaluates log H on a vertical line as a blocked product, for the Perron
 integrand's many nodes.  Nothing is truncated, so no truncation bound
 exists.
 
+The line product can anchor its nodes at a center c: p^-it = p^-ic p^-id
+for t = c + d, so a Perron panel costs one complex exp per prime for its
+midpoint, and the offsets' phase factors, which panels of one width share,
+are kept per h_log_line function within _LINE_KEEP_BYTES.
+
 prime_terms evaluates the primes in blocks of a few thousand: the heap
 reuses block-sized temporaries from call to call, while whole-array ones
 (628 KB each at y = 1e6) were faulted in again on every call, which cost
@@ -30,6 +35,7 @@ phi_2) and the first that needs phi_0 make a pass.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -128,9 +134,18 @@ def _block_terms(sigma, lp, chi4, orders):
 # factors passes this, well inside the exp(709) float range.
 _LINE_BLOCK_LOG = 600.0
 
+# Bytes of offset phase factors one h_log_line function keeps.  An entry is
+# a E and b E for one offset array, 32 bytes per node and prime: 247 KB for
+# a Perron panel's 46 nodes at y = 1000, so four such entries fit, and
+# 116 MB at y = 1e6.  The least recently used entries go first; an offset
+# array whose entry alone exceeds the bound (a panel past y ~ 5 400) is
+# evaluated directly, at t = center + offsets, with no entry formed.
+_LINE_KEEP_BYTES = 1 << 20
 
-def h_log_line(sigma: float, y: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The function t -> log H(sigma + it; y) modulo 2 pi i, for arrays of t.
+
+def h_log_line(sigma: float, y: int) -> Callable[..., np.ndarray]:
+    """The function (offsets, center=0.0) -> log H(sigma + i(center + offsets); y)
+    modulo 2 pi i, for arrays of offsets.
 
     H is formed as a product, not as a sum of per-prime logs: with
     a = p^-sigma, b = chi4(p) p^-sigma and z = p^-it (one complex exp of an
@@ -141,6 +156,16 @@ def h_log_line(sigma: float, y: int) -> Callable[[np.ndarray], np.ndarray]:
     1 - a and 1 + a, and log(1 + a) <= -log1p(-a), so a block ends before
     the running sum of -log1p(-a) - log1p(-|b|) passes _LINE_BLOCK_LOG and
     no partial product can over- or underflow, for any y and sigma > 0.
+
+    At center = 0.0 the offsets are the t, and z = exp(-i t log p) takes
+    one complex exp per node and prime.  At any other center the nodes are
+    anchored there: p^-it = p^-ic p^-id, so a call forms one complex exp
+    per prime, exp(-i c log p), and multiplies it into the offsets' phase
+    factors a E and b E, E = exp(-i d log p), which depend on the offsets
+    alone.  Those are kept, keyed by the offsets' bytes, up to
+    _LINE_KEEP_BYTES, so calls that share an offset array (Perron panels
+    of one width) form them once; a kept entry gives the same floats as a
+    fresh one.  The caller arranges that center + offsets is exact.
 
     Summing principal logs of block products gives log H up to a multiple
     of 2 pi i.  That is exact for every use of the result, which is
@@ -161,10 +186,34 @@ def h_log_line(sigma: float, y: int) -> Callable[[np.ndarray], np.ndarray]:
         starts.append(lo)
         lo = max(lo + 1, int(np.searchsorted(bound, base + _LINE_BLOCK_LOG, side="right")))
         base = bound[lo - 1]
+    kept: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # in order of last use
+    lock = threading.Lock()
 
-    def log_h(ts: np.ndarray) -> np.ndarray:
-        z = np.exp(-1j * np.multiply.outer(ts, lp))
-        blocks = np.multiply.reduceat((1.0 - a * z) * (1.0 - b * z), starts, axis=-1)
+    def offset_phases(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        key = (offsets.shape, offsets.tobytes())
+        with lock:
+            entry = kept.pop(key, None)
+        if entry is None:
+            e = np.exp(-1j * np.multiply.outer(offsets, lp))
+            entry = (a * e, b * e)
+        with lock:
+            kept[key] = entry
+            while sum(ae.nbytes + be.nbytes for ae, be in kept.values()) > _LINE_KEEP_BYTES:
+                del kept[next(iter(kept))]
+        return entry
+
+    def log_h(offsets: np.ndarray, center: float = 0.0) -> np.ndarray:
+        offsets = np.asarray(offsets, dtype=np.float64)
+        if center != 0.0 and 32 * offsets.size * lp.size > _LINE_KEEP_BYTES:
+            offsets, center = center + offsets, 0.0
+        if center == 0.0:
+            z = np.exp(-1j * np.multiply.outer(offsets, lp))
+            factors = (1.0 - a * z) * (1.0 - b * z)
+        else:
+            ae, be = offset_phases(offsets)
+            zc = np.exp(-1j * center * lp)
+            factors = (1.0 - ae * zc) * (1.0 - be * zc)
+        blocks = np.multiply.reduceat(factors, starts, axis=-1)
         return -np.log(blocks).sum(axis=-1)
 
     return log_h

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
@@ -57,14 +58,34 @@ class PrimeTable:
         return int(self.p.size)
 
 
+# The table of the largest bound sieved so far; every smaller bound reads a
+# prefix of it.  Replaced, under the lock, only by a table of a larger bound.
+_largest: PrimeTable | None = None
+_largest_lock = threading.Lock()
+
+
 @lru_cache(maxsize=16)
 def prime_table(y: int) -> PrimeTable:
-    """Cached PrimeTable for the bound y >= 2."""
+    """Cached PrimeTable for the bound y >= 2.
+
+    A bound no larger than one already sieved sieves nothing: its arrays
+    are read-only prefix views of that table's, cut at one searchsorted.
+    Only a bound past every earlier one runs sieve_primes.
+    """
+    global _largest
     if y < 2:
         raise DomainError(f"prime table needs y >= 2, got {y}")
+    largest = _largest
+    if largest is not None and largest.y_limit >= y:
+        n = int(np.searchsorted(largest.p, y, side="right"))
+        return PrimeTable(y, largest.p[:n], largest.chi[:n], largest.logp[:n])
     p = sieve_primes(y)
     chi = (2 - (p & 3)).astype(np.int8)  # p & 3 is 1, 3 or 2 (at p = 2 only)
     logp = np.log(p.astype(np.float64))
     for arr in (p, chi, logp):
         arr.setflags(write=False)
-    return PrimeTable(y, p, chi, logp)
+    table = PrimeTable(y, p, chi, logp)
+    with _largest_lock:
+        if _largest is None or _largest.y_limit < y:
+            _largest = table
+    return table

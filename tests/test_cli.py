@@ -391,6 +391,44 @@ def test_config_after_subcommand(tmp_path):
     assert after[0] == 1 and "unknown config key" in after[2]
 
 
+def test_one_parser_prints_what_fresh_parsers_print(tmp_path, monkeypatch):
+    # main reuses one parser per process; a run of calls with the global
+    # flags before, after and without the subcommand, and a usage error in
+    # between, prints what a fresh parser per call prints
+    budget = tmp_path / "budget.cfg"
+    budget.write_text("node_budget=10\n")
+    calls = [
+        ("--format", "json", "xi", "--u", "2"),
+        ("xi", "--u", "2", "--format", "json"),
+        ("xi", "--u", "2"),
+        ("xi", "--u", "nan"),
+        ("exact", "--x", "100000", "--y", "30", "--config", str(budget)),
+        ("exact", "--x", "100000", "--y", "30"),
+        ("--config", str(budget), "--format", "json", "xi", "--u", "3"),
+        ("xi", "--u", "3"),
+        ("hval",),
+        ("xi", "--u", "2", "--format", "json"),
+    ]
+    reused = [run_cli(*argv) for argv in calls]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert reused == [run_cli(*argv) for argv in calls]
+    assert [r[0] for r in reused] == [0, 0, 0, 1, 2, 0, 0, 0, 1, 0]
+
+
+def test_hval_off_the_axis_pinned():
+    # the line product at center 0, which the Perron anchoring leaves as it
+    # was: these bytes at numpy's AVX-512 code paths; its AVX2 and baseline
+    # paths move the last two digits (5.6e-15 of |H| at baseline)
+    code, out, _ = run_cli("hval", "--sigma", "0.6", "--t", "3", "--y", "1000000")
+    assert code == 0
+    header, row = out.splitlines()[1:]
+    assert header == "sigma,t,y,re,im,phi,phi1,phi2,phi3,phi4,flags"
+    fields = row.split(",")
+    assert fields[:3] == ["0.59999999999999998", "3", "1000000"] and fields[5:] == [""] * 6
+    want = complex(-0.0018256342629156838, 0.015788130430851689)
+    assert abs(complex(float(fields[3]), float(fields[4])) - want) <= 1e-13 * abs(want)
+
+
 def test_global_flag_later_occurrence_wins(tmp_path):
     code, out, _ = run_cli("--format", "json", "xi", "--u", "2", "--format", "csv")
     assert code == 0 and out == run_cli("xi", "--u", "2")[1]

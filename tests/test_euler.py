@@ -333,6 +333,20 @@ def test_h_log_line_matches_per_prime_logs(y, sigma):
         assert abs(phase) <= 1e-12
 
 
+def test_h_log_line_at_center_0_is_the_unanchored_product_bitwise():
+    # center 0 (the default) forms z = p^-it per node and prime, the
+    # product of one expression; at y = 100 the primes make one block
+    sigma, ts = 0.7, np.array([0.0, 0.3, 2.5, 40.0])
+    lp = prime_table(100).logp
+    a = np.exp(-sigma * lp)
+    b = prime_table(100).chi * a
+    z = np.exp(-1j * np.multiply.outer(ts, lp))
+    want = -np.log(np.multiply.reduceat((1.0 - a * z) * (1.0 - b * z), [0], axis=-1)).sum(axis=-1)
+    log_h = h_log_line(sigma, 100)
+    assert np.array_equal(log_h(ts), want)
+    assert np.array_equal(log_h(ts, 0.0), want)
+
+
 def test_h_log_line_finite_where_h_overflows():
     # at (y = 1e6, sigma = 0.05) H(sigma) itself is beyond float range, so
     # one product over all primes would overflow: the blocks keep it finite

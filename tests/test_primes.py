@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 from bisect import bisect_right
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from conftest import PRIMES_BELOW_100
 from oracles import factorize
 from smoothcircle.errors import DomainError
+from smoothcircle import primes
 from smoothcircle.primes import prime_table, sieve_primes
 
 
@@ -69,6 +73,67 @@ def test_prime_table_chi_and_log(table_1e6):
         else:
             assert chi == -1
         assert logp == pytest.approx(np.log(p), rel=1e-15)
+
+
+def _fresh_table(monkeypatch, y):
+    """prime_table(y) sieved anew: no earlier table to cut, no cache."""
+    monkeypatch.setattr(primes, "_largest", None)
+    return prime_table.__wrapped__(y)
+
+
+def test_prime_table_prefixes_equal_fresh_tables_bitwise(monkeypatch):
+    big = _fresh_table(monkeypatch, 10**7 - 1)
+    for y in (2, 3, 10, 97, 10**3, 10**5, 10**6, 1_007_652, 10**7 - 1):
+        fresh = _fresh_table(monkeypatch, y)
+        monkeypatch.setattr(primes, "_largest", big)
+        cut = prime_table.__wrapped__(y)
+        assert cut.y_limit == fresh.y_limit == y
+        for name in ("p", "chi", "logp"):
+            got, want = getattr(cut, name), getattr(fresh, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (y, name)
+            assert not got.flags.writeable
+            assert np.shares_memory(got, getattr(big, name))
+
+
+def test_smaller_prime_table_after_a_larger_one_sieves_nothing(monkeypatch):
+    limits = []
+
+    def counted(limit):
+        limits.append(limit)
+        return sieve_primes(limit)
+
+    monkeypatch.setattr(primes, "sieve_primes", counted)
+    _fresh_table(monkeypatch, 20_011)
+    for y in (20_011, 20_000, 1_000, 2):
+        prime_table.__wrapped__(y)
+    assert limits == [20_011]
+    prime_table.__wrapped__(20_012)  # past the largest: sieved, and kept as the largest
+    assert limits == [20_011, 20_012]
+    assert primes._largest.y_limit == 20_012
+
+
+def test_concurrent_tables_keep_the_largest(monkeypatch):
+    # 8 threads build tables of mixed bounds at once: each is its bound's
+    # primes, and the stored table ends as the largest bound's
+    ys = [20_000 + 997 * i for i in range(8)]
+    want = {y: sieve_primes(y).tolist() for y in ys}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(primes, "_largest", None)
+            barrier = threading.Barrier(len(ys))
+
+            def build(y):
+                barrier.wait(timeout=30)
+                return prime_table.__wrapped__(y)
+
+            with ThreadPoolExecutor(len(ys)) as pool:
+                tables = list(pool.map(build, ys[::2] + ys[1::2]))
+            assert all(t.p.tolist() == want[t.y_limit] for t in tables)
+            assert primes._largest.y_limit == max(ys)
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_prime_table_rejects_y1():
