@@ -24,7 +24,8 @@ subtrees close without a walk:
   weight and the count of the p-smooth k <= m for each of the 31 primes
   below 128 and every m <= 2^14 (the small-argument table of Meissel-Lehmer
   counting).  It is built once per process, on first use, by one numpy
-  recurrence over the primes.
+  recurrence over the primes whose reads at m // p^e are repeats, not
+  divisions.
 - p^2 >= m: then k has at most one prime factor q > p, so Buchstab's
   identity gives the whole subtree:
 
@@ -34,7 +35,18 @@ subtrees close without a walk:
   with S4(v) = sum_{n <= v} r(n)/4, the first-quadrant lattice points of
   the disc of radius sqrt v.  The q-sums are grouped by k = m // q < sqrt m
   and read pi(v) and sum chi4(p) over p <= v at the quotients v = x // j
-  from one Lucy-Legendre table.
+  from one Lucy-Legendre table (the table of combinatorial prime counting:
+  Lagarias-Miller-Odlyzko, Math. Comp. 44, 1985; Deleglise-Rivat, Math.
+  Comp. 65, 1996).
+
+The table is filled in two phases.  The primes p up to cut =
+max(floor(limit^(1/3)), floor(sqrt(sqrt x))) are stepped one at a time,
+each step one numpy update of the entries v >= p^2.  A prime past the cut
+has p^2 > sqrt x, so it changes only large entries v >= p^2, and p^3 >
+limit, so it reads only v // p <= limit / p < p^2 and S(p - 1): entries
+that are final once the stepped primes are done and that no prime past the
+cut writes.  Those primes' steps therefore commute, and one scatter-subtract
+over every pair (j, p) with p^2 <= x // j applies them all at once.
 
 A walked node closes the powers of 2 itself: it counts k = 1, 2, 4, ...
 <= m, m.bit_length() terms of weight r(2^e)/4 = 1 each, and has children
@@ -139,7 +151,11 @@ class _QuotientPrimes:
     them, ascending) fills them; the set of quotients <= limit is closed
     under v -> v // p, so the pass never needs a value it does not hold.
     Both rows start from the completely multiplicative sums over 2..v of 1
-    and of chi4 and strip composites prime by prime.
+    and of chi4 and strip composites: prime by prime up to cut =
+    max(icbrt(limit), isqrt(isqrt(x))), then every later prime in one batch.
+    A later prime p writes only large entries v >= p^2 > sqrt x and reads
+    only v // p < p^2 (as p^3 > limit) and S(p - 1), none of which a later
+    prime writes, so the batch gives the rows the steps would.
     """
 
     def __init__(self, x: int, limit: int, primes: np.ndarray) -> None:
@@ -158,19 +174,52 @@ class _QuotientPrimes:
         big = x // np.arange(j0, r + 1, dtype=np.int64)
         small = np.stack([np.maximum(v - 1, 0), _chi4_prefix(v)])
         large = np.stack([big - 1, _chi4_prefix(big)])
-        for p in primes[: np.searchsorted(primes, isqrt(limit), side="right")]:
-            p = int(p)
-            f = np.array([[1], [0 if p == 2 else 1 - 2 * (p % 4 == 3)]], dtype=np.int64)
+        cut = max(_icbrt(limit), isqrt(r))
+        ncut, nps = np.searchsorted(primes, [cut, isqrt(limit)], side="right")
+        for p in primes[:ncut].tolist():
+            f = np.array([[1], [2 - p % 4]], dtype=np.int64)  # 1 and chi4(p)
             below = small[:, p - 1 : p].copy()
             jmax = min(r, x // (p * p))
             if jmax >= j0:
                 jb = max(j0 - 1, min(jmax, r // p))
                 # v // p = x // (j p): from `large` while j p <= r, else `small`.
                 inner = large[:, j0 * p - j0 : jb * p - j0 + 1 : p]
-                outer = small[:, x // (np.arange(jb + 1, jmax + 1, dtype=np.int64) * p)]
-                large[:, : jmax - j0 + 1] -= f * (np.concatenate([inner, outer], axis=1) - below)
+                outer = np.take(small, x // np.arange((jb + 1) * p, jmax * p + 1, p), axis=1)
+                d = np.concatenate([inner, outer], axis=1)
+                d -= below
+                d *= f
+                large[:, : jmax - j0 + 1] -= d
             if p * p <= r:
-                small[:, p * p :] -= f * (small[:, v[p * p :] // p] - below)
+                d = np.take(small, v[p * p :] // p, axis=1)
+                d -= below
+                d *= f
+                small[:, p * p :] -= d
+        if nps > ncut:
+            # The primes past the cut in one batch over the pairs (j, p) with
+            # p^2 <= x // j, grouped by j: each j's primes are a prefix of
+            # `late`.  v // p = x // (j p) is read from `large` while j p <= r,
+            # else from `small` (read clipped for the others, then replaced),
+            # and each j sums its prefix of S(p - 1).  Runs of j with at most
+            # r / 2 + len(late) pairs keep the temporaries within about twice
+            # the table's size.
+            late = primes[ncut:nps].astype(np.int64)
+            f = np.stack([np.ones_like(late), 2 - late % 4])  # 1 and chi4(p)
+            below = np.cumsum(f * small[:, late - 1], axis=1)
+            n = np.searchsorted(late * late, big, side="right")  # nonincreasing in j
+            n = n[: np.count_nonzero(n)]
+            runs = np.searchsorted(np.cumsum(n), np.arange(0, n.sum(), r // 2)).tolist()
+            for a, b in zip(runs, [*runs[1:], n.size]):
+                nj = n[a:b]
+                start = np.cumsum(nj) - nj
+                k = np.arange(int(nj.sum())) - np.repeat(start, nj)  # late[k] is the pair's p
+                jp = np.repeat(np.arange(j0 + a, j0 + b, dtype=np.int64), nj)
+                jp *= late[k]
+                from_large = np.flatnonzero(jp <= r)
+                inner = np.take(large, jp[from_large] - j0, axis=1)
+                got = np.take(small, np.floor_divide(x, jp, out=jp), axis=1, mode="clip")
+                got[:, from_large] = inner
+                got[1] *= f[1, k]
+                large[:, a:b] -= np.add.reduceat(got, start, axis=1) - below[:, nj - 1]
         self.s, self.j0, self.small, self.large = r, j0, small, large
 
     def counts(self, vs: np.ndarray) -> np.ndarray:
@@ -178,10 +227,21 @@ class _QuotientPrimes:
         quotients v <= limit."""
         nbig = int(np.count_nonzero(vs > self.s))
         if nbig == 0:  # also where x itself would overflow int64
-            return self.small[:, vs]
+            return np.take(self.small, vs, axis=1)
         return np.concatenate(
-            [self.large[:, self.x // vs[:nbig] - self.j0], self.small[:, vs[nbig:]]], axis=1
+            [
+                np.take(self.large, self.x // vs[:nbig] - self.j0, axis=1),
+                np.take(self.small, vs[nbig:], axis=1),
+            ],
+            axis=1,
         )
+
+
+def _icbrt(n: int) -> int:
+    # floor(n^(1/3)) for n >= 0: the float root is within one of it.
+    c = round(n ** (1 / 3))
+    c -= c**3 > n
+    return c + ((c + 1) ** 3 <= n)
 
 
 def _chi4_prefix(v: np.ndarray) -> np.ndarray:
@@ -208,21 +268,23 @@ def _small_table() -> tuple[list[memoryview], list[memoryview]]:
     every m <= 2^14.
 
     A k splits as p^e k' with k' <= m // p^e built from the smaller primes,
-    so row j is row j - 1 plus one gather at m // p^e per power p^e <= 2^14.
+    so row j is row j - 1 plus, per power q = p^e <= 2^14, row j - 1 read at
+    m // q: its entries 1, 2, ... each repeated q times.
     The rows are read-only memoryviews: indexing one gives a Python int.
     """
-    m = np.arange(_SMALL_M + 1, dtype=np.int64)
     weight = np.empty((_SMALL_PRIMES, _SMALL_M + 1), dtype=np.int32)
     count = np.empty_like(weight)
-    w_prev = c_prev = (m >= 1).astype(np.int32)  # only k = 1
+    w_prev = c_prev = (np.arange(_SMALL_M + 1) >= 1).astype(np.int32)  # only k = 1
     for j, p in enumerate(sieve_primes(127).tolist()):
         w, c = weight[j], count[j]
         w[:], c[:] = w_prev, c_prev
         q, e = p, 1
         while q <= _SMALL_M:
-            k = m[q:] // q
-            w[q:] += _local_r4(p, e) * w_prev[k]
-            c[q:] += c_prev[k]
+            # m // q for m = q..2^14 runs through 1, 2, ..., each value q times
+            n, f = _SMALL_M + 1 - q, _local_r4(p, e)
+            if f:  # 0 at odd powers of p = 3 (mod 4)
+                w[q:] += f * np.repeat(w_prev[1 : _SMALL_M // q + 1], q)[:n]
+            c[q:] += np.repeat(c_prev[1 : _SMALL_M // q + 1], q)[:n]
             q *= p
             e += 1
         w_prev, c_prev = w, c

@@ -139,7 +139,8 @@ _LINE_BLOCK_LOG = 600.0
 # a Perron panel's 46 nodes at y = 1000, so four such entries fit, and
 # 116 MB at y = 1e6.  The least recently used entries go first; an offset
 # array whose entry alone exceeds the bound (a panel past y ~ 5 400) is
-# evaluated directly, at t = center + offsets, with no entry formed.
+# evaluated directly, at t = center + offsets, with no entry formed.  The
+# direct path also bounds each complex temporary of a row chunk by it.
 _LINE_KEEP_BYTES = 1 << 20
 
 
@@ -158,11 +159,13 @@ def h_log_line(sigma: float, y: int) -> Callable[..., np.ndarray]:
     no partial product can over- or underflow, for any y and sigma > 0.
 
     At center = 0.0 the offsets are the t, and z = exp(-i t log p) takes
-    one complex exp per node and prime.  At any other center the nodes are
-    anchored there: p^-it = p^-ic p^-id, so a call forms one complex exp
-    per prime, exp(-i c log p), and multiplies it into the offsets' phase
-    factors a E and b E, E = exp(-i d log p), which depend on the offsets
-    alone.  Those are kept, keyed by the offsets' bytes, up to
+    one complex exp per node and prime; the nodes go in row chunks whose
+    complex temporaries (rows x primes) stay within _LINE_KEEP_BYTES, so
+    memory does not grow with the node count.  At any other center the
+    nodes are anchored there: p^-it = p^-ic p^-id, so a call forms one
+    complex exp per prime, exp(-i c log p), and multiplies it into the
+    offsets' phase factors a E and b E, E = exp(-i d log p), which depend on
+    the offsets alone.  Those are kept, keyed by the offsets' bytes, up to
     _LINE_KEEP_BYTES, so calls that share an offset array (Perron panels
     of one width) form them once; a kept entry gives the same floats as a
     fresh one.  The caller arranges that center + offsets is exact.
@@ -202,19 +205,22 @@ def h_log_line(sigma: float, y: int) -> Callable[..., np.ndarray]:
                 del kept[next(iter(kept))]
         return entry
 
+    def log_product(factors: np.ndarray) -> np.ndarray:
+        return -np.log(np.multiply.reduceat(factors, starts, axis=-1)).sum(axis=-1)
+
     def log_h(offsets: np.ndarray, center: float = 0.0) -> np.ndarray:
         offsets = np.asarray(offsets, dtype=np.float64)
-        if center != 0.0 and 32 * offsets.size * lp.size > _LINE_KEEP_BYTES:
-            offsets, center = center + offsets, 0.0
-        if center == 0.0:
-            z = np.exp(-1j * np.multiply.outer(offsets, lp))
-            factors = (1.0 - a * z) * (1.0 - b * z)
-        else:
+        if center != 0.0 and 32 * offsets.size * lp.size <= _LINE_KEEP_BYTES:
             ae, be = offset_phases(offsets)
             zc = np.exp(-1j * center * lp)
-            factors = (1.0 - ae * zc) * (1.0 - be * zc)
-        blocks = np.multiply.reduceat(factors, starts, axis=-1)
-        return -np.log(blocks).sum(axis=-1)
+            return log_product((1.0 - ae * zc) * (1.0 - be * zc))
+        ts = (offsets if center == 0.0 else center + offsets).ravel()
+        out = np.empty(ts.size, dtype=np.complex128)
+        rows = max(1, _LINE_KEEP_BYTES // (16 * lp.size))
+        for i in range(0, ts.size, rows):
+            z = np.exp(-1j * np.multiply.outer(ts[i : i + rows], lp))
+            out[i : i + rows] = log_product((1.0 - a * z) * (1.0 - b * z))
+        return out.reshape(offsets.shape)
 
     return log_h
 

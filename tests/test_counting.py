@@ -1,4 +1,5 @@
 import math
+import os
 from bisect import bisect_right
 
 import numpy as np
@@ -18,6 +19,9 @@ from smoothcircle.counting import (
 )
 from smoothcircle.errors import DomainError, ResourceBudgetError
 from smoothcircle.primes import sieve_primes
+
+# Examples of the route-agreement property test; a deeper run sets this variable.
+ROUTES_EXAMPLES = int(os.environ.get("SMOOTHCIRCLE_TEST_ROUTES_EXAMPLES", "60"))
 
 
 def _plain_dfs(x, y):
@@ -193,7 +197,7 @@ def test_exact_count_is_plain_int():
 
 
 @given(st.integers(1, 2 * 10**5), st.integers(2, 5000))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=ROUTES_EXAMPLES, deadline=None)
 @example(1000, 5000)  # y >= x: the root is a leaf, every n <= x counts
 @example(2, 2)
 @example(127, 11)  # x below the Buchstab-leaf bound
@@ -218,6 +222,34 @@ def test_quotient_prime_counts(x):
         k = np.searchsorted(ps, vs, side="right")
         assert pi.tolist() == k.tolist()
         assert chi_sum.tolist() == [int(chi[:i].sum()) for i in k]
+
+
+@pytest.mark.parametrize(
+    "x, limit, stepped, batched",
+    [
+        (10**7, 10**7, 47, 399),
+        (10**7, 10**6, 25, 143),  # limit < x: the large rows start at j0 = 10
+        (3 * 10**6 + 1, 9 * 10**4, 14, 48),
+        (10**6, 1200, 11, 0),  # no prime in (cut, sqrt limit] = (31, 34]
+        (10**6, 10**4, 11, 14),  # cut = isqrt(r) = 31, above icbrt(limit) = 21
+    ],
+)
+def test_quotient_rows_at_benchmark_scale(x, limit, stepped, batched):
+    # The primes up to cut = max(icbrt(limit), isqrt(isqrt(x))) are stepped
+    # one by one, the rest up to sqrt(limit) in one batch; every quotient
+    # v <= limit must read pi(v) and the chi4 prefix sum over the primes.
+    r = math.isqrt(x)
+    ps = sieve_primes(math.isqrt(limit))
+    cut = max(counting._icbrt(limit), math.isqrt(r))
+    assert (np.count_nonzero(ps <= cut), np.count_nonzero(ps > cut)) == (stepped, batched)
+    quotients = np.union1d(np.arange(1, r + 1), x // np.arange(1, r + 1))
+    vs = quotients[quotients <= limit][::-1]
+    pi, chi_sum = _QuotientPrimes(x, limit, ps).counts(vs)
+    below = sieve_primes(limit)
+    k = np.searchsorted(below, vs, side="right")
+    chi = np.concatenate([[0], np.cumsum(2 - below % 4)])  # 2 - p % 4 = chi4(p)
+    assert pi.tolist() == k.tolist()
+    assert chi_sum.tolist() == chi[k].tolist()
 
 
 @pytest.mark.parametrize("x, limit", [(10**8, 3001), (10**8, 10**4), (10**6 + 7, 2)])

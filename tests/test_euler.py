@@ -347,6 +347,32 @@ def test_h_log_line_at_center_0_is_the_unanchored_product_bitwise():
     assert np.array_equal(log_h(ts, 0.0), want)
 
 
+def test_h_log_line_row_chunks_match_single_rows_bitwise():
+    # at y = 1e5 a row of 9 592 complex factors takes 153 KB, so the direct
+    # path cuts 40 nodes into chunks of 6 rows, the last one short; each
+    # node's value is what a call with that node alone gives
+    sigma, y = 0.7, 10**5
+    ts = np.linspace(0.0, 50.0, 40)
+    lp = prime_table(y).logp
+    assert euler._LINE_KEEP_BYTES // (16 * lp.size) == 6
+    log_h = h_log_line(sigma, y)
+    single = np.concatenate([log_h(ts[i : i + 1]) for i in range(ts.size)])
+    assert np.array_equal(log_h(ts), single)
+
+
+def test_h_log_line_direct_path_memory_does_not_grow_with_nodes():
+    # 200 nodes at y = 1e5 would make 31 MB per whole-array temporary
+    log_h = h_log_line(0.7, 10**5)
+    ts = np.linspace(0.0, 50.0, 200)
+    tracemalloc.start()
+    try:
+        log_h(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * euler._LINE_KEEP_BYTES
+
+
 def test_h_log_line_finite_where_h_overflows():
     # at (y = 1e6, sigma = 0.05) H(sigma) itself is beyond float range, so
     # one product over all primes would overflow: the blocks keep it finite
