@@ -16,18 +16,20 @@ smooth part equals n.
 The recursive route walks the y-smooth n by descending primes.  A node
 (cur, p) stands for the n = cur k with k <= m = x // cur built from the
 primes <= p.  Each node has its own y-smooth cur <= x, so a walk has at
-most as many nodes as there are terms, and never more than x.  Most
-subtrees close without a walk:
+most as many nodes as there are terms, and never more than x.  Only walked
+nodes recurse: a walked node settles each of its children in its own loop,
+and most children close without a walk:
 
-- m <= p (every k counts): a closed form.
 - p < 128 and m <= 2^14: one lookup in the small-m table, which holds the
   weight and the count of the p-smooth k <= m for each of the 31 primes
   below 128 and every m <= 2^14 (the small-argument table of Meissel-Lehmer
   counting).  It is built once per process, on first use, by one numpy
   recurrence over the primes whose reads at m // p^e are repeats, not
   divisions.
+- m <= p (every k counts): a closed form, S4(m).  Below the root m < p^e
+  and m p^e <= x, so m <= min(sqrt x, y), the extent of a prefix table.
 - p^2 >= m: then k has at most one prime factor q > p, so Buchstab's
-  identity gives the whole subtree:
+  identity gives the whole subtree, a leaf:
 
     sum of r(k)/4 = S4(m) - 2 sum_{p < q <= m, q = 1 (mod 4)} S4(m // q),
     count         = m - sum_{p < q <= m} m // q,
@@ -48,6 +50,13 @@ that are final once the stepped primes are done and that no prime past the
 cut writes.  Those primes' steps therefore commute, and one scatter-subtract
 over every pair (j, p) with p^2 <= x // j applies them all at once.
 
+Leaves wait in a batch, and a flush closes the batch's leaves together in
+numpy: one gather from the Lucy table of the quotients m // k of every
+leaf, per-leaf sums by np.add.reduceat, and S4(m) for the leaves past the
+prefix table from one pass of exact square roots.  A batch flushes once its
+leaves would gather _LEAF_BATCH elements, which bounds the flush's
+temporaries.
+
 A walked node closes the powers of 2 itself: it counts k = 1, 2, 4, ...
 <= m, m.bit_length() terms of weight r(2^e)/4 = 1 each, and has children
 only for the primes from 3 up, so a node with p = 2 is a table lookup or a
@@ -55,7 +64,7 @@ walked node without children.  Past the table, a node with m <= 2^14 has
 p >= 131 > sqrt(2^14), so m <= p or p^2 >= m: no node with m <= 2^14 is
 walked.  Every node, whether walked, closed in a closed form, a table
 lookup or a Buchstab leaf, counts as one node against the enumeration
-budget.
+budget; a walked node charges its children before each walk and at its end.
 """
 
 from __future__ import annotations
@@ -64,6 +73,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from operator import mul
 
 import numpy as np
 
@@ -133,11 +143,14 @@ def _isqrt_array(v: np.ndarray) -> np.ndarray:
     return s
 
 
-def _disc_s4(m: int) -> int:
-    # S4(m) = sum_{n <= m} r(n)/4, the lattice points (a, b) with a >= 1,
-    # b >= 0 and a^2 + b^2 <= m: O(sqrt m) exact integer square roots.
-    a = np.arange(1, isqrt(m) + 1, dtype=np.int64)
-    return int(_isqrt_array(m - a * a).sum()) + a.size
+def _disc_s4(ms: np.ndarray) -> np.ndarray:
+    # S4(m) = sum_{n <= m} r(n)/4 for each m >= 1 of an int64 array: the
+    # lattice points (a, b) with a >= 1, b >= 0 and a^2 + b^2 <= m, by one
+    # pass of exact integer square roots over every pair (m, a <= sqrt m).
+    na = _isqrt_array(ms)
+    start = np.cumsum(na) - na
+    a = np.arange(1, int(na.sum()) + 1, dtype=np.int64) - np.repeat(start, na)
+    return np.add.reduceat(_isqrt_array(np.repeat(ms, na) - a * a), start) + na
 
 
 class _QuotientPrimes:
@@ -223,18 +236,16 @@ class _QuotientPrimes:
         self.s, self.j0, self.small, self.large = r, j0, small, large
 
     def counts(self, vs: np.ndarray) -> np.ndarray:
-        """Rows (pi(v), sum chi4(p) over p <= v) for a descending array of
-        quotients v <= limit."""
-        nbig = int(np.count_nonzero(vs > self.s))
-        if nbig == 0:  # also where x itself would overflow int64
+        """Rows (pi(v), sum chi4(p) over p <= v) for an array of quotients
+        v <= limit, in any order."""
+        big = np.flatnonzero(vs > self.s)
+        if big.size == 0:  # also where x itself would overflow int64
             return np.take(self.small, vs, axis=1)
-        return np.concatenate(
-            [
-                np.take(self.large, self.x // vs[:nbig] - self.j0, axis=1),
-                np.take(self.small, vs[nbig:], axis=1),
-            ],
-            axis=1,
-        )
+        # Read every v from `small` (clipped for the large ones), then
+        # replace the large ones by their rows at j = x // v.
+        got = np.take(self.small, vs, axis=1, mode="clip")
+        got[:, big] = np.take(self.large, self.x // vs[big] - self.j0, axis=1)
+        return got
 
 
 def _icbrt(n: int) -> int:
@@ -259,6 +270,10 @@ _SMALL_M = 1 << 14
 # quotient table holds at most about 2 cap entries and all its arithmetic
 # stays within int64 for any x.
 _QUOTIENT_CAP = 1 << 20
+# A flush of the pending Buchstab leaves starts once they would gather this
+# many int64 elements (their quotients m // k, and the square roots of S4(m)
+# past the prefix table), which bounds the flush's temporaries.
+_LEAF_BATCH = 1 << 15
 
 
 @lru_cache(maxsize=None)
@@ -299,7 +314,8 @@ def _exact_recursive(x: int, y: int, node_budget: int) -> tuple[int, int, int]:
     pi1 = np.cumsum(table.chi == 1)  # pi1[i] = #{q <= ps[i], q = 1 (mod 4)}
     t = min(isqrt(x), y)
     r4 = lattice_r_table(t) // 4  # r4[0] = 0
-    s4 = np.cumsum(r4).tolist()
+    s4_arr = np.cumsum(r4)
+    s4 = s4_arr.tolist()
     small_w, small_c = _small_table()
     reach = min(x, y * y)
     if isqrt(x) > _QUOTIENT_CAP:
@@ -308,63 +324,113 @@ def _exact_recursive(x: int, y: int, node_budget: int) -> tuple[int, int, int]:
     quot = _QuotientPrimes(x, reach, table.p) if len(ps) > _SMALL_PRIMES else None
     total = 0
     terms = 0
-    nodes = 0
+    nodes = 1  # the root
+    leaf_hi: list[int] = []
+    leaf_m: list[int] = []
+    leaf_w: list[int] = []
+    batch = 0  # elements the pending leaves will gather
+    leaf_tops = [min(q * q, reach) for q in ps]
 
-    def s4_at(m: int) -> int:
-        return s4[m] if m <= t else _disc_s4(m)
-
-    def leaf(hi: int, m: int) -> tuple[int, int]:
-        # Weight and count of the p-smooth n <= m, p = ps[hi], p < m <= p^2.
-        # The others are n = q k, q > p prime, k <= m // q < p; grouped by
-        # k, sum_q S4(m // q) = sum_k r(k)/4 #{p < q <= m // k}, and k runs
-        # up to kmax = m // (p + 1) < sqrt m.
-        kmax = m // (ps[hi] + 1)
-        pi, chi_sum = quot.counts(m // np.arange(1, kmax + 1, dtype=np.int64))
-        extra1 = (pi - 1 + chi_sum) // 2 - int(pi1[hi])  # q = 1 (mod 4)
-        weight = s4_at(m) - 2 * int(np.dot(r4[1 : kmax + 1], extra1))
-        return weight, m - int(pi.sum()) + kmax * (hi + 1)
-
-    # Depth-first over descending primes: node (hi, cur, w) stands for the
-    # n = cur k with k <= x // cur built from ps[0..hi], and w = r(cur)/4;
-    # r/4 is multiplicative, so w times r(k)/4 is the weight of n.
-    def rec(hi: int, cur: int, w: int) -> None:
-        nonlocal total, terms, nodes
-        nodes += 1
+    def charge() -> None:
         if nodes > node_budget:
             raise ResourceBudgetError(
                 f"smooth enumeration exceeded node budget {node_budget}"
             )
-        m = x // cur
-        if hi < _SMALL_PRIMES and m <= _SMALL_M:  # one small-m table lookup
-            total += w * small_w[hi][m]
-            terms += small_c[hi][m]
-            return
-        p = ps[hi]
-        if m <= p:  # every k <= m qualifies
-            total += w * s4_at(m)
-            terms += m
-            return
-        if m <= min(p * p, reach):
-            weight, count = leaf(hi, m)
-            total += w * weight
-            terms += count
-            return
-        c = m.bit_length()  # k = 1, 2, 4, ..., each of weight r(2^e)/4 = 1
-        total += w * c
-        terms += c
-        top = bisect_right(ps, m) - 1
-        if top > hi:
-            top = hi
-        for i in range(top, 0, -1):  # every prime but 2, whose powers are counted above
-            p = ps[i]
-            v = cur * p
-            e = 1
-            while v <= x:
-                rec(i - 1, v, w * _local_r4(p, e))
-                v *= p
-                e += 1
 
-    rec(len(ps) - 1, 1, 1)
+    def flush() -> None:
+        # Weight and count of the p-smooth n <= m for every pending leaf
+        # (hi, m, w), p = ps[hi] < m <= p^2.  The others are n = q k, q > p
+        # prime, k <= m // q < p; grouped by k, sum_q S4(m // q) =
+        # sum_k r(k)/4 #{p < q <= m // k}, and k runs up to kmax = m // (p + 1)
+        # < sqrt m.  The leaves' runs of k are laid end to end.  Each m <= reach
+        # < 2^41, so every int64 sum here stays far below 2^63.
+        nonlocal total, terms, batch
+        hs = np.array(leaf_hi, dtype=np.intp)
+        ms = np.array(leaf_m, dtype=np.int64)
+        kmax = ms // (table.p[hs] + 1)
+        start = np.cumsum(kmax) - kmax
+        k = np.arange(1, int(kmax.sum()) + 1, dtype=np.int64) - np.repeat(start, kmax)
+        pi, chi_sum = quot.counts(np.repeat(ms, kmax) // k)
+        extra1 = (pi - 1 + chi_sum) // 2 - np.repeat(pi1[hs], kmax)  # q = 1 (mod 4)
+        s4m = s4_arr[np.minimum(ms, t)]
+        past = np.flatnonzero(ms > t)
+        s4m[past] = _disc_s4(ms[past])
+        weight = s4m - 2 * np.add.reduceat(r4[k] * extra1, start)
+        count = ms - np.add.reduceat(pi, start) + kmax * (hs + 1)
+        total += sum(map(mul, leaf_w, weight.tolist()))
+        terms += int(count.sum())
+        leaf_hi.clear()
+        leaf_m.clear()
+        leaf_w.clear()
+        batch = 0
+
+    # Depth-first over descending primes: node (hi, m, w) stands for the
+    # n = cur k with k <= m = x // cur built from ps[0..hi], and w = r(cur)/4;
+    # r/4 is multiplicative, so w times r(k)/4 is the weight of n.  A child
+    # cur p^e has m // p^e, since x // (cur p^e) = (x // cur) // p^e.  rec
+    # runs for walked nodes only: each settles its children in its own loop,
+    # by a lookup, a closed form, a pending leaf or a walk, and charges them
+    # to the budget before each walk and at its end.
+    def rec(hi: int, m: int, w: int) -> None:
+        nonlocal total, terms, nodes, batch
+        weight = count = m.bit_length()  # k = 1, 2, 4, ..., each of weight 1
+        n = 0
+        for i in range(min(hi, bisect_right(ps, m) - 1), 0, -1):
+            # every prime but 2, whose powers are counted above
+            p = ps[i]
+            j = i - 1
+            q = ps[j]
+            leaf_top = leaf_tops[j]
+            rows = j < _SMALL_PRIMES
+            if rows:
+                row_w, row_c = small_w[j], small_c[j]
+            split = p & 3 == 1  # r(p^e)/4 is e + 1, else 1 or 0 as e is even or odd
+            mv = m // p
+            e = 1
+            while mv:
+                n += 1
+                f = e + 1 if split else ~e & 1
+                if rows and mv <= _SMALL_M:
+                    weight += f * row_w[mv]
+                    count += row_c[mv]
+                elif mv <= q:  # every k <= mv qualifies; mv < p^e, so mv <= t
+                    weight += f * s4[mv]
+                    count += mv
+                elif mv <= leaf_top:
+                    leaf_hi.append(j)
+                    leaf_m.append(mv)
+                    leaf_w.append(w * f)
+                    batch += mv // (q + 1) + (isqrt(mv) if mv > t else 0)
+                    if batch >= _LEAF_BATCH:
+                        flush()
+                else:
+                    nodes += n
+                    n = 0
+                    charge()
+                    rec(j, mv, w * f)
+                mv //= p
+                e += 1
+        nodes += n
+        charge()
+        total += w * weight
+        terms += count
+
+    # The root is settled as a child would be, but its closed form (x prime,
+    # y >= x) lies past the S4 prefix table.
+    hi = len(ps) - 1
+    charge()
+    if hi < _SMALL_PRIMES and x <= _SMALL_M:
+        return 4 * small_w[hi][x], small_c[hi][x], nodes
+    if x <= ps[hi]:
+        return 4 * int(_disc_s4(np.array([x], dtype=np.int64))[0]), x, nodes
+    if x <= leaf_tops[hi]:
+        leaf_hi.append(hi)
+        leaf_m.append(x)
+        leaf_w.append(1)
+    else:
+        rec(hi, x, 1)
+    if leaf_m:
+        flush()
     return 4 * total, terms, nodes
 
 

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -18,7 +19,7 @@ from smoothcircle.counting import (
     lattice_r_table,
 )
 from smoothcircle.errors import DomainError, ResourceBudgetError
-from smoothcircle.primes import sieve_primes
+from smoothcircle.primes import prime_table, sieve_primes
 
 # Examples of the route-agreement property test; a deeper run sets this variable.
 ROUTES_EXAMPLES = int(os.environ.get("SMOOTHCIRCLE_TEST_ROUTES_EXAMPLES", "60"))
@@ -196,17 +197,22 @@ def test_exact_count_is_plain_int():
     assert c.value % 4 == 0
 
 
-@given(st.integers(1, 2 * 10**5), st.integers(2, 5000))
+@given(st.integers(1, 2 * 10**5), st.integers(2, 5000), st.sampled_from([None, 1, 7, 64]))
 @settings(max_examples=ROUTES_EXAMPLES, deadline=None)
-@example(1000, 5000)  # y >= x: the root is a leaf, every n <= x counts
-@example(2, 2)
-@example(127, 11)  # x below the Buchstab-leaf bound
-@example(961, 31)  # m = p^2 exactly at the root
-@example(10201, 101)
-@example(10201, 102)
-def test_routes_agree_in_value_and_terms(x, y):
+@example(1000, 5000, None)  # y >= x: the root is a leaf, every n <= x counts
+@example(1009, 5000, None)  # x prime, y >= x: the root is a closed form
+@example(2, 2, None)
+@example(127, 11, None)  # x below the Buchstab-leaf bound
+@example(961, 31, None)  # m = p^2 exactly at the root
+@example(10201, 101, None)
+@example(10201, 102, 1)
+def test_routes_agree_in_value_and_terms(x, y, batch):
+    # batch, when drawn, is the leaf batch's flush bound in place of the default
     a = exact_circle_sum(x, y, "sieve")
-    b = exact_circle_sum(x, y, "recursive")
+    with pytest.MonkeyPatch.context() as mp:
+        if batch is not None:
+            mp.setattr(counting, "_LEAF_BATCH", batch)
+        b = exact_circle_sum(x, y, "recursive")
     assert (a.value, a.terms) == (b.value, b.terms)
 
 
@@ -218,10 +224,14 @@ def test_quotient_prime_counts(x):
     quotients = {x // j for j in range(1, x + 1)}
     for limit in (x, max(1, math.isqrt(x) // 2), max(1, x // 7)):
         vs = np.array(sorted((v for v in quotients if v <= limit), reverse=True), dtype=np.int64)
-        pi, chi_sum = _QuotientPrimes(x, limit, ps).counts(vs)
+        table = _QuotientPrimes(x, limit, ps)
+        pi, chi_sum = table.counts(vs)
         k = np.searchsorted(ps, vs, side="right")
         assert pi.tolist() == k.tolist()
         assert chi_sum.tolist() == [int(chi[:i].sum()) for i in k]
+        # in any order, as a flush of several leaves asks for them
+        shuffle = np.random.default_rng(x).permutation(vs.size)
+        assert table.counts(vs[shuffle]).tolist() == [pi[shuffle].tolist(), chi_sum[shuffle].tolist()]
 
 
 @pytest.mark.parametrize(
@@ -283,6 +293,18 @@ def test_isqrt_array_exact_near_squares():
     assert _isqrt_array(v).tolist() == [math.isqrt(int(n)) for n in v]
 
 
+def test_disc_s4_matches_lattice_counts():
+    # S4(m) = sum_{n <= m} r(n)/4 for many m in one pass: against the lattice
+    # table, and past its reach against a loop of integer square roots
+    r4 = lattice_r_table(3000) // 4
+    r4[0] = 0
+    ms = np.array([3000, 1, 2, 25, 24, 26, 1000, 999], dtype=np.int64)
+    assert counting._disc_s4(ms).tolist() == np.cumsum(r4)[ms].tolist()
+    big = [10**10 + 1, (2**17 + 3) ** 2 - 1]
+    want = [sum(math.isqrt(m - a * a) + 1 for a in range(1, math.isqrt(m) + 1)) for m in big]
+    assert counting._disc_s4(np.array(big, dtype=np.int64)).tolist() == want
+
+
 def test_x_beyond_int64():
     x = 10**30
     vs = np.arange(300, 0, -1, dtype=np.int64)  # every v <= sqrt x is a quotient of x
@@ -342,7 +364,10 @@ def test_walked_node_counts_its_powers_of_2(x, y, nodes):
 @pytest.mark.parametrize(
     "x, y, method",
     [(1, 2, "recursive"), (10**6, 100, "recursive"), (10**7, 10**4, "recursive"),
-     (10**5 + 7, 997, "recursive"), (10**12, 13, "recursive"), (54321, 50, "sieve")],
+     (10**5 + 7, 997, "recursive"), (10**12, 13, "recursive"), (54321, 50, "sieve"),
+     # the last nodes charged are lookups and closed forms settled in a
+     # walked node's loop, and leaves waiting in its batch
+     (10**6, 10**3, "recursive"), (10**7, 10**3, "recursive"), (3 * 10**6, 300, "recursive")],
 )
 def test_nodes_is_the_exact_budget(x, y, method):
     c = exact_circle_sum(x, y, method)
@@ -354,6 +379,34 @@ def test_nodes_is_the_exact_budget(x, y, method):
     assert (again.value, again.terms, again.nodes) == (c.value, c.terms, c.nodes)
     with pytest.raises(ResourceBudgetError):
         exact_circle_sum(x, y, method, node_budget=c.nodes - 1)
+
+
+@pytest.mark.parametrize("batch", [1, 64])
+def test_leaf_batch_bound_does_not_change_result(monkeypatch, batch):
+    # A flush after every leaf, or after every few, gives the default's bits;
+    # the cells are the benchmark's six, two with more walked nodes and one
+    # whose root is a leaf.
+    cells = [(x, y) for x in (10**6, 10**7) for y in (100, 10**3, 10**4)]
+    cells += [(3 * 10**6, 300), (1125000, 10**3), (10**9, 10**5)]
+    want = [exact_circle_sum(x, y) for x, y in cells]
+    monkeypatch.setattr(counting, "_LEAF_BATCH", batch)
+    for (x, y), c in zip(cells, want):
+        got = exact_circle_sum(x, y)
+        assert (got.value, got.terms, got.nodes) == (c.value, c.terms, c.nodes)
+
+
+def test_leaf_batch_bounds_the_walk_memory():
+    # About 3 MiB at (1e9, 1e3), the Lucy table included; a batch flushed
+    # only at the end of the walk holds tens of MiB of quotients.
+    counting._small_table()
+    prime_table(10**3)
+    tracemalloc.start()
+    try:
+        exact_circle_sum(10**9, 10**3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_small_table_rows_match_brute_force():
