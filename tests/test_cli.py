@@ -74,18 +74,25 @@ def test_alpha_subcommand():
 
 
 def test_alpha_bracket_hi_reads_inf_while_no_iterate_passed_alpha():
-    # every Newton iterate at (1e30, 1e6) lies below alpha, so the known
-    # upper end, inf, is still the bracket's
-    code, out, _ = run_cli("alpha", "--x", "1e30", "--y", "1000000")
+    # at (1e30, 1000) the closed-form seed lies below alpha and every Newton
+    # iterate after it too, so the known upper end, inf, is still the
+    # bracket's
+    code, out, _ = run_cli("alpha", "--x", "1e30", "--y", "1000")
     assert code == 0
     row = parse_csv(out)[0]
     assert row["bracket_hi"] == "inf"
     assert float(row["bracket_lo"]) < float(row["alpha"]) < float(row["bracket_hi"])
-    code, out, _ = run_cli("alpha", "--x", "1e30", "--y", "1000000", "--format", "json")
+    code, out, _ = run_cli("alpha", "--x", "1e30", "--y", "1000", "--format", "json")
     assert code == 0
     row = json.loads(out)["rows"][0]
     assert row["bracket_hi"] == "inf"
     assert row["bracket_lo"] < row["alpha"] < float(row["bracket_hi"])
+    # at (1e30, 1e6) the model seed lands above alpha: both ends are finite
+    code, out, _ = run_cli("alpha", "--x", "1e30", "--y", "1000000")
+    assert code == 0
+    row = parse_csv(out)[0]
+    assert row["bracket_hi"] != "inf"
+    assert float(row["bracket_lo"]) < float(row["alpha"]) < float(row["bracket_hi"]) < math.inf
 
 
 def test_alpha_via_u():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from smoothcircle.config import (
 from smoothcircle.dickman import xi
 from smoothcircle.errors import ConvergenceError, DomainError
 from smoothcircle.euler import h_log_real, phi1_closed, phi1_phi2, phi2_closed
-from smoothcircle.saddle import RESIDUAL_TOL, solve_alpha
+from smoothcircle.saddle import _MODEL_A, RESIDUAL_TOL, _model_root, _model_tail, solve_alpha
 
 from conftest import WORKLOAD_CELLS
 from oracles import bracketed_newton_two_callbacks
@@ -119,7 +120,7 @@ def test_nonconvergence_budget(monkeypatch):
 
 def test_each_iteration_is_one_kernel_pass(monkeypatch):
     # No pass at the bracket ends, which are known: one fused phi_1/phi_2
-    # pass per Newton iteration, and few of them from the closed-form seed
+    # pass per Newton iteration, and few of them from the model seed
     passes = []
 
     def counting_terms(s, y, k):
@@ -130,7 +131,7 @@ def test_each_iteration_is_one_kernel_pass(monkeypatch):
     monkeypatch.setattr(euler, "prime_terms", counting_terms)
     res = solve_alpha(1e30, 10**6)
     assert passes == [(1, 2)] * res.iters
-    assert res.iters <= 5
+    assert res.iters <= 3  # from the model seed; 5 from the closed form
 
 
 # The nine cells of the estimates benchmark workload, and one at y = 1e7.
@@ -166,6 +167,67 @@ def test_solves_as_plain_newton_within_tolerance(x, y):
     got = solve_alpha(x, y)
     assert got.alpha == pytest.approx(root, rel=2e-13, abs=0)
     assert abs(got.residual) <= RESIDUAL_TOL * logx
+
+
+def _closed_seed(x, y):
+    return math.log1p(y / math.log(x)) / math.log(y)
+
+
+# The estimates benchmark workload's cells at y > 1000, at its seeds 0, 1
+# and 2: at y <= 1000 the default seed is the closed form.
+_MODEL_CELLS = [(x, y) for x, y in WORKLOAD_CELLS[:18] if y > _MODEL_A] + [
+    (x, y) for x in (1.028681e12, 1.028435e30, 1.001697e300) for y in (10**4, 10**6)
+]
+
+
+@pytest.mark.parametrize("x, y", _MODEL_CELLS)
+def test_model_seed_on_the_estimates_cells(x, y):
+    # alpha from the model's root is the closed-form seed's to 1e-13
+    default = solve_alpha(x, y)
+    closed = solve_alpha(x, y, seed=_closed_seed(x, y))
+    assert default.alpha == pytest.approx(closed.alpha, rel=1e-13, abs=0)
+    assert abs(default.residual) <= RESIDUAL_TOL * math.log(x)
+    seed = _model_root(math.log(x), y, _closed_seed(x, y))
+    # alpha = 0.35 at (1e300, 1e4): the tail is weighed far from sigma = 1
+    near = 3e-2 if (y, round(math.log10(x))) == (10**4, 300) else 1e-3
+    assert seed == pytest.approx(default.alpha, rel=near, abs=0)
+    if y == 10**6:
+        assert default.iters <= 3 < closed.iters
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    y=st.integers(min_value=_MODEL_A + 1, max_value=2 * 10**5),
+    logx=st.floats(min_value=math.log(2.0), max_value=690.0),
+)
+def test_model_seeded_solve_is_the_closed_seeded_one(y, logx):
+    x = math.exp(logx)
+    default = solve_alpha(x, y)
+    closed = solve_alpha(x, y, seed=_closed_seed(x, y))
+    assert abs(default.residual) <= RESIDUAL_TOL * math.log(x)
+    assert default.alpha == pytest.approx(closed.alpha, rel=1e-12, abs=0)
+    lo, hi = default.bracket
+    assert lo < default.alpha < hi
+
+
+@pytest.mark.parametrize("y", [_MODEL_A + 1, 10**4, 10**6, 10**9])
+def test_model_tail_at_and_near_sigma_one(y):
+    # T = int_A^y t^-sigma dt and -T' = int_A^y log t t^-sigma dt
+    la, ly = math.log(_MODEL_A), math.log(y)
+    tail, slope = _model_tail(1.0, y)  # log(y/A) and (log^2 y - log^2 A)/2
+    assert tail == pytest.approx(math.log(y / _MODEL_A), rel=1e-12)
+    assert slope == pytest.approx((ly - la) * (ly + la) / 2.0, rel=1e-12)
+    for delta in (-1e-9, 1e-9):  # the series branch of g: T to first order in delta
+        near_tail, near_slope = _model_tail(1.0 + delta, y)
+        assert near_tail == pytest.approx(tail - delta * slope, rel=1e-13)
+        assert near_slope == pytest.approx(slope, rel=1e-7)
+    # against 60-point Gauss-Legendre in log t, whose integrands are smooth
+    nodes, weights = np.polynomial.legendre.leggauss(60)
+    logt = la + 0.5 * (ly - la) * (nodes + 1.0)
+    for sigma in (0.2, 0.9, 0.999, 1.0, 1.001, 1.5, 3.0):
+        mass = 0.5 * (ly - la) * weights * np.exp((1.0 - sigma) * logt)  # t^-sigma dt
+        want = (float(mass.sum()), float((logt * mass).sum()))
+        assert _model_tail(sigma, y) == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize(
