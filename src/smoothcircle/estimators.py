@@ -35,7 +35,10 @@ FLAG_RHO_UNDERFLOW = "rho-underflow"
 def _exp_or_inf(log_value: float) -> float:
     """exp of a log-space estimate, inf where it leaves float range (and 0
     where it underflows; compare_cell flags both)."""
-    return math.exp(log_value) if log_value < 709.0 else math.inf
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 def log_saddle_point_estimate(x: float, y: int, *, seed: float | None = None) -> float:

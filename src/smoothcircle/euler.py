@@ -4,9 +4,9 @@ and the derivatives of its logarithm.
 H is the Dirichlet series of r(n)/4 over y-smooth n.  Each quantity has one
 evaluator.  On the real axis every quantity is a sum over p <= y of the
 per-prime terms formed by one real kernel, prime_terms: log H = phi in log
-space (no overflow for large y), and its sigma-derivatives phi_1..phi_4
-from exact polylogarithm closed forms, all of them in the reciprocals
-1/(p^sigma - 1) and 1/(p^sigma - chi4(p)).  Off the axis, h_log_line
+space (no overflow for large y) and its sigma-derivatives phi_1..phi_4, all
+exact closed forms in the reciprocals 1/(p^sigma - 1) and
+1/(p^sigma - chi4(p)).  Off the axis, h_log_line
 evaluates log H on a vertical line as a blocked product, for the Perron
 integrand's many nodes.  Nothing is truncated, so no truncation bound
 exists.
@@ -24,19 +24,20 @@ reciprocals are computed once per prime for all of them, so a Newton
 step's phi_1 and phi_2 (phi1_phi2) and all of phi_derivatives each cost
 one pass over the primes.
 
-The real-axis evaluators sum each order once per point: they read the sums
-csum(prime_terms(sigma, y, k)) of the last (sigma, y) evaluated from a
+The real-axis evaluators sum each order once per point: they read the
+csums of the prime_terms rows of the last (sigma, y) evaluated from a
 one-point memo, and a call makes one pass for the orders it lacks.  The
 saddle terms read phi_0..phi_2 at one alpha from several calls, of which
 only the first at that alpha (the solve's last Newton step, phi_1 and
-phi_2) and the first that needs phi_0 make a pass.
+phi_2) and the first that needs phi_0 make a pass.  The solve's
+small-prime model reads its sums through phi1_phi2 at y = 1000 too.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,43 +55,39 @@ from .primes import prime_table
 _TERMS_BLOCK = 4096
 
 
-def prime_terms(sigma: float, y: int, k) -> np.ndarray | list[np.ndarray]:
+def prime_terms(sigma: float, y: int, orders: Sequence[int]) -> list[np.ndarray]:
     """Per-prime terms of (-1)^k phi_k, the k-th sigma-derivative of log H(sigma; y),
-    at real sigma > 0.  Every real-axis evaluator reaches sigma through
-    here, so this is where sigma <= 0 or nan raises DomainError.
+    at real sigma > 0, one array for each order k in the sequence orders.
+    Every real-axis evaluator reaches sigma through here, so this is where
+    sigma <= 0 or nan raises DomainError.
 
-    k = 0: the log-factors -log1p(-z) - log1p(-chi4(p) z), z = p^-sigma.
-    k = 1..4: (log p)^k [Li_{1-k}(1/P) + Li_{1-k}(chi4(p)/P)], P = p^sigma,
-    each in the reciprocals r = 1/(P - c), c in {1, chi4(p)}, formed as
-    1/(expm1(sigma log p) + (1 - c)): P itself is never rounded, so the
-    terms keep full relative accuracy as sigma -> 0, and no power of P can
-    overflow as sigma grows.
+    k = 0: the log-factors -log(1 - 1/P) - log(1 - c/P) = log1p(r1) + log1p(c r2);
+    k = 1..4: (log p)^k [Li_{1-k}(1/P) + Li_{1-k}(c/P)]; P = p^sigma,
+    c = chi4(p), all in the reciprocals r1 = 1/(P - 1) and r2 = 1/(P - c),
+    formed as 1/(expm1(sigma log p) + (1 - c)): P is never rounded, so the
+    terms keep full relative accuracy as sigma -> 0 (inf, unwarned, once
+    1/expm1 overflows), and no power of P can overflow as sigma grows.
+    One pass forms the reciprocals once per prime for every order, each
+    order's array bitwise what a call for it alone gives: separate arrays,
+    not one 2-D array, each the size the heap reuses for one-order calls.
 
-    k may also be a sequence of orders: the result is then a list with one
-    array per order, each bitwise the array the single-order call gives,
-    from one pass that forms the reciprocals once per prime for every
-    order.  Separate arrays, not one 2-D array, so that each is the size
-    the heap already reuses for one-order calls.
-
-    The primes are taken _TERMS_BLOCK at a time, each block's terms
-    assigned into their slice of the output: the same floats as one
-    whole-array expression, but every temporary is block-sized, so none is
-    faulted in afresh on every call and the call's transient memory stays
-    within a few blocks of its output.
+    The primes go _TERMS_BLOCK at a time into their slice of the output:
+    the floats of one whole-array expression, but with block-sized
+    temporaries, so a call's transient memory stays within a few blocks.
     """
     if not sigma > 0:
         raise DomainError(f"the Euler product needs sigma > 0, got {sigma}")
-    single = np.ndim(k) == 0
-    orders = [k] if single else list(k)
     table = prime_table(y)
     n = len(table)
     out = [np.empty(n) for _ in orders]
-    for lo in range(0, n, _TERMS_BLOCK):
-        hi = lo + _TERMS_BLOCK
-        terms = _block_terms(sigma, table.logp[lo:hi], table.chi[lo:hi], orders)
-        for row, block in zip(out, terms):
-            row[lo:hi] = block
-    return out[0] if single else out
+    # r = 0 at P = inf; held here, since a with held across a yield leaks
+    with np.errstate(over="ignore"):
+        for lo in range(0, n, _TERMS_BLOCK):
+            hi = lo + _TERMS_BLOCK
+            terms = _block_terms(sigma, table.logp[lo:hi], table.chi[lo:hi], orders)
+            for row, block in zip(out, terms):
+                row[lo:hi] = block
+    return out
 
 
 def _block_terms(sigma, lp, chi4, orders):
@@ -102,22 +99,20 @@ def _block_terms(sigma, lp, chi4, orders):
     chi4(p) = 0 (p = 2) the c = chi4(p) half reads 0.
     """
     chi = chi4.astype(np.float64)
-    if max(orders) > 0:
-        with np.errstate(over="ignore"):  # P = inf is fine: every r is then 0
-            em1 = np.expm1(sigma * lp)
-        r1, r2 = 1.0 / em1, 1.0 / (em1 + (1.0 - chi))
-        cr = chi * r2
+    em1 = np.expm1(sigma * lp)
+    r1, r2 = 1.0 / em1, 1.0 / (em1 + (1.0 - chi))
+    cr = chi * r2
     if max(orders) > 1:
         a1, a2 = r1 * (1.0 + r1), cr * (1.0 + cr)
-    # Li_0(c/P) = c r, and with a = c r (1 + c r):
+    # -log(1 - c/P) = log(P/(P - c)) = log1p(c r), Li_0(c/P) = c r, and
+    # with a = c r (1 + c r):
     # Li_-1(c/P) = cP/(P - c)^2 = a,
     # Li_-2(c/P) = cP(P + c)/(P - c)^3 = a (1 + 2 c r),
     # Li_-3(c/P) = cP(P^2 + 4cP + c^2)/(P - c)^4 = a (1 + 6 c r + 6 r^2).
     # At c = 1 the factor c is dropped: 1.0 * r is r.
     for k in orders:
-        if k == 0:  # -log1p(-z) - log1p(-chi4(p) z), z = p^-sigma
-            z = np.exp(-sigma * lp)
-            yield -np.log1p(-z) - np.log1p(-chi * z)
+        if k == 0:
+            yield np.log1p(r1) + np.log1p(cr)
         elif k == 1:
             yield lp * (r1 + cr)
         elif k == 2:
@@ -155,8 +150,10 @@ def h_log_line(sigma: float, y: int) -> Callable[..., np.ndarray]:
     quadratic loses digits as a -> 1.  The primes are cut into blocks and
     each block's product gets one complex log.  |1 - a z| lies between
     1 - a and 1 + a, and log(1 + a) <= -log1p(-a), so a block ends before
-    the running sum of -log1p(-a) - log1p(-|b|) passes _LINE_BLOCK_LOG and
-    no partial product can over- or underflow, for any y and sigma > 0.
+    the running sum of -log1p(-a) - log1p(-|b|), each capped at
+    _LINE_BLOCK_LOG, passes it and no partial product can over- or
+    underflow, for any y and sigma > 0.  -log1p(-a) is formed as
+    log1p(1/expm1(sigma log p)), which stays finite where a rounds to 1.
 
     At center = 0.0 the offsets are the t, and z = exp(-i t log p) takes
     one complex exp per node and prime; the nodes go in row chunks whose
@@ -182,7 +179,9 @@ def h_log_line(sigma: float, y: int) -> Callable[..., np.ndarray]:
     lp = table.logp
     a = np.exp(-sigma * lp)
     b = table.chi * a
-    bound = np.cumsum(-np.log1p(-a) - np.log1p(-np.abs(b)))
+    with np.errstate(over="ignore"):
+        per_prime = (1.0 + np.abs(table.chi)) * np.log1p(1.0 / np.expm1(sigma * lp))
+    bound = np.cumsum(np.minimum(per_prime, _LINE_BLOCK_LOG))
     starts = []
     lo, base = 0, 0.0
     while lo < lp.size:
@@ -238,15 +237,15 @@ def h_value(s: complex, y: int) -> complex:
         return complex(np.exp(log_h))
 
 
-# The memo: the real-axis point (sigma, y) evaluated last, and its sums
-# csum(prime_terms(sigma, y, k)) by order k.  Floats only, so it keeps no
+# The memo: the real-axis point (sigma, y) evaluated last, and the csums of
+# its prime_terms rows by order k.  Floats only, so it keeps no
 # array alive.  A dict is only ever filled for its own point, so a thread
 # that finds the memo replaced under it still reads its own point's sums.
 _memo: tuple[float, int, dict[int, float]] = (math.nan, 0, {})
 
 
 def _order_sums(sigma: float, y: int, orders: tuple[int, ...]) -> list[float]:
-    """csum(prime_terms(sigma, y, k)) for each k in orders, bitwise.
+    """csum(prime_terms(sigma, y, (k,))[0]) for each k in orders, bitwise.
 
     The orders the memo lacks at (sigma, y) come from one prime_terms
     pass, which also checks sigma; a call at another point replaces the
@@ -315,7 +314,7 @@ class PhiDerivatives:
 
 def phi_derivatives(sigma: float, y: int, kmax: int = 4) -> PhiDerivatives:
     """phi and phi_1..phi_kmax at real sigma > 0, each an exact sum of
-    prime_terms, phi_k = (-1)^k sum_p prime_terms(sigma, y, k), the orders
+    prime_terms, phi_k = (-1)^k sum_p (order-k terms), the orders
     not yet summed at (sigma, y) from one kernel pass."""
     if not 1 <= kmax <= 4:
         raise DomainError(f"kmax must be in 1..4, got {kmax}")

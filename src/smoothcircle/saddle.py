@@ -17,9 +17,9 @@ The seed: a given one, or else, at y <= _MODEL_A, the closed form
 log1p(y/log x)/log y, which lies 11-37 % below alpha on the benchmark's
 cells.  At y > _MODEL_A a cold solve starts from the root of a small-prime
 model of f, log x + phi_1(sigma; A) - T(sigma), A = _MODEL_A: phi_1 summed
-exactly over the p <= A, and the primes in (A, y] replaced by the prime
-number theorem's integral T = int_A^y t^-sigma dt, since
-sum_{p <= t} (1 + chi4(p)) log p ~ t.  The
+exactly over the p <= A by the kernel (euler.phi1_phi2 at y = A), and the
+primes in (A, y] replaced by the prime number theorem's integral
+T = int_A^y t^-sigma dt, since sum_{p <= t} (1 + chi4(p)) log p ~ t.  The
 model's -phi_1 is again a positive sum of exponentials, so it is solved
 the same way, from the closed form, to the loose tolerance
 _MODEL_FTOL log x, in a few passes over its 168 primes.  On the
@@ -36,9 +36,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .euler import phi1_closed, phi2_closed  # noqa: F401  (bench/spans.py wraps both by name)
-from .euler import phi1_phi2, prime_terms
-from .numutil import bracketed_newton, csum
+from .euler import phi1_closed, phi1_phi2, phi2_closed  # noqa: F401  (bench/spans.py wraps phi*_closed)
+from .numutil import bracketed_newton
 
 RESIDUAL_TOL = 1e-12  # relative to log x
 
@@ -137,13 +136,12 @@ def _model_root(logx: float, y: int, seed: float) -> float:
 
     The model's -phi_1, sum_{p <= A} + T, is a positive sum of exponentials,
     so its Newton steps are taken on log log x - log(-phi_1), as the
-    kernel's are.  The p <= A terms come from prime_terms, not through the
-    kernel's memo, which keeps the sums of the last point at y.
+    kernel's are, and its p <= A sums come from the kernel, phi1_phi2 at y = A.
     """
 
     def fdf(sigma: float) -> tuple[float, float]:
-        order1, order2 = prime_terms(sigma, _MODEL_A, (1, 2))
+        phi1, phi2 = phi1_phi2(sigma, _MODEL_A)
         tail, slope = _model_tail(sigma, y)
-        return _log_step(logx, -csum(order1) - tail, csum(order2) + slope)
+        return _log_step(logx, phi1 - tail, phi2 + slope)
 
     return bracketed_newton(fdf, seed, ftol=_MODEL_FTOL * logx)[0]

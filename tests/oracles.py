@@ -210,14 +210,16 @@ def xi_decimal(u: float, digits: int = 40) -> Decimal:
 
 
 def prime_terms_decimal(sigma: float, y: int, k: int, digits: int = 40) -> list[Decimal]:
-    """The per-prime terms of euler.prime_terms for k = 1 or 2,
-    (log p)^k [Li_{1-k}(1/P) + Li_{1-k}(chi4(p)/P)], P = p^sigma, in
-    digits-digit decimal arithmetic at the float sigma and the exact log p:
-    with Li_0(w) = w/(1 - w) and Li_-1(w) = w/(1 - w)^2, each half is
-    w/(1 - w)^k, w = c/P.  An accuracy reference, not a bitwise one.
+    """The per-prime terms of euler.prime_terms for k = 0, 1 or 2 in
+    digits-digit decimal arithmetic at the float sigma and the exact log p,
+    a sum of one half for each w = c/P, c in {1, chi4(p)}, P = p^sigma:
+    -ln(1 - w) for k = 0, and for k = 1, 2 the half of
+    (log p)^k [Li_{1-k}(1/P) + Li_{1-k}(chi4(p)/P)]: with Li_0(w) = w/(1 - w)
+    and Li_-1(w) = w/(1 - w)^2, it is w/(1 - w)^k.  An accuracy reference,
+    not a bitwise one.
     """
-    if k not in (1, 2):
-        raise DomainError(f"prime_terms_decimal needs k in (1, 2), got {k}")
+    if k not in (0, 1, 2):
+        raise DomainError(f"prime_terms_decimal needs k in (0, 1, 2), got {k}")
     with localcontext() as ctx:
         ctx.prec = digits
         s = Decimal(sigma)
@@ -226,7 +228,10 @@ def prime_terms_decimal(sigma: float, y: int, k: int, digits: int = 40) -> list[
             lp = Decimal(int(p)).ln()
             big_p = (s * lp).exp()
             halves = [c / big_p for c in (1, chi4(int(p))) if c]
-            out.append(lp**k * sum(w / (1 - w) ** k for w in halves))
+            if k == 0:
+                out.append(sum(-(1 - w).ln() for w in halves))
+            else:
+                out.append(lp**k * sum(w / (1 - w) ** k for w in halves))
         return out
 
 
@@ -235,24 +240,25 @@ def prime_terms_whole_array(s, y: int, k: int) -> np.ndarray:
 
     The same per-element formulas as the blocked kernel, with every
     temporary as long as the prime table: the reference it must equal bit
-    for bit, not an accuracy oracle.  k = 0: -log1p(-w) - log1p(-chi4(p) w),
-    w = p^-s; k = 1..4: (log p)^k [Li_{1-k}(1/P) + Li_{1-k}(chi4(p)/P)],
-    P = p^s, in the reciprocals r = 1/(P - c) = 1/(expm1(s log p) + (1 - c)).
-    For complex s, k = 0 also gives the per-prime logs
-    -log(1 - w) - log(1 - chi4(p) w), principal branch, which the tests of
-    the line product euler.h_log_line compare against.
+    for bit, not an accuracy oracle.  Every order is in the reciprocals
+    r = 1/(P - c) = 1/(expm1(s log p) + (1 - c)), P = p^s, c in {1, chi4(p)}:
+    k = 0: log1p(r1) + log1p(chi4(p) r2) = -log(1 - 1/P) - log(1 - chi4(p)/P);
+    k = 1..4: (log p)^k [Li_{1-k}(1/P) + Li_{1-k}(chi4(p)/P)].
+    For complex s, k = 0 instead gives the per-prime logs
+    -log(1 - w) - log(1 - chi4(p) w), w = p^-s, principal branch, which the
+    tests of the line product euler.h_log_line compare against.
     """
     table = prime_table(y)
     lp = table.logp
     chi = table.chi.astype(np.float64)
-    if k == 0:
+    if np.iscomplexobj(s):  # order 0 only
         w = np.exp(-s * lp)
-        if np.iscomplexobj(w):
-            return -np.log(1.0 - w) - np.where(chi == 0.0, 0.0, np.log(1.0 - chi * w))
-        return -np.log1p(-w) - np.log1p(-chi * w)
+        return -np.log(1.0 - w) - np.where(chi == 0.0, 0.0, np.log(1.0 - chi * w))
     with np.errstate(over="ignore"):
         em1 = np.expm1(s * lp)
     r1, r2 = 1.0 / em1, 1.0 / (em1 + (1.0 - chi))
+    if k == 0:
+        return np.log1p(r1) + np.log1p(chi * r2)
     if k == 1:
         return lp * (r1 + chi * r2)
 

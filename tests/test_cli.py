@@ -143,12 +143,21 @@ def test_hval_complex_leaves_phi_empty():
     assert row["flags"] == ""
 
 
+# log H at t = 0: finite where p^-sigma rounds to 1 but 1/(p^sigma - 1)
+# does not (1e-20), inf once 1/expm1(sigma log p) overflows (5e-324)
+_HVAL_PHI = {"0.3": 1914.734017962, "1e-20": 5093048.5188598847, "5e-324": math.inf}
+
+
 @pytest.mark.parametrize(
     "sigma, t, parts, flag",
     [
-        ("0.3", "0", ("inf", "0"), "overflow-logspace"),  # log H = 1914.73
+        ("0.3", "0", ("inf", "0"), "overflow-logspace"),
         ("0.3", "1", ("-inf", "-inf"), "overflow-logspace"),
         ("0.05", "3", ("-0", "-0"), "underflow-logspace"),
+        ("1e-20", "0", ("inf", "0"), "overflow-logspace"),
+        ("1e-300", "1", ("-inf", "inf"), "overflow-logspace"),
+        ("5e-324", "0", ("inf", "0"), "overflow-logspace"),
+        ("5e-324", "1", ("-inf", "inf"), "overflow-logspace"),
     ],
 )
 def test_hval_flags_h_outside_float_range(sigma, t, parts, flag):
@@ -156,11 +165,14 @@ def test_hval_flags_h_outside_float_range(sigma, t, parts, flag):
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run_cli("hval", "--sigma", sigma, "--t", t, "--y", "1000000")
     assert (code, err) == (0, "")
+    assert "nan" not in out
     row = parse_csv(out)[0]
     assert (row["re"], row["im"]) == parts
     assert row["flags"] == flag
-    if t == "0":  # log H itself stays finite
-        assert float(row["phi"]) == pytest.approx(1914.734017962, rel=1e-12)
+    if t == "0":
+        assert float(row["phi"]) == pytest.approx(_HVAL_PHI[sigma], rel=1e-12)
+    else:
+        assert row["phi"] == ""
 
 
 def test_estimate_and_compare():

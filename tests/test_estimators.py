@@ -333,6 +333,12 @@ def test_compare_cell_flags_an_overflowing_thm1(monkeypatch):
     assert FLAG_OVERFLOW in row.flags
 
 
+def test_exp_or_inf_is_finite_up_to_the_float_range():
+    # exp(709.5) = 1.35e308 is a float, exp(710) is not
+    assert estimators._exp_or_inf(709.5) == math.exp(709.5) < math.inf
+    assert estimators._exp_or_inf(710.0) == math.inf
+
+
 def test_compare_cell_infinite_x_is_a_failed_cell():
     # solve_alpha rejects x = inf, so the row is the one of a failed solve,
     # not estimates at u = inf with an unflagged goswami = nan
@@ -351,12 +357,12 @@ def test_compare_cell_sums_each_order_once_at_alpha(monkeypatch):
     # The cold solve's passes over the cell's primes, one of orders (1, 2)
     # per Newton iteration, and then one pass for Thm 1's phi: the seeded
     # solves, phi_2 at alpha and the Rankin bound's log H read the sums the
-    # kernel already holds.  The model seed's passes over the p <= 1000 go
-    # through saddle's own import of prime_terms, not the patched name.
+    # kernel already holds.  The model seed's passes over the p <= 1000
+    # reach the kernel too, at y = 1000, and are not counted.
     passes = []
 
     def counting(s, y, k):
-        passes.append(k)
+        passes.append((y, k))
         return prime_terms(s, y, k)
 
     cells = WORKLOAD_CELLS[:9]
@@ -369,7 +375,7 @@ def test_compare_cell_sums_each_order_once_at_alpha(monkeypatch):
     for (x, y), n in zip(cells, iters):
         passes.clear()
         compare_cell(x, y, False)
-        assert passes == [(1, 2)] * n + [(0,)], (x, y)
+        assert [k for yy, k in passes if yy == y] == [(1, 2)] * n + [(0,)], (x, y)
 
 
 def test_compare_cell_budget_flag():

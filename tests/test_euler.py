@@ -67,7 +67,7 @@ def _assert_matches_series(sigma, y):
 def _direct_sums(sigma, y):
     """(phi, phi_1..phi_4) each summed straight from its own prime_terms row,
     past the evaluators' memo."""
-    return tuple((-1.0) ** k * csum(prime_terms(sigma, y, k)) for k in range(5))
+    return tuple((-1.0) ** k * csum(row) for k, row in enumerate(prime_terms(sigma, y, range(5))))
 
 
 @pytest.mark.parametrize("sigma", [0.4, 0.8, 1.3])
@@ -406,7 +406,7 @@ _KERNEL_CASES = [(sigma, k) for sigma in (0.05, 0.6, 2.0, 60.0) for k in range(5
 @pytest.mark.parametrize("y", [2, 1000, *_BLOCK_EDGE_YS, 10**6])
 def test_prime_terms_blocks_equal_the_whole_array_bitwise(y):
     for s, k in _KERNEL_CASES:
-        got = prime_terms(s, y, k)
+        [got] = prime_terms(s, y, (k,))
         want = prime_terms_whole_array(s, y, k)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want), (s, k)
@@ -432,23 +432,24 @@ def test_prime_terms_transient_memory_is_a_few_blocks(s, k):
     # The whole-array form peaks at 5-9 times its output; block-sized
     # temporaries keep a call, for one order or several, within a few
     # blocks of its output.
+    orders = (k,) if isinstance(k, int) else k
     prime_table(10**6)  # cached before tracing: the table is not transient
     tracemalloc.start()
     try:
-        out = prime_terms(s, 10**6, k)
+        rows = prime_terms(s, 10**6, orders)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rows = out if isinstance(out, list) else [out]
     assert peak <= 2 * sum(row.nbytes for row in rows)
 
 
 @pytest.mark.parametrize("sigma", [1e-4, 1e-2, 0.05])
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2])
 def test_prime_terms_keep_full_precision_at_small_sigma(sigma, k):
-    # As sigma -> 0, P = p^sigma nears 1; a form that rounds P before it
-    # subtracts loses digits there (1.9e-13 at sigma = 1e-4, k = 1).
-    got = prime_terms(sigma, 1000, k)
+    # As sigma -> 0, P = p^sigma nears 1; a form that rounds P, or p^-sigma,
+    # before it subtracts loses digits there (1.9e-13 at sigma = 1e-4 for
+    # k = 1, and 1.1e-13 for k = 0 from -log1p(-p^-sigma)).
+    [got] = prime_terms(sigma, 1000, (k,))
     want = prime_terms_decimal(sigma, 1000, k)
     worst = max(abs(Decimal(g) / w - 1) for g, w in zip(got.tolist(), want))
     assert worst <= Decimal("2e-15")

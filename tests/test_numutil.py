@@ -154,7 +154,7 @@ def test_csum_other_inputs_go_to_fsum():
 @pytest.mark.parametrize("sigma", [0.1, 0.3, 0.6, 0.95, 2.0])
 @pytest.mark.parametrize("k", range(5))
 def test_fast_path_certifies_kernel_sums(sigma, k):
-    terms = prime_terms(sigma, 10**6, k)
+    [terms] = prime_terms(sigma, 10**6, (k,))
     got = certified_sum(terms)
     assert got is not None
     assert got == math.fsum(terms)

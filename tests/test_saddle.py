@@ -120,17 +120,20 @@ def test_nonconvergence_budget(monkeypatch):
 
 def test_each_iteration_is_one_kernel_pass(monkeypatch):
     # No pass at the bracket ends, which are known: one fused phi_1/phi_2
-    # pass per Newton iteration, and few of them from the model seed
+    # pass per Newton iteration, and few of them from the model seed, whose
+    # own passes over the p <= 1000 come first, through the same kernel.
     passes = []
 
     def counting_terms(s, y, k):
-        passes.append(k)
+        passes.append((y, k))
         return prime_terms(s, y, k)
 
     prime_terms = euler.prime_terms
     monkeypatch.setattr(euler, "prime_terms", counting_terms)
     res = solve_alpha(1e30, 10**6)
-    assert passes == [(1, 2)] * res.iters
+    model = len(passes) - res.iters
+    assert model >= 1
+    assert passes == [(1000, (1, 2))] * model + [(10**6, (1, 2))] * res.iters
     assert res.iters <= 3  # from the model seed; 5 from the closed form
 
 
@@ -251,11 +254,13 @@ def test_residual_at_small_y_and_x_near_one(x, y):
 def test_newton_on_log_phi1_never_overshoots(log10_x, y):
     # log log x - log(-phi_1) is increasing and concave, so a Newton step
     # from below the root stays below it: from a seed below alpha, or from
-    # the first iterate below it, the iterates rise monotonically.
+    # the first iterate below it, the iterates rise monotonically.  The
+    # small-prime model's steps, at y = 1000 for y > 1000, are not recorded.
     steps = []
 
     def recording(sigma, yy):
-        steps.append(sigma)
+        if yy == y:
+            steps.append(sigma)
         return phi1_phi2(sigma, yy)
 
     with pytest.MonkeyPatch.context() as mp:
