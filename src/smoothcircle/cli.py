@@ -17,6 +17,8 @@ import sys
 from dataclasses import asdict
 from functools import lru_cache
 
+import numpy as np
+
 from .config import Config, config_hash, load_config
 from .counting import exact_circle_sum
 from .errors import (
@@ -157,6 +159,8 @@ def _parser() -> _Parser:
 def _resolve_x(args) -> float:
     if args.x is not None:
         return args.x
+    if args.y < 2:  # a negative y would make y**u complex
+        raise DomainError(f"--u needs y >= 2, got {args.y}")
     try:
         return float(args.y) ** args.u
     except OverflowError:
@@ -175,15 +179,19 @@ def _run(args, cfg: Config) -> list[dict]:
         return [row]
 
     if args.command == "hval":
-        # At t = 0, h_value reads phi from the kernel pass that gives the phi
-        # columns; off the axis those columns stay empty.
+        # At t = 0, H is exp(phi), the float h_value gives, from the kernel
+        # pass that gives the phi columns; off the axis those stay empty.
         phi = d1 = d2 = d3 = d4 = None
         if args.t == 0.0:
             d = phi_derivatives(args.sigma, args.y)
             phi, (d1, d2, d3, d4) = d.phi, d.d
-        hv = h_value(complex(args.sigma, args.t), args.y)
-        # |H| past float range reads inf (or 0), flagged
-        flags = (FLAG_OVERFLOW,) if math.isinf(abs(hv)) else (FLAG_UNDERFLOW,) if hv == 0 else ()
+            with np.errstate(over="ignore"):
+                hv = complex(np.exp(phi))
+        else:
+            hv = h_value(complex(args.sigma, args.t), args.y)
+        # |H| or a phi column past float range reads inf (or |H| 0), flagged
+        big = any(v is not None and math.isinf(v) for v in (abs(hv), phi, d1, d2, d3, d4))
+        flags = (FLAG_OVERFLOW,) if big else (FLAG_UNDERFLOW,) if hv == 0 else ()
         return [{"sigma": args.sigma, "t": args.t, "y": args.y, "re": hv.real, "im": hv.imag,
                  "phi": phi, "phi1": d1, "phi2": d2, "phi3": d3, "phi4": d4, "flags": flags}]
 

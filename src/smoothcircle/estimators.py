@@ -20,7 +20,6 @@ from .euler import h_log_line, h_log_real, phi_derivatives
 from .numutil import integrate_panels
 from .saddle import solve_alpha
 
-PERRON_QUAD_RTOL = 1e-9  # relative tolerance of each Perron panel's refinement
 EPSILON0 = 0.1  # the fixed epsilon_0 > 0 of the Thm 1 and Thm 2 windows
 LAMBDA = 0.25  # the fixed lambda of the short-interval range z <= exp((log y)^(3/2 - lambda))
 
@@ -117,19 +116,13 @@ def perron_verify(
     and a panel the pair does not resolve is bisected.  log H on the line
     Re s = a comes from euler.h_log_line, set up once per call: a blocked
     product over the primes, one complex log per block and node, correct
-    modulo 2 pi i, which exp removes.  Each panel evaluates the integrand
-    once, on both Gauss rules' nodes.
+    modulo 2 pi i, which exp removes.
 
-    The integrand anchors log H at ts[7], the 15-point rule's middle node,
-    which is 0.0, so ts[7] is the panel's midpoint bit for bit.  With the
-    range starting at 0, every offset is at most the midpoint, so
-    ts - ts[7] is exact and the anchored nodes are the panel's own.  The
-    offsets depend only on the panel width and the binade of its midpoint,
-    so panels share them, and h_log_line forms their phase factors once
-    per offset array (19 and 23 over the 110 and 238 panels of the two
-    cells the diagnostics benchmark runs) and one complex exp per prime
-    per panel.  integrate_panels keeps its f(ts) contract, nodes in and
-    values out: the anchor is read from the nodes, not passed alongside.
+    integrate_panels calls the integrand once per level of panels, one row
+    of nodes per panel, each exactly its midpoint, column 7, plus the
+    level's one offsets array: log H takes that array, ts[0] - ts[0, 7],
+    and the midpoints, and forms the offsets' phase factors once per level
+    and one complex exp per prime per panel.
     """
     if float(x).is_integer():
         raise DomainError(f"perron_verify needs non-integer x; shift to {x} + 0.5")
@@ -142,12 +135,10 @@ def perron_verify(
 
     def f(ts: np.ndarray) -> np.ndarray:
         sv = a + 1j * ts
-        return (np.exp(log_h(ts - ts[7], ts[7]) + sv * logx) / sv).real
+        return (np.exp(log_h(ts[0] - ts[0, 7], ts[:, 7]) + sv * logx) / sv).real
 
     period = 2.0 * math.pi / max(logx, math.log(y))
-    integral = 4.0 / math.pi * integrate_panels(
-        f, 0.0, T, period, rtol=PERRON_QUAD_RTOL, atol=1e-9
-    )
+    integral = 4.0 / math.pi * integrate_panels(f, 0.0, T, period)
     exact = exact_circle_sum(int(math.floor(x)), y, node_budget=node_budget).value
     return PerronResult(
         x=x, y=y, T=T, alpha=a, integral=integral, exact=exact,
@@ -182,6 +173,8 @@ def difference_check(
     node_budget: int = Config.node_budget,
 ) -> DifferenceReport:
     """Exact increment of the circle sum over (x, x + x/z] against its bound scale."""
+    if y < 2:
+        raise DomainError(f"difference_check needs y >= 2, got {y}")
     big_z = math.exp(math.log(y) ** (1.5 - LAMBDA))
     if not 1.0 <= z <= big_z:
         raise DomainError(f"difference_check needs 1 <= z <= {big_z:.6g}, got {z}")

@@ -11,10 +11,10 @@ evaluates log H on a vertical line as a blocked product, for the Perron
 integrand's many nodes.  Nothing is truncated, so no truncation bound
 exists.
 
-The line product can anchor its nodes at a center c: p^-it = p^-ic p^-id
-for t = c + d, so a Perron panel costs one complex exp per prime for its
-midpoint, and the offsets' phase factors, which panels of one width share,
-are kept per h_log_line function within _LINE_KEEP_BYTES.
+The line product takes its nodes as centers plus offsets: p^-it =
+p^-ic p^-id for t = c + d, so a Perron quadrature level, whose panels
+share one offsets array, costs the offsets' phase factors once and one
+complex exp per prime per panel midpoint.
 
 prime_terms evaluates the primes in blocks of a few thousand: the heap
 reuses block-sized temporaries from call to call, while whole-array ones
@@ -36,7 +36,6 @@ small-prime model reads its sums through phi1_phi2 at y = 1000 too.
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -129,19 +128,18 @@ def _block_terms(sigma, lp, chi4, orders):
 # factors passes this, well inside the exp(709) float range.
 _LINE_BLOCK_LOG = 600.0
 
-# Bytes of offset phase factors one h_log_line function keeps.  An entry is
-# a E and b E for one offset array, 32 bytes per node and prime: 247 KB for
-# a Perron panel's 46 nodes at y = 1000, so four such entries fit, and
-# 116 MB at y = 1e6.  The least recently used entries go first; an offset
-# array whose entry alone exceeds the bound (a panel past y ~ 5 400) is
-# evaluated directly, at t = center + offsets, with no entry formed.  The
-# direct path also bounds each complex temporary of a row chunk by it.
-_LINE_KEEP_BYTES = 1 << 20
+# Bytes of each complex temporary of an h_log_line chunk, (centers x
+# offsets x primes) factors of 16 bytes: as many offsets as fit, then as
+# many centers.  A level of 110 Perron panels at y = 1000 (46 offsets, two
+# centers a chunk) took 9.1 ms at this bound, 15.2 ms at 1 << 20, whose
+# temporaries spill the CPU cache (best of 15 on a 2-vCPU Xeon).
+_LINE_CHUNK_BYTES = 1 << 18
 
 
 def h_log_line(sigma: float, y: int) -> Callable[..., np.ndarray]:
-    """The function (offsets, center=0.0) -> log H(sigma + i(center + offsets); y)
-    modulo 2 pi i, for arrays of offsets.
+    """The function (offsets, centers=0.0) -> log H(sigma + i(c + d); y)
+    modulo 2 pi i, one value for each center c and offset d: an array of
+    shape centers.shape + offsets.shape.
 
     H is formed as a product, not as a sum of per-prime logs: with
     a = p^-sigma, b = chi4(p) p^-sigma and z = p^-it (one complex exp of an
@@ -155,32 +153,29 @@ def h_log_line(sigma: float, y: int) -> Callable[..., np.ndarray]:
     underflow, for any y and sigma > 0.  -log1p(-a) is formed as
     log1p(1/expm1(sigma log p)), which stays finite where a rounds to 1.
 
-    At center = 0.0 the offsets are the t, and z = exp(-i t log p) takes
-    one complex exp per node and prime; the nodes go in row chunks whose
-    complex temporaries (rows x primes) stay within _LINE_KEEP_BYTES, so
-    memory does not grow with the node count.  At any other center the
-    nodes are anchored there: p^-it = p^-ic p^-id, so a call forms one
-    complex exp per prime, exp(-i c log p), and multiplies it into the
-    offsets' phase factors a E and b E, E = exp(-i d log p), which depend on
-    the offsets alone.  Those are kept, keyed by the offsets' bytes, up to
-    _LINE_KEEP_BYTES, so calls that share an offset array (Perron panels
-    of one width) form them once; a kept entry gives the same floats as a
-    fresh one.  The caller arranges that center + offsets is exact.
+    z = p^-ic p^-id: a call forms the offsets' phase factors a E and b E,
+    E = exp(-i d log p), once, and for each chunk of offsets one complex
+    exp per prime per center, exp(-i c log p), which multiplies into them.
+    The chunks' complex temporaries stay within _LINE_CHUNK_BYTES, so
+    memory does not grow with the node count; 46 offsets make one chunk up
+    to y = 2 398.  At the default center 0 the center's factor is exactly
+    1, so log_h(ts) is the product at the nodes ts themselves.  The caller
+    arranges that c + d is exact.
 
     Summing principal logs of block products gives log H up to a multiple
     of 2 pi i.  That is exact for every use of the result, which is
     exp(log H): the Perron integrand and h_value.  Everything that depends
     on sigma alone -- a, b and the block starts -- is computed here, once;
-    the returned function does only the per-t work.
+    the returned function does only the per-t work and keeps no state.
     """
     if not sigma > 0:
         raise DomainError(f"h_log_line needs sigma > 0, got {sigma}")
     table = prime_table(y)
     lp = table.logp
-    a = np.exp(-sigma * lp)
-    b = table.chi * a
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a = 0 where sigma log p overflows
+        a = np.exp(-sigma * lp)
         per_prime = (1.0 + np.abs(table.chi)) * np.log1p(1.0 / np.expm1(sigma * lp))
+    b = table.chi * a
     bound = np.cumsum(np.minimum(per_prime, _LINE_BLOCK_LOG))
     starts = []
     lo, base = 0, 0.0
@@ -188,51 +183,42 @@ def h_log_line(sigma: float, y: int) -> Callable[..., np.ndarray]:
         starts.append(lo)
         lo = max(lo + 1, int(np.searchsorted(bound, base + _LINE_BLOCK_LOG, side="right")))
         base = bound[lo - 1]
-    kept: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # in order of last use
-    lock = threading.Lock()
+    rows = max(1, _LINE_CHUNK_BYTES // (16 * lp.size))  # nodes per chunk
 
-    def offset_phases(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        key = (offsets.shape, offsets.tobytes())
-        with lock:
-            entry = kept.pop(key, None)
-        if entry is None:
-            e = np.exp(-1j * np.multiply.outer(offsets, lp))
-            entry = (a * e, b * e)
-        with lock:
-            kept[key] = entry
-            while sum(ae.nbytes + be.nbytes for ae, be in kept.values()) > _LINE_KEEP_BYTES:
-                del kept[next(iter(kept))]
-        return entry
-
-    def log_product(factors: np.ndarray) -> np.ndarray:
-        return -np.log(np.multiply.reduceat(factors, starts, axis=-1)).sum(axis=-1)
-
-    def log_h(offsets: np.ndarray, center: float = 0.0) -> np.ndarray:
+    def log_h(offsets: np.ndarray, centers: float | np.ndarray = 0.0) -> np.ndarray:
         offsets = np.asarray(offsets, dtype=np.float64)
-        if center != 0.0 and 32 * offsets.size * lp.size <= _LINE_KEEP_BYTES:
-            ae, be = offset_phases(offsets)
-            zc = np.exp(-1j * center * lp)
-            return log_product((1.0 - ae * zc) * (1.0 - be * zc))
-        ts = (offsets if center == 0.0 else center + offsets).ravel()
-        out = np.empty(ts.size, dtype=np.complex128)
-        rows = max(1, _LINE_KEEP_BYTES // (16 * lp.size))
-        for i in range(0, ts.size, rows):
-            z = np.exp(-1j * np.multiply.outer(ts[i : i + rows], lp))
-            out[i : i + rows] = log_product((1.0 - a * z) * (1.0 - b * z))
-        return out.reshape(offsets.shape)
+        centers = np.asarray(centers, dtype=np.float64)
+        d, c = offsets.ravel(), centers.ravel()
+        out = np.empty((c.size, d.size), dtype=np.complex128)
+        nd = max(1, min(d.size, rows))
+        nc = max(1, rows // nd)
+        for j in range(0, d.size, nd):
+            e = np.exp(-1j * np.multiply.outer(d[j : j + nd], lp))
+            ae, be = a * e, b * e
+            for i in range(0, c.size, nc):
+                zc = np.exp(-1j * np.multiply.outer(c[i : i + nc], lp))[:, None]
+                factors = (1.0 - ae * zc) * (1.0 - be * zc)
+                blocks = np.multiply.reduceat(factors, starts, axis=-1)
+                with np.errstate(divide="ignore"):  # a factor of 0: H = inf
+                    out[i : i + nc, j : j + nd] = -np.log(blocks).sum(axis=-1)
+        return out.reshape(centers.shape + offsets.shape)
 
     return log_h
 
 
 def h_value(s: complex, y: int) -> complex:
     """H(s; y) = exp(log H), log H from h_log_real on the real axis and from
-    h_log_line off it; Re s > 0.  Where |H| leaves float range the result
-    has an infinite part (or is 0), without a warning."""
+    h_log_line off it; Re s > 0, and |Im s| log y within float range.
+    Where |H| leaves float range the result has an infinite part (or is 0),
+    without a warning."""
     s = complex(s)
     if s.imag == 0.0:
         log_h = h_log_real(s.real, y)
     else:
-        log_h = h_log_line(s.real, y)(np.array([s.imag]))[0]
+        line = h_log_line(s.real, y)
+        if math.isinf(s.imag * math.log(y)):
+            raise DomainError(f"t={s.imag} is out of range for y={y}: the phases t log p overflow")
+        log_h = line(np.array([s.imag]))[0]
     with np.errstate(over="ignore"):
         return complex(np.exp(log_h))
 
@@ -245,7 +231,8 @@ _memo: tuple[float, int, dict[int, float]] = (math.nan, 0, {})
 
 
 def _order_sums(sigma: float, y: int, orders: tuple[int, ...]) -> list[float]:
-    """csum(prime_terms(sigma, y, (k,))[0]) for each k in orders, bitwise.
+    """csum(prime_terms(sigma, y, (k,))[0]) for each k in orders, bitwise,
+    or inf where that csum overflows.
 
     The orders the memo lacks at (sigma, y) come from one prime_terms
     pass, which also checks sigma; a call at another point replaces the
@@ -258,7 +245,11 @@ def _order_sums(sigma: float, y: int, orders: tuple[int, ...]) -> list[float]:
     sums = memo[2]
     missing = tuple(k for k in orders if k not in sums)
     if missing:
-        sums.update(zip(missing, map(csum, prime_terms(sigma, y, missing))))
+        for k, terms in zip(missing, prime_terms(sigma, y, missing)):
+            try:
+                sums[k] = csum(terms)
+            except OverflowError:  # every term is >= 0: the sum is +inf
+                sums[k] = math.inf
     return [sums[k] for k in orders]
 
 

@@ -184,12 +184,15 @@ def bracketed_newton(
 
 _GL_LO = leggauss(15)
 _GL_HI = leggauss(31)
-# Both rules' nodes in one array: a panel evaluates f once, on all 46.
+# Both rules' nodes in one row; the 15-point rule's middle one, column 7, is 0.0.
 _GL_NODES = np.concatenate((_GL_LO[0], _GL_HI[0]))
 _GL_SPLIT = _GL_LO[0].size
 # integrate_panels' budget of bisections, and of base panels, which
 # refuses perron --T 1e15 before any panel is allocated.
 _MAX_SPLITS = 4000
+# integrate_panels' tolerances on the difference of a panel's two rules.
+_QUAD_RTOL = 1e-9
+_QUAD_ATOL = 1e-9
 
 
 def integrate_panels(
@@ -197,46 +200,49 @@ def integrate_panels(
     a: float,
     b: float,
     panel_width: float,
-    *,
-    rtol: float = 1e-10,
-    atol: float = 1e-10,
 ) -> float:
-    """Integrate f, which maps an array of abscissae to an array of values,
-    over [a, b] with fixed panels refined adaptively.
+    """Integrate f, which maps a 2-D array of abscissae to values of the
+    same shape, over [a, b] with fixed panels refined adaptively.
 
     Each panel is bisected until its nested 15/31-point Gauss-Legendre
-    rules agree; more than _MAX_SPLITS bisections, or base panels, raise
-    ConvergenceError, the latter before f is called.  f is called once per
-    panel, on the 15 nodes followed by the 31, so an elementwise f gives
-    the same float as one call per rule.  math.fsum rounds the exact sum
-    of the panels once, so their order does not matter.
+    rules agree within max(_QUAD_ATOL, _QUAD_RTOL |fine|); more than
+    _MAX_SPLITS bisections, or base panels, raise ConvergenceError, the
+    latter before f is called.  f is called once per level of equal-width
+    panels (the base panels, then the halves of those that failed), on one
+    row per panel: the 15 nodes, then the 31.  Midpoints and offsets
+    hw x_i are rounded to multiples of q = ulp(2 max(|a|, |b|)), so every
+    row is exactly its column 7, the midpoint, plus one offsets array per
+    level; that moves a node by at most q/2.  math.fsum rounds the exact
+    sum of the panels once, so their order does not matter.
     """
     if b <= a:
         return 0.0
 
-    n_base = max(1, math.ceil((b - a) / panel_width))
-    if n_base > _MAX_SPLITS:
+    panels = (b - a) / panel_width  # inf where the quotient overflows
+    if not panels <= _MAX_SPLITS:
         raise ConvergenceError(
-            f"quadrature budget exceeded: {n_base} base panels ({_MAX_SPLITS} splits)"
+            f"quadrature budget exceeded: {panels:.4g} base panels ({_MAX_SPLITS} splits)"
         )
+    n_base = max(1, math.ceil(panels))
+    q = 2.0 * math.ulp(max(abs(a), abs(b)))  # ulp(2 max(|a|, |b|)), without overflow
+
+    def on_grid(v: np.ndarray) -> np.ndarray:
+        return np.round(v / q) * q
+
     edges = np.linspace(a, b, n_base + 1)
-    work = [(edges[i], edges[i + 1]) for i in range(n_base)]
-    done: list[float] = []
-    splits = 0
-    while work:
-        lo, hi = work.pop()
-        mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        v = f(mid + hw * _GL_NODES)
-        coarse = hw * float(np.dot(_GL_LO[1], v[:_GL_SPLIT]))
-        fine = hw * float(np.dot(_GL_HI[1], v[_GL_SPLIT:]))
-        if abs(fine - coarse) <= max(atol, rtol * abs(fine)):
-            done.append(fine)
-            continue
-        splits += 1
+    mids = on_grid(0.5 * (edges[:-1] + edges[1:]))
+    hw = 0.5 * (b - a) / n_base
+    done, splits = [], 0
+    while mids.size:
+        v = f(mids[:, None] + on_grid(hw * _GL_NODES))
+        with np.errstate(invalid="ignore"):  # inf - inf: a nan, which fails
+            coarse = hw * (v[:, :_GL_SPLIT] @ _GL_LO[1])
+            fine = hw * (v[:, _GL_SPLIT:] @ _GL_HI[1])
+            ok = np.abs(fine - coarse) <= np.maximum(_QUAD_ATOL, _QUAD_RTOL * np.abs(fine))
+        done.append(fine[ok])
+        splits += np.count_nonzero(~ok)
         if splits > _MAX_SPLITS:
-            raise ConvergenceError(
-                f"quadrature refinement budget exceeded ({_MAX_SPLITS} splits)"
-            )
-        work.append((mid, hi))
-        work.append((lo, mid))
-    return math.fsum(done)
+            raise ConvergenceError(f"quadrature refinement budget exceeded ({_MAX_SPLITS} splits)")
+        hw *= 0.5
+        mids = (mids[~ok, None] + on_grid(np.array([-hw, hw]))).ravel()
+    return math.fsum(np.concatenate(done))

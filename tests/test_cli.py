@@ -8,6 +8,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smoothcircle import cli, euler
 from smoothcircle.cli import main
@@ -144,8 +146,10 @@ def test_hval_complex_leaves_phi_empty():
 
 
 # log H at t = 0: finite where p^-sigma rounds to 1 but 1/(p^sigma - 1)
-# does not (1e-20), inf once 1/expm1(sigma log p) overflows (5e-324)
-_HVAL_PHI = {"0.3": 1914.734017962, "1e-20": 5093048.5188598847, "5e-324": math.inf}
+# does not (1e-20, and 1e-76, where phi_4's sum overflows and reads inf),
+# inf once 1/expm1(sigma log p) overflows (5e-324)
+_HVAL_PHI = {"0.3": 1914.734017962, "1e-20": 5093048.5188598847,
+             "1e-76": 20266365.875141632, "5e-324": math.inf}
 
 
 @pytest.mark.parametrize(
@@ -155,6 +159,7 @@ _HVAL_PHI = {"0.3": 1914.734017962, "1e-20": 5093048.5188598847, "5e-324": math.
         ("0.3", "1", ("-inf", "-inf"), "overflow-logspace"),
         ("0.05", "3", ("-0", "-0"), "underflow-logspace"),
         ("1e-20", "0", ("inf", "0"), "overflow-logspace"),
+        ("1e-76", "0", ("inf", "0"), "overflow-logspace"),
         ("1e-300", "1", ("-inf", "inf"), "overflow-logspace"),
         ("5e-324", "0", ("inf", "0"), "overflow-logspace"),
         ("5e-324", "1", ("-inf", "inf"), "overflow-logspace"),
@@ -171,6 +176,8 @@ def test_hval_flags_h_outside_float_range(sigma, t, parts, flag):
     assert row["flags"] == flag
     if t == "0":
         assert float(row["phi"]) == pytest.approx(_HVAL_PHI[sigma], rel=1e-12)
+        if sigma == "1e-76":
+            assert row["phi4"] == "inf"
     else:
         assert row["phi"] == ""
 
@@ -595,3 +602,93 @@ def test_compare_huge_u_keeps_the_row():
     flags = row["flags"].split(";")
     assert "rho-underflow" in flags
     assert "underflow-logspace" in flags
+
+
+# Examples of the exit-contract property test; a deeper run sets this variable.
+CLI_EXAMPLES = int(os.environ.get("SMOOTHCIRCLE_TEST_CLI_EXAMPLES", "100"))
+# Option values at the extremes.  Every y is at most 1e6, or at least 1e20,
+# which is refused before anything is allocated; exact, perron and
+# diffcheck take small x only, so that no example counts for long.
+_REALS = ["0", "-0", "5e-324", "1e-76", "1e-300", "1e300", "-1e300", "1.7e308",
+          "-1", "0.5", "2", "7.5", "nan", "inf", "-inf", "abc"]
+_YS = ["0", "-7", "1", "2", "100", "1000000", "100000000000000000000",
+       "-100000000000000000000", "1" + "0" * 40, "1.5", "1e6"]
+_SMALL_XS = ["0", "-7", "1", "2", "10", "1000", "100000", "1.5"]
+_PERRON_XS = ["0", "-3.5", "5e-324", "1e-76", "0.5", "1.5", "20.5", "1000.5", "nan", "inf"]
+_PERRON_TS = ["0", "-1", "5e-324", "1e-76", "1", "1e300", "1.7e308", "nan", "inf"]
+_LIST_REALS = ["0", "5e-324", "1e-76", "1", "2", "100", "1e6", "1e300", "-1e300", "1.7e308",
+               "nan", "inf", ""]
+
+
+@st.composite
+def _cli_argv(draw):
+    """A subcommand with option values from the pools, each given as
+    --name=value so that a value such as -1e300 is not read as an option."""
+
+    def one(pool):
+        return draw(st.sampled_from(pool))
+
+    def many(pool):
+        return ",".join(draw(st.lists(st.sampled_from(pool), max_size=3)))
+
+    command = one(["exact", "alpha", "hval", "estimate", "compare", "perron",
+                   "xi", "rho", "primesums", "diffcheck"])
+    if command == "exact":
+        opts = {"x": one(_SMALL_XS), "y": one(_YS),
+                "method": one(["auto", "sieve", "recursive"])}
+    elif command in ("alpha", "estimate"):
+        opts = {one(["x", "u"]): one(_REALS), "y": one(_YS)}
+    elif command == "hval":
+        opts = {"sigma": one(_REALS), "t": one(_REALS), "y": one(_YS)}
+    elif command == "compare":
+        opts = {"grid-x": many(_LIST_REALS), "grid-y": many(_YS)}
+    elif command == "perron":
+        opts = {"x": one(_PERRON_XS), "y": one(_YS), "T": one(_PERRON_TS)}
+    elif command in ("xi", "rho"):
+        opts = {"u": many(_LIST_REALS)}
+    elif command == "primesums":
+        opts = {"x": many(_LIST_REALS), "sigma": one(_REALS)}
+    else:
+        opts = {"x": one(_SMALL_XS), "y": one(_YS), "z": one(_REALS)}
+    argv = [command] + [f"--{k}={v}" for k, v in opts.items()]
+    # the oracle only where x is small, so that it does not count for long
+    if command in ("estimate", "compare") and draw(st.booleans()):
+        small = {"x": one(_SMALL_XS)} if command == "estimate" else {"grid-x": many(_SMALL_XS)}
+        argv = [command] + [f"--{k}={v}" for k, v in (opts | small).items()] + ["--with-exact"]
+    if command == "primesums" and draw(st.booleans()):
+        argv.append("--twist")
+    return argv + one([[], ["--format=csv"], ["--format=json"]])
+
+
+def _non_finite(value) -> bool:
+    try:
+        return not math.isfinite(float(value))
+    except (TypeError, ValueError):
+        return False
+
+
+@settings(max_examples=CLI_EXAMPLES, deadline=None)
+@given(_cli_argv())
+@example(["hval", "--sigma=1e-76", "--y=1000000"])
+@example(["hval", "--sigma=1e-300", "--y=2"])  # phi_2..phi_4 inf, H finite
+@example(["hval", "--sigma=5e-324", "--t=5e-324", "--y=1000000"])  # a factor of 0
+@example(["hval", "--sigma=1.7e308", "--t=1.7e308", "--y=100"])  # t log p overflows
+@example(["perron", "--x=1.5", "--y=10", "--T=1.7e308"])  # T / period overflows
+@example(["diffcheck", "--x=1", "--y=0", "--z=1"])
+@example(["estimate", "--u=0.5", "--y=-7"])  # y**u would be complex
+def test_exit_contract(argv):
+    # whatever the options: exit 0, 1 or 2 with no exception, and on 0
+    # every float column is finite or its row carries a flag; alpha's
+    # bracket_hi reads inf while no iterate has passed alpha, by design
+    code, out, err = run_cli(*argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    if code != 0:
+        return
+    if "--format=json" in argv:
+        rows = json.loads(out)["rows"]
+    else:
+        lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
+        rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+    for row in rows:
+        values = [v for k, v in row.items() if k != "bracket_hi"]
+        assert row.get("flags") or not any(map(_non_finite, values)), (argv, row)

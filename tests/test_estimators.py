@@ -32,6 +32,7 @@ from smoothcircle.estimators import (
     log_saddle_point_estimate,
     perron_verify,
 )
+from smoothcircle.primes import prime_table
 from smoothcircle.report import rows_to_csv, rows_to_json
 from smoothcircle.saddle import solve_alpha
 
@@ -156,126 +157,100 @@ def test_perron_pinned_integrals(x, y, T, integral):
     assert res.exact == exact_circle_sum(int(x), y).value
 
 
-@pytest.mark.parametrize(
-    "x, y, T, calls",
-    [(1000000.5, 1000, 50.0, 110), (3000000.5, 300, 100.0, 238)],
-)
-def test_perron_panel_count(monkeypatch, x, y, T, calls):
-    # base panels one period of the fastest factor wide, 2 pi / max(log x,
-    # log y): ceil(T max(log x, log y) / 2 pi) integrand calls, none split
-    count = 0
-    quad = estimators.integrate_panels
-
-    def counted(f, *args, **kwargs):
-        def g(ts):
-            nonlocal count
-            count += 1
-            return f(ts)
-
-        return quad(g, *args, **kwargs)
-
-    monkeypatch.setattr(estimators, "integrate_panels", counted)
-    perron_verify(x, y, T)
-    assert count == calls == math.ceil(T * max(math.log(x), math.log(y)) / (2 * math.pi))
-
-
 _PERRON_CELLS = [(1000000.5, 1000, 50.0), (3000000.5, 300, 100.0)]
 
 
 def _perron_panels(monkeypatch, x, y, T):
     """perron_verify's result and the nodes of every integrand call, in order."""
-    panels = []
+    calls = []
     quad = estimators.integrate_panels
 
     def recording(f, *args, **kwargs):
         def g(ts):
-            panels.append(ts.copy())
+            calls.append(ts.copy())
             return f(ts)
 
         return quad(g, *args, **kwargs)
 
     monkeypatch.setattr(estimators, "integrate_panels", recording)
-    return perron_verify(x, y, T), panels
+    return perron_verify(x, y, T), calls
+
+
+@pytest.mark.parametrize("x, y, T, panels", [(*_PERRON_CELLS[0], 110), (*_PERRON_CELLS[1], 238)])
+def test_perron_panel_count(monkeypatch, x, y, T, panels):
+    # base panels one period of the fastest factor wide, 2 pi / max(log x,
+    # log y): ceil(T max(log x, log y) / 2 pi) of them, none split, so one
+    # integrand call, one row of 46 nodes per panel
+    _, calls = _perron_panels(monkeypatch, x, y, T)
+    assert [ts.shape for ts in calls] == [(panels, 46)]
+    assert panels == math.ceil(T * max(math.log(x), math.log(y)) / (2 * math.pi))
 
 
 @pytest.mark.parametrize("x, y, T", _PERRON_CELLS)
 def test_perron_anchor_is_exact_and_matches_the_direct_line_product(monkeypatch, x, y, T):
-    # the integrand anchors each panel at its 15-point middle node, the
-    # midpoint: ts - ts[7] is exact, so the anchored nodes are the panel's
-    # own, and log H there agrees with the unanchored product
-    res, panels = _perron_panels(monkeypatch, x, y, T)
+    # the integrand anchors each row at its 15-point middle node, the
+    # panel's midpoint: ts[0] - ts[0, 7] is exact and shared by every row,
+    # so the anchored nodes are the panels' own, and log H there agrees
+    # with the product at the nodes themselves
+    res, calls = _perron_panels(monkeypatch, x, y, T)
     log_h = euler.h_log_line(res.alpha, y)
-    for ts in panels:
-        d = ts - ts[7]
-        assert np.array_equal(ts, ts[7] + d)
-        anchored, direct = log_h(d, ts[7]), log_h(ts)
+    for ts in calls:
+        d, mids = ts[0] - ts[0, 7], ts[:, 7]
+        assert np.array_equal(ts, mids[:, None] + d)
+        anchored, direct = log_h(d, mids), log_h(ts)
+        assert anchored.shape == direct.shape == ts.shape
         assert np.max(np.abs(anchored.real - direct.real)) <= 1e-13
         phase = np.angle(np.exp(1j * (anchored.imag - direct.imag)))
         assert np.max(np.abs(phase)) <= 1e-13
 
 
 class _CountingNumpy:
-    """numpy, but counting the 2-D complex exps: the offset phase factors."""
+    """numpy, but counting the elements of the 2-D complex exps: the phase
+    factors of the offsets and of the centers, one per node and prime."""
 
     def __init__(self):
-        self.offset_exps = 0
+        self.phase_exps = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def exp(self, v, *args, **kwargs):
-        self.offset_exps += np.ndim(v) == 2
+        if np.ndim(v) == 2:
+            self.phase_exps += np.size(v)
         return np.exp(v, *args, **kwargs)
 
 
-@pytest.mark.parametrize("x, y, T, distinct", [(*_PERRON_CELLS[0], 19), (*_PERRON_CELLS[1], 23)])
-def test_perron_forms_each_offset_array_once(monkeypatch, x, y, T, distinct):
-    # the offsets depend only on the panel width and the binade of its
-    # midpoint: 19 and 23 arrays over the cells' 110 and 238 panels, and
-    # the kept phase factors are formed once per array
+@pytest.mark.parametrize("x, y, T, panels", [(*_PERRON_CELLS[0], 110), (*_PERRON_CELLS[1], 238)])
+def test_perron_forms_the_offset_phase_factors_once_per_level(monkeypatch, x, y, T, panels):
+    # one level of panels: the 46 offsets' phase factors once, then one
+    # complex exp per prime per panel midpoint
     counting = _CountingNumpy()
     monkeypatch.setattr(euler, "np", counting)
-    _, panels = _perron_panels(monkeypatch, x, y, T)
-    assert len({(ts - ts[7]).tobytes() for ts in panels}) == distinct
-    assert counting.offset_exps == distinct
-
-
-def test_perron_kept_phase_factors_equal_fresh_ones_bitwise():
-    # a hit reads a E and b E formed by an earlier call; a fresh function
-    # forms them anew: the same floats either way
-    d = 0.25 * np.linspace(-1.0, 1.0, 46)
-    kept = euler.h_log_line(0.8, 1000)
-    kept(d, 3.0)
-    for center in (3.0, 5.5, 41.25):
-        assert np.array_equal(kept(d, center), euler.h_log_line(0.8, 1000)(d, center))
+    _, calls = _perron_panels(monkeypatch, x, y, T)
+    assert len(calls) == 1
+    assert counting.phase_exps == (46 + panels) * len(prime_table(y))
 
 
 def test_perron_line_product_shared_between_threads(monkeypatch):
-    # 8 threads call one function at once, with 16 offset arrays and room
-    # for 10 kept entries, so entries are dropped while others are read:
-    # every result is what a fresh function gives
-    monkeypatch.setattr(euler, "_LINE_KEEP_BYTES", 60_000)  # 5.9 KB an entry at y = 10
-    calls = [(0.01 * (1 + i % 16) * np.linspace(-1.0, 1.0, 46), 3.0 + i) for i in range(400)]
+    # 8 threads call one function at once, with 16 offset arrays cut into
+    # two chunks and one or two centers each: the function keeps no state,
+    # so every result is what a fresh function gives
+    monkeypatch.setattr(euler, "_LINE_CHUNK_BYTES", 16 * 4 * 23)  # 23 nodes at y = 10
+    calls = [
+        (0.01 * (1 + i % 16) * np.linspace(-1.0, 1.0, 46), 3.0 + np.arange(1 + i % 2))
+        for i in range(400)
+    ]
     want = [euler.h_log_line(0.8, 10)(d, c) for d, c in calls]
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(20):
+        for _ in range(10):
             log_h = euler.h_log_line(0.8, 10)
             with ThreadPoolExecutor(8) as pool:
                 got = list(pool.map(lambda args: log_h(*args), calls))
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
     finally:
         sys.setswitchinterval(switch)
-
-
-def test_perron_line_product_past_the_keep_bound_is_the_direct_one(monkeypatch):
-    # an offset array whose phase factors exceed the bound is evaluated at
-    # center + offsets, as the unanchored product
-    monkeypatch.setattr(euler, "_LINE_KEEP_BYTES", 1000)
-    d = np.array([-0.5, 0.0, 0.5])
-    log_h = euler.h_log_line(0.7, 100)
-    assert np.array_equal(log_h(d, 2.0), log_h(2.0 + d))
 
 
 def test_perron_error_decays_envelope():

@@ -348,29 +348,39 @@ def test_h_log_line_at_center_0_is_the_unanchored_product_bitwise():
 
 
 def test_h_log_line_row_chunks_match_single_rows_bitwise():
-    # at y = 1e5 a row of 9 592 complex factors takes 153 KB, so the direct
-    # path cuts 40 nodes into chunks of 6 rows, the last one short; each
-    # node's value is what a call with that node alone gives
-    sigma, y = 0.7, 10**5
-    ts = np.linspace(0.0, 50.0, 40)
-    lp = prime_table(y).logp
-    assert euler._LINE_KEEP_BYTES // (16 * lp.size) == 6
+    # at y = 1000 a chunk holds 97 nodes of 168 complex factors: 46
+    # offsets with 2 centers, the last center alone, or 97 offsets and then
+    # 23 with one center each; each node's value is what a call with that
+    # center and offset alone gives
+    sigma, y = 0.7, 1000
+    assert euler._LINE_CHUNK_BYTES // (16 * prime_table(y).logp.size) == 97
     log_h = h_log_line(sigma, y)
-    single = np.concatenate([log_h(ts[i : i + 1]) for i in range(ts.size)])
-    assert np.array_equal(log_h(ts), single)
+    for d, c in (
+        (np.linspace(-0.2, 0.2, 46), np.linspace(3.0, 40.0, 5)),
+        (np.linspace(-0.5, 0.5, 120), np.array([2.0, 7.5])),
+    ):
+        got = log_h(d, c)
+        assert got.shape == (c.size, d.size)
+        single = [[log_h(d[j : j + 1], c[i : i + 1])[0, 0] for j in range(d.size)]
+                  for i in range(c.size)]
+        assert np.array_equal(got, np.array(single))
 
 
-def test_h_log_line_direct_path_memory_does_not_grow_with_nodes():
-    # 200 nodes at y = 1e5 would make 31 MB per whole-array temporary
+def test_h_log_line_memory_does_not_grow_with_nodes():
+    # 200 nodes at y = 1e5 would make 31 MB per whole-array temporary, and
+    # 10 centers of 46 offsets 71 MB: a chunk is one node there
     log_h = h_log_line(0.7, 10**5)
-    ts = np.linspace(0.0, 50.0, 200)
-    tracemalloc.start()
-    try:
-        log_h(ts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * euler._LINE_KEEP_BYTES
+    for args in (
+        (np.linspace(0.0, 50.0, 200),),
+        (np.linspace(-0.2, 0.2, 46), np.linspace(1.0, 50.0, 10)),
+    ):
+        tracemalloc.start()
+        try:
+            log_h(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * euler._LINE_CHUNK_BYTES
 
 
 def test_h_log_line_finite_where_h_overflows():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from numpy.polynomial.legendre import leggauss
 
-from smoothcircle import numutil
+from smoothcircle import estimators, numutil
 from smoothcircle.errors import ConvergenceError
 from smoothcircle.euler import prime_terms
 from smoothcircle.numutil import (
@@ -221,9 +221,34 @@ def test_bracketed_newton_doubles_toward_an_infinite_hi(monkeypatch):
         bracketed_newton(fdf, 1.0, ftol=0.0)
 
 
-def _two_call_panels(f, a, b, panel_width, *, rtol=1e-10, atol=1e-10, max_splits=4000):
-    """integrate_panels as it was with one call of f per Gauss rule: the
+def _two_call_levels(f, a, b, panel_width):
+    """integrate_panels with one call of f per Gauss rule and level: the
     reference the one-call form must reproduce bit for bit."""
+    gl_lo, gl_hi = leggauss(15), leggauss(31)
+    q = math.ulp(2.0 * max(abs(a), abs(b)))
+
+    def on_grid(v):
+        return np.round(v / q) * q
+
+    n_base = max(1, math.ceil((b - a) / panel_width))
+    edges = np.linspace(a, b, n_base + 1)
+    mids = on_grid(0.5 * (edges[:-1] + edges[1:]))
+    hw = 0.5 * (b - a) / n_base
+    done = []
+    while mids.size:
+        coarse = hw * (f(mids[:, None] + on_grid(hw * gl_lo[0])) @ gl_lo[1])
+        fine = hw * (f(mids[:, None] + on_grid(hw * gl_hi[0])) @ gl_hi[1])
+        ok = np.abs(fine - coarse) <= np.maximum(1e-9, 1e-9 * np.abs(fine))
+        done.extend(fine[ok])
+        hw *= 0.5
+        mids = (mids[~ok, None] + on_grid(np.array([-hw, hw]))).ravel()
+    return math.fsum(done)
+
+
+def _two_call_panels(f, a, b, panel_width, *, rtol=1e-9, atol=1e-9, max_splits=4000):
+    """integrate_panels as it was, a loop over panels with one call of f per
+    Gauss rule and nodes that are not rounded: the reference the level form
+    must match to rounding."""
     gl_lo, gl_hi = leggauss(15), leggauss(31)
 
     def rule(lo, hi, nodes, wts):
@@ -263,37 +288,70 @@ INTEGRANDS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(INTEGRANDS))
-def test_integrate_panels_one_call_per_panel(name):
-    f, a, b, width = INTEGRANDS[name]
-    calls = []
-
-    def counted(ts):
+def _recording(f, calls):
+    def g(ts):
         calls.append(ts.copy())
         return f(ts)
 
-    integrate_panels(counted, a, b, width)
-    panels = {(float(ts.min()), float(ts.max())) for ts in calls}
-    assert len(panels) == len(calls)  # no panel is evaluated twice
-    # each call holds the 15 nodes of the coarse rule, then the 31 of the
-    # fine one, both mapped to the same panel
+    return g
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRANDS))
+def test_integrate_panels_one_call_per_panel(name):
+    # every panel is evaluated once, in one call per level of equal-width
+    # panels: one row each, the 15 nodes of the coarse rule, then the 31 of
+    # the fine one, both mapped to the same panel
+    f, a, b, width = INTEGRANDS[name]
+    calls = []
+    integrate_panels(_recording(f, calls), a, b, width)
+    rows = np.concatenate(calls)
+    assert len({(float(r.min()), float(r.max())) for r in rows}) == len(rows)
     x15, x31 = leggauss(15)[0], leggauss(31)[0]
-    for ts in calls:
-        assert ts.shape == (46,)
-        hw = (ts[-1] - ts[15]) / (x31[-1] - x31[0])
-        mid = ts[15] - hw * x31[0]
-        assert ts[:15] == pytest.approx(mid + hw * x15, rel=1e-12, abs=1e-12)
-        assert ts[15:] == pytest.approx(mid + hw * x31, rel=1e-12, abs=1e-12)
     n_base = math.ceil((b - a) / width)
-    assert len(calls) >= n_base and (len(calls) - n_base) % 2 == 0  # each split adds two
+    hw = 0.5 * (b - a) / n_base
+    for level, ts in enumerate(calls):
+        assert ts.ndim == 2 and ts.shape[1] == 46
+        assert ts.shape[0] == n_base if level == 0 else ts.shape[0] % 2 == 0  # each split adds two
+        mid = ts[:, 7:8]
+        assert ts[:, :15] == pytest.approx(mid + hw * x15, rel=1e-12, abs=1e-12)
+        assert ts[:, 15:] == pytest.approx(mid + hw * x31, rel=1e-12, abs=1e-12)
+        hw *= 0.5
     if name == "peaked":
-        assert len(calls) > n_base
+        assert len(calls) > 1
+
+
+_BISECTING = {
+    "peaked": INTEGRANDS["peaked"],
+    "peaked-left-of-0": (lambda t: 1.0 / (1e-4 + (t + 5.3) ** 2), -7.25, 2.5, 0.75),
+}
+
+
+@pytest.mark.parametrize("case", ["perron-1000", "perron-300", *_BISECTING])
+def test_integrate_panels_rows_are_midpoint_plus_shared_offsets(monkeypatch, case):
+    # every row of every call is its column 7, the panel's midpoint, plus
+    # one offsets array shared by the call, bit for bit: on the diagnostics
+    # workload's two Perron cells and on integrands that bisect
+    calls = []
+    if case.startswith("perron"):
+        quad = estimators.integrate_panels
+        monkeypatch.setattr(
+            estimators, "integrate_panels", lambda f, *args: quad(_recording(f, calls), *args)
+        )
+        cell = {"perron-1000": (1000000.5, 1000, 50.0), "perron-300": (3000000.5, 300, 100.0)}
+        estimators.perron_verify(*cell[case])
+    else:
+        f, a, b, width = _BISECTING[case]
+        integrate_panels(_recording(f, calls), a, b, width)
+        assert len(calls) > 2
+    assert calls
+    for ts in calls:
+        assert np.array_equal(ts, ts[:, 7:8] + (ts[0] - ts[0, 7]))
 
 
 def test_integrate_panels_smooth_needs_no_split():
     calls = []
-    integrate_panels(lambda ts: calls.append(ts.size) or np.cos(ts), 0.0, 3.0, 1.0)
-    assert calls == [46, 46, 46]
+    integrate_panels(lambda ts: calls.append(ts.shape) or np.cos(ts), 0.0, 3.0, 1.0)
+    assert calls == [(3, 46)]
 
 
 def test_integrate_panels_split_budget_raises(monkeypatch):
@@ -319,8 +377,18 @@ def test_integrate_panels_empty_interval_is_zero_before_f(a, b):
 
 
 @pytest.mark.parametrize("name", sorted(INTEGRANDS))
+def test_integrate_panels_matches_the_panel_loop(name):
+    # the same panels and rules, in another order of summation and with
+    # nodes moved by at most half an ulp of 2 max(|a|, |b|)
+    f, a, b, width = INTEGRANDS[name]
+    want = _two_call_panels(f, a, b, width)
+    assert integrate_panels(f, a, b, width) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRANDS))
 def test_integrate_panels_matches_two_calls_bitwise(name):
+    # both rules' nodes in one call give the floats of one call per rule
     f, a, b, width = INTEGRANDS[name]
     got = integrate_panels(f, a, b, width)
-    want = _two_call_panels(f, a, b, width)
+    want = _two_call_levels(f, a, b, width)
     assert got.hex() == want.hex()

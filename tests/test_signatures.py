@@ -31,7 +31,7 @@ SIGNATURES = {
     bracketed_newton: "(fdf, x0, *, ftol)",
     solve_alpha: "(x, y, *, seed=None)",
     exact_circle_sum: "(x, y, method='auto', *, node_budget=…)",
-    integrate_panels: "(f, a, b, panel_width, *, rtol=…, atol=…)",
+    integrate_panels: "(f, a, b, panel_width)",
     compare_grid: "(x_list, y_list, with_exact=…, *, node_budget=…)",
     compare_cell: "(x, y, with_exact, *, node_budget=…)",
     difference_check: "(x, y, z, *, node_budget=…)",
