@@ -159,10 +159,10 @@ _HVAL_PHI = {"0.3": 1914.734017962, "1e-20": 5093048.5188598847,
         ("0.3", "1", ("-inf", "-inf"), "overflow-logspace"),
         ("0.05", "3", ("-0", "-0"), "underflow-logspace"),
         ("1e-20", "0", ("inf", "0"), "overflow-logspace"),
-        ("1e-76", "0", ("inf", "0"), "overflow-logspace"),
         ("1e-300", "1", ("-inf", "inf"), "overflow-logspace"),
         ("5e-324", "0", ("inf", "0"), "overflow-logspace"),
         ("5e-324", "1", ("-inf", "inf"), "overflow-logspace"),
+        ("1e-76", "0", ("inf", "0"), "overflow-logspace"),
     ],
 )
 def test_hval_flags_h_outside_float_range(sigma, t, parts, flag):

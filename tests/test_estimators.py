@@ -231,6 +231,16 @@ def test_perron_forms_the_offset_phase_factors_once_per_level(monkeypatch, x, y,
     assert counting.phase_exps == (46 + panels) * len(prime_table(y))
 
 
+def test_perron_kept_phase_factors_equal_fresh_ones_bitwise():
+    # the function keeps nothing between calls: one called before, at other
+    # centers, gives a fresh function's floats
+    d = 0.25 * np.linspace(-1.0, 1.0, 46)
+    kept = euler.h_log_line(0.8, 1000)
+    kept(d, 3.0)
+    for center in (3.0, 5.5, 41.25):
+        assert np.array_equal(kept(d, center), euler.h_log_line(0.8, 1000)(d, center))
+
+
 def test_perron_line_product_shared_between_threads(monkeypatch):
     # 8 threads call one function at once, with 16 offset arrays cut into
     # two chunks and one or two centers each: the function keeps no state,
