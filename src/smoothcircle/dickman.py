@@ -13,7 +13,8 @@ while rho falls to 10^-300, so it is run once, at 341 decimal digits, by
 rho_table_text in tests/oracles.py, and its floats ship as data:
 rho_table.txt holds one line per interval k = 1 .. 127, highest power
 first, each coefficient in float.hex form, which reads back exactly.  The
-process holds one table, to u = 128, and rho reads it.
+process holds one table, to u = 128, and rho reads it; a read parses only
+the line of its own interval, the first time a u lands there.
 """
 
 from __future__ import annotations
@@ -113,12 +114,12 @@ def exp_integral(v: float) -> float:
 
 class DickmanTable:
     """rho on [0, u_max] as one float Taylor series per unit interval, each
-    parsed from its line of rho_table.txt on first use.
+    parsed from its line of rho_table.txt the first time a u lands in it.
 
     _coeffs[k - 1] is the series of rho about k + 1/2 on [k, k + 1], highest
-    power first (k = 1 .. u_max - 1), cut where its terms at |tau| = 1/2
-    fall below 2^-70 of rho (tests/oracles.py gives the rule); values below
-    RHO_UNDERFLOW read 0.
+    power first (k = 1 .. u_max - 1), or None until interval k is read; each
+    series is cut where its terms at |tau| = 1/2 fall below 2^-70 of rho
+    (tests/oracles.py gives the rule).  Values below RHO_UNDERFLOW read 0.
     """
 
     u_max = _U_CUT + 2  # the extent bench/spans.py reads from each build
@@ -126,29 +127,22 @@ class DickmanTable:
     def __init__(self) -> None:
         with resources.files(__package__).joinpath("rho_table.txt").open(encoding="utf-8") as f:
             self._lines = f.readlines()
-        self._coeffs: list[tuple[float, ...]] = []
-
-    def _fill(self, k: int) -> None:
-        """Parse the line of each interval up to k that no call has reached
-        yet.  Line i + 1 goes to index i by one slice assignment, a single
-        list operation: the list never shrinks and holds every index below
-        i, so the assignment appends where the list ends at i and otherwise
-        replaces the equal tuple another thread parsed first.  Concurrent
-        reads thus neither raise nor put an interval in the wrong slot."""
-        coeffs = self._coeffs
-        for i in range(len(coeffs), k):
-            coeffs[i : i + 1] = [tuple(map(float.fromhex, self._lines[i].split()))]
+        self._coeffs: list[tuple[float, ...] | None] = [None] * len(self._lines)
 
     def value_at(self, u: float) -> float:
-        """rho(u) for 1 < u < _U_CUT by Horner's rule on u's interval.  A u
-        off the table, nan included, raises rather than read a wrong interval."""
+        """rho(u) for 1 < u < _U_CUT by Horner's rule on u's interval, whose
+        line alone is parsed on its first read; a thread that races that
+        read parses an equal tuple into the same slot.  A u off the table,
+        nan included, raises rather than read a wrong interval."""
         if not 1.0 < u < self.u_max:
             raise DomainError(f"the rho table reads 1 < u < {self.u_max}, got {u}")
         k = int(u)
-        self._fill(k)
+        series = self._coeffs[k - 1]
+        if series is None:
+            series = self._coeffs[k - 1] = tuple(map(float.fromhex, self._lines[k - 1].split()))
         tau = u - (k + 0.5)
         value = 0.0
-        for c in self._coeffs[k - 1]:
+        for c in series:
             value = value * tau + c
         return value if value >= RHO_UNDERFLOW else 0.0
 
@@ -169,8 +163,8 @@ def rho(u: float) -> float:
     """The Dickman function rho(u) for u >= 0, from the process's one table.
 
     u <= 1 reads 1.0, and a u in [k, k + 1] below _U_CUT parses the
-    table's intervals 1 .. k once, whatever the order of the calls; no
-    table is built before such a u.  u >= _U_CUT reads 0.0, the clamp
+    table's interval k alone, on the first such u; no table is built
+    before such a u.  u >= _U_CUT reads 0.0, the clamp
     value, from no interval: rho's Laplace transform gives
     int_0^inf rho(t) e^(xi t) dt = e^(gamma + I(xi)) for real xi,
     I(v) = int_0^v (e^s - 1)/s ds (Tenenbaum, Introduction to Analytic and

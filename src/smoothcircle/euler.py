@@ -215,10 +215,11 @@ def h_value(s: complex, y: int) -> complex:
     if s.imag == 0.0:
         log_h = h_log_real(s.real, y)
     else:
-        line = h_log_line(s.real, y)
-        if math.isinf(s.imag * math.log(y)):
+        # refused before the line product's set-up; a y below 2, which
+        # math.log may not take, is refused by h_log_line's prime table
+        if y >= 2 and math.isinf(s.imag * math.log(y)):
             raise DomainError(f"t={s.imag} is out of range for y={y}: the phases t log p overflow")
-        log_h = line(np.array([s.imag]))[0]
+        log_h = h_log_line(s.real, y)(np.array([s.imag]))[0]
     with np.errstate(over="ignore"):
         return complex(np.exp(log_h))
 

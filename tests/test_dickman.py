@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothcircle import dickman, numutil
+from smoothcircle import cli, dickman, numutil
 from smoothcircle.config import RHO_SADDLE_WINDOW, XI_LOGLOG_ENVELOPE
 from smoothcircle.dickman import (
     DickmanTable,
@@ -154,14 +155,17 @@ def test_rho_matches_closed_forms_off_grid():
         assert rho(float(u)) == pytest.approx(want, rel=5e-14, abs=0)
 
 
-# A fresh table read up to each extent, at the one precision; extents past
-# the table's 128 read all of its 127 intervals.
+# A fresh table read in the last interval below each extent, at the one
+# precision; extents past the table's 128 read its last interval, 127.
+# The read fills that interval's slot alone.
 @pytest.mark.parametrize("u_max", [2, 3, 17, 38, 59, 64, 70, 100, 152, 169])
 def test_rho_table_cuts_as_if_every_coefficient_were_converted(u_max):
     k = min(u_max, DickmanTable.u_max) - 1
     table = DickmanTable()
-    table._fill(k)
-    assert table._coeffs == converted_oracle_series()[:k]
+    table.value_at(k + 0.5)
+    want = [None] * len(converted_oracle_series())
+    want[k - 1] = converted_oracle_series()[k - 1]
+    assert table._coeffs == want
 
 
 def test_rho_table_file_is_the_oracle_text():
@@ -171,9 +175,10 @@ def test_rho_table_file_is_the_oracle_text():
 
 
 def test_concurrent_first_reads_match_one_thread():
-    # threads released together on a fresh table each parse the intervals
-    # they reach; none raises, and every interval lands in its own slot.  A
-    # short switch interval lets the threads interleave within one parse.
+    # threads released together on a fresh table, two to each interval,
+    # parse the interval they read; none raises, each series lands in its
+    # own slot, and no other slot is filled.  A short switch interval lets
+    # the threads interleave within one parse.
     us = (60.5, 61.5, 90.5, 120.5)
     want = [DickmanTable().value_at(u) for u in us]
     switch = sys.getswitchinterval()
@@ -190,7 +195,11 @@ def test_concurrent_first_reads_match_one_thread():
             with ThreadPoolExecutor(2 * len(us)) as pool:
                 got = list(pool.map(read, us + us))
             assert got == want + want
-            assert table._coeffs == converted_oracle_series()[:120]
+            series = converted_oracle_series()
+            assert table._coeffs == [
+                series[k - 1] if k in (60, 61, 90, 120) else None
+                for k in range(1, len(series) + 1)
+            ]
     finally:
         sys.setswitchinterval(switch)
 
@@ -323,16 +332,30 @@ def test_rho_up_to_1_builds_no_table(monkeypatch):
     assert built == [] and dickman._table is None
 
 
+def _parsed_intervals():
+    return {k for k, c in enumerate(dickman._table._coeffs, 1) if c is not None}
+
+
 def test_rho_first_call_converts_only_its_intervals(monkeypatch):
-    # rho(3.5) reads interval [3, 4], so a fresh table computes intervals
-    # 1, 2 and 3 and nothing past them
+    # rho(3.5) reads interval [3, 4], so a fresh table parses interval 3
+    # and no other; each later u adds its own interval alone
     _record_builds(monkeypatch)
     rho(3.5)
-    assert len(dickman._table._coeffs) == 3
+    assert _parsed_intervals() == {3}
     rho(2.5)
-    assert len(dickman._table._coeffs) == 3
+    assert _parsed_intervals() == {2, 3}
     rho(7.25)
-    assert len(dickman._table._coeffs) == 7
+    assert _parsed_intervals() == {2, 3, 7}
+
+
+def test_compare_sweep_parses_only_the_intervals_its_u_land_in(monkeypatch):
+    # the nine cells of the benchmark's estimates sweep read rho at
+    # u = log x / log y, which rounds to just below 3, 6, 7.5, 15 and 75 and
+    # lands on 2, 5 and 50; u near 150 is past the clamp and reads no interval
+    _record_builds(monkeypatch)
+    argv = ["compare", "--grid-x", "1e12,1e30,1e300", "--grid-y", "100,10000,1000000"]
+    assert cli.main(argv, stdout=io.StringIO()) == 0
+    assert _parsed_intervals() == {2, 5, 7, 14, 50, 74}
 
 
 def _log_laplace_bound(u):

@@ -40,6 +40,17 @@ def test_h_value_line_bound():
         assert abs(h_value(complex(1.0, t), 100)) <= h0
 
 
+def test_h_value_refuses_overflowing_phases_before_the_line_product(monkeypatch):
+    # at sigma = 1e-76 the line product's set-up alone takes a third of a
+    # second; a t whose phases t log p overflow never reaches it
+    def unreachable(sigma, y):
+        raise AssertionError("h_log_line was called")
+
+    monkeypatch.setattr(euler, "h_log_line", unreachable)
+    with pytest.raises(DomainError, match="phases"):
+        h_value(complex(1e-76, 1.7e308), 10**6)
+
+
 def test_exp_phi_matches_h():
     for sigma in (0.3, 0.6, 1.0, 1.5):
         for y in (100, 1000):
