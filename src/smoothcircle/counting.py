@@ -310,7 +310,7 @@ def _small_table() -> tuple[list[memoryview], list[memoryview]]:
 
 def _exact_recursive(x: int, y: int, node_budget: int) -> tuple[int, int, int]:
     table = prime_table(y)
-    ps = [int(p) for p in table.p]
+    ps = table.p.tolist()
     pi1 = np.cumsum(table.chi == 1)  # pi1[i] = #{q <= ps[i], q = 1 (mod 4)}
     t = min(isqrt(x), y)
     r4 = lattice_r_table(t) // 4  # r4[0] = 0
@@ -439,7 +439,7 @@ def _exact_sieve(x: int, y: int, node_budget: int) -> tuple[int, int, int]:
         raise ResourceBudgetError(
             f"sieve range {x} exceeds node budget {node_budget}"
         )
-    ps = [int(p) for p in prime_table(y).p]
+    ps = prime_table(y).p.tolist()
     total = 0
     terms = 0
     lo = 1

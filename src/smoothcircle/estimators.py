@@ -112,15 +112,15 @@ def perron_verify(
     work at half-integers).  The integrand is even in t after taking real
     parts.  It is a product of x^(it) and the factors p^(-it), p <= y, the
     fastest of which turns once per 2 pi / max(log x, log y) in t; base
-    panels are that period wide, which one 15/31-point Gauss pair resolves,
-    and a panel the pair does not resolve is bisected.  log H on the line
-    Re s = a comes from euler.h_log_line, set up once per call: a blocked
-    product over the primes, one complex log per block and node, correct
-    modulo 2 pi i, which exp removes.
+    panels are that period wide, which the 15-point Gauss rule and its
+    31-point Kronrod extension resolve, and a panel on which the two differ
+    is bisected.  log H on the line Re s = a comes from euler.h_log_line,
+    set up once per call: a blocked product over the primes, one complex
+    log per block and node, correct modulo 2 pi i, which exp removes.
 
     integrate_panels calls the integrand once per level of panels, one row
-    of nodes per panel, each exactly its midpoint, column 7, plus the
-    level's one offsets array: log H takes that array, ts[0] - ts[0, 7],
+    of 31 nodes per panel, each exactly its midpoint, column 15, plus the
+    level's one offsets array: log H takes that array, ts[0] - ts[0, 15],
     and the midpoints, and forms the offsets' phase factors once per level
     and one complex exp per prime per panel.
     """
@@ -135,7 +135,7 @@ def perron_verify(
 
     def f(ts: np.ndarray) -> np.ndarray:
         sv = a + 1j * ts
-        return (np.exp(log_h(ts[0] - ts[0, 7], ts[:, 7]) + sv * logx) / sv).real
+        return (np.exp(log_h(ts[0] - ts[0, 15], ts[:, 15]) + sv * logx) / sv).real
 
     period = 2.0 * math.pi / max(logx, math.log(y))
     integral = 4.0 / math.pi * integrate_panels(f, 0.0, T, period)

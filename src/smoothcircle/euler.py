@@ -130,8 +130,8 @@ _LINE_BLOCK_LOG = 600.0
 
 # Bytes of each complex temporary of an h_log_line chunk, (centers x
 # offsets x primes) factors of 16 bytes: as many offsets as fit, then as
-# many centers.  A level of 110 Perron panels at y = 1000 (46 offsets, two
-# centers a chunk) took 9.1 ms at this bound, 15.2 ms at 1 << 20, whose
+# many centers.  A level of 110 Perron panels at y = 1000 (31 offsets,
+# three centers a chunk) took 6.2 ms at this bound, 9.5 ms at 1 << 20, whose
 # temporaries spill the CPU cache (best of 15 on a 2-vCPU Xeon).
 _LINE_CHUNK_BYTES = 1 << 18
 
@@ -157,8 +157,8 @@ def h_log_line(sigma: float, y: int) -> Callable[..., np.ndarray]:
     E = exp(-i d log p), once, and for each chunk of offsets one complex
     exp per prime per center, exp(-i c log p), which multiplies into them.
     The chunks' complex temporaries stay within _LINE_CHUNK_BYTES, so
-    memory does not grow with the node count; 46 offsets make one chunk up
-    to y = 2 398.  At the default center 0 the center's factor is exactly
+    memory does not grow with the node count; 31 offsets make one chunk up
+    to y = 3 802.  At the default center 0 the center's factor is exactly
     1, so log_h(ts) is the product at the nodes ts themselves.  The caller
     arranges that c + d is exact.
 

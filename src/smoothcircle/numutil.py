@@ -1,5 +1,5 @@
 """Small numerical helpers: exact sums, safeguarded root finding,
-panel-based Gauss-Legendre quadrature.
+panel-based Gauss-Kronrod quadrature.
 
 csum returns exactly what math.fsum returns -- the correctly rounded sum --
 but sums a large float64 array in numpy, by the error-free ExtractVector
@@ -182,11 +182,28 @@ def bracketed_newton(
     raise ConvergenceError(f"no convergence after {_NEWTON_ITERS} iterations (|f|={abs(fx):.3e})")
 
 
-_GL_LO = leggauss(15)
-_GL_HI = leggauss(31)
-# Both rules' nodes in one row; the 15-point rule's middle one, column 7, is 0.0.
-_GL_NODES = np.concatenate((_GL_LO[0], _GL_HI[0]))
-_GL_SPLIT = _GL_LO[0].size
+# The 31-point Gauss-Kronrod rule (Kronrod, 1965; QUADPACK's qk31, Piessens
+# et al., 1983) on [-1, 1], the nodes >= 0 from the largest down to 0.0, and
+# their weights: tests/oracles.py::kronrod31_decimal computes both in decimal
+# arithmetic, and a tier-1 test holds these floats to it bit for bit.
+_K31_HALF_NODES = (
+    0.9980022986933971, 0.9879925180204854, 0.9677390756791391, 0.937273392400706,
+    0.8972645323440819, 0.8482065834104272, 0.790418501442466, 0.7244177313601701,
+    0.650996741297417, 0.5709721726085388, 0.4850818636402397, 0.3941513470775634,
+    0.29918000715316884, 0.20119409399743451, 0.1011420669187175, 0.0,
+)
+_K31_HALF_WEIGHTS = (
+    0.005377479872923349, 0.015007947329316122, 0.02546084732671532, 0.03534636079137585,
+    0.04458975132476488, 0.05348152469092809, 0.06200956780067064, 0.06985412131872826,
+    0.07684968075772038, 0.08308050282313302, 0.08856444305621176, 0.09312659817082532,
+    0.09664272698362368, 0.09917359872179196, 0.10076984552387559, 0.10133000701479154,
+)
+# All 31 nodes, ascending, and their weights.  The 15-point Gauss rule's
+# nodes are the odd columns, its middle one, column 15, is 0.0, and its
+# weights are leggauss(15)'s.
+_K31_NODES = np.array([-x for x in _K31_HALF_NODES[:-1]] + list(reversed(_K31_HALF_NODES)))
+_K31_WEIGHTS = np.array(_K31_HALF_WEIGHTS[:-1] + tuple(reversed(_K31_HALF_WEIGHTS)))
+_G15_WEIGHTS = leggauss(15)[1]
 # integrate_panels' budget of bisections, and of base panels, which
 # refuses perron --T 1e15 before any panel is allocated.
 _MAX_SPLITS = 4000
@@ -204,16 +221,19 @@ def integrate_panels(
     """Integrate f, which maps a 2-D array of abscissae to values of the
     same shape, over [a, b] with fixed panels refined adaptively.
 
-    Each panel is bisected until its nested 15/31-point Gauss-Legendre
-    rules agree within max(_QUAD_ATOL, _QUAD_RTOL |fine|); more than
-    _MAX_SPLITS bisections, or base panels, raise ConvergenceError, the
-    latter before f is called.  f is called once per level of equal-width
-    panels (the base panels, then the halves of those that failed), on one
-    row per panel: the 15 nodes, then the 31.  Midpoints and offsets
-    hw x_i are rounded to multiples of q = ulp(2 max(|a|, |b|)), so every
-    row is exactly its column 7, the midpoint, plus one offsets array per
-    level; that moves a node by at most q/2.  math.fsum rounds the exact
-    sum of the panels once, so their order does not matter.
+    Each panel is evaluated at the 31 nodes of the Gauss-Kronrod rule K31,
+    whose odd columns are the nodes of the 15-point Gauss rule G15, and is
+    bisected until the two rules agree within max(_QUAD_ATOL,
+    _QUAD_RTOL |K31|); K31 is its value.  More than _MAX_SPLITS
+    bisections, or base panels, raise ConvergenceError, the latter before
+    f is called.  f is called once per level of equal-width panels (the
+    base panels, then the halves of those that failed), on one row of 31
+    nodes per panel.  Midpoints and offsets hw x_i are rounded to
+    multiples of q = ulp(2 max(|a|, |b|)), so every row is exactly its
+    column 15, the midpoint, plus one offsets array per level; that moves
+    a node by at most q/2.  Each rule sums a row's products in numpy's
+    own order, the same for every row, and math.fsum rounds the exact sum
+    of the panels once, so their order does not matter.
     """
     if b <= a:
         return 0.0
@@ -234,10 +254,10 @@ def integrate_panels(
     hw = 0.5 * (b - a) / n_base
     done, splits = [], 0
     while mids.size:
-        v = f(mids[:, None] + on_grid(hw * _GL_NODES))
+        v = f(mids[:, None] + on_grid(hw * _K31_NODES))
         with np.errstate(invalid="ignore"):  # inf - inf: a nan, which fails
-            coarse = hw * (v[:, :_GL_SPLIT] @ _GL_LO[1])
-            fine = hw * (v[:, _GL_SPLIT:] @ _GL_HI[1])
+            coarse = hw * (v[:, 1::2] * _G15_WEIGHTS).sum(axis=1)
+            fine = hw * (v * _K31_WEIGHTS).sum(axis=1)
             ok = np.abs(fine - coarse) <= np.maximum(_QUAD_ATOL, _QUAD_RTOL * np.abs(fine))
         done.append(fine[ok])
         splits += np.count_nonzero(~ok)

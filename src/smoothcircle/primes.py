@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -12,33 +13,64 @@ import numpy as np
 from .errors import DomainError
 
 
+# Odd numbers per segment of the sieve: 2^18 bool slots, 256 KB, which
+# stay in the CPU cache while every base prime strikes them.
+_SIEVE_SEGMENT = 1 << 18
+
+
 def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (empty for limit < 2).
 
-    The sieve holds the odd numbers only: index i stands for 2i + 1.  An
-    odd prime p strikes its odd multiples from p^2 on, which are indices
-    p^2 // 2, p^2 // 2 + p, ...  Index 0 (the number 1) is never struck,
-    and its slot in the result holds 2.  A sieve past numpy's index range
-    raises MemoryError, as one numpy cannot allocate does.
+    A segmented sieve (Bays and Hudson, BIT 17, 1977) of the odd numbers
+    only: slot i stands for 2i + 1, and the slots are struck _SIEVE_SEGMENT
+    at a time.  An odd prime p <= sqrt(limit) strikes its odd multiples
+    from p^2 on, which are slots p^2 // 2, p^2 // 2 + p, ...  Slot 0 (the
+    number 1) is never struck, and its place in the result holds 2.  The
+    survivors go straight into one array of ceil(1.25506 limit / log limit)
+    entries, more than pi(limit) for limit > 1 (Rosser and Schoenfeld,
+    Illinois J. Math. 6, 1962, (3.6)), allocated before the base primes
+    are sieved: a limit whose array numpy cannot allocate raises its
+    MemoryError at once, and so does a limit whose slots pass numpy's
+    index range, before numpy is asked.
     """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    size = (limit + 1) // 2
     index_max = np.iinfo(np.intp).max
-    if size > index_max:
+    if (limit + 1) // 2 > index_max:
         raise MemoryError(
             f"Unable to allocate a prime sieve of over {index_max} entries (numpy's index range)"
         )
-    odd = np.ones(size, dtype=bool)
-    for i in range(1, (isqrt(limit) + 1) // 2):
-        if odd[i]:
-            p = 2 * i + 1
-            odd[p * p // 2 :: p] = False
-    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
-    primes *= 2
-    primes += 1
-    primes[0] = 2
-    return primes
+    return _sieve(limit)
+
+
+def _sieve(limit: int) -> np.ndarray:
+    """sieve_primes(limit) for limit >= 2, its base primes sieved by itself."""
+    out = np.empty(math.ceil(1.25506 * limit / math.log(limit)), dtype=np.int64)
+    root = isqrt(limit)
+    base = _sieve(root)[1:].tolist() if root >= 3 else []  # the odd primes <= sqrt(limit)
+    size = (limit + 1) // 2
+    seg = np.empty(min(size, _SIEVE_SEGMENT), dtype=bool)
+    nxt = [p * p // 2 for p in base]  # each base prime's next slot to strike
+    n = active = 0
+    for lo in range(0, size, _SIEVE_SEGMENT):
+        hi = min(lo + _SIEVE_SEGMENT, size)
+        window = seg[: hi - lo]
+        window.fill(True)
+        while active < len(base) and nxt[active] < hi:
+            active += 1
+        for k in range(active):
+            j = nxt[k]
+            if j < hi:
+                p = base[k]
+                window[j - lo :: p] = False
+                nxt[k] = j + (hi - j + p - 1) // p * p
+        idx = np.flatnonzero(window)
+        dst = out[n : n + idx.size]
+        np.multiply(idx, 2, out=dst)
+        dst += 2 * lo + 1
+        n += idx.size
+    out[0] = 2
+    return out[:n]
 
 
 @dataclass(frozen=True)
@@ -80,8 +112,11 @@ def prime_table(y: int) -> PrimeTable:
         n = int(np.searchsorted(largest.p, y, side="right"))
         return PrimeTable(y, largest.p[:n], largest.chi[:n], largest.logp[:n])
     p = sieve_primes(y)
-    chi = (2 - (p & 3)).astype(np.int8)  # p & 3 is 1, 3 or 2 (at p = 2 only)
-    logp = np.log(p.astype(np.float64))
+    # chi = 2 - (p & 3), p & 3 being 1, 3 or 2 (at p = 2 only), and log p,
+    # each formed in its own array with no whole-array temporary
+    chi = np.bitwise_and(p, 3, out=np.empty(p.size, dtype=np.int8), casting="unsafe")
+    np.subtract(2, chi, out=chi)
+    logp = np.log(p, dtype=np.float64)
     for arr in (p, chi, logp):
         arr.setflags(write=False)
     table = PrimeTable(y, p, chi, logp)

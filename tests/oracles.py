@@ -313,3 +313,126 @@ def bracketed_newton_two_callbacks(f, fprime, lo, hi, x0=None, *, ftol, max_iter
             return x, fx, it, (lo, hi)
         x = step
     raise ConvergenceError(f"no convergence after {max_iters} iterations")
+
+
+def sieve_primes_plain(limit: int) -> list[int]:
+    """The primes <= limit by Eratosthenes' sieve over every integer up to
+    limit, in one list: the segmented sieve's reference."""
+    is_prime = [True] * (limit + 1)
+    for n in range(2, isqrt(limit) + 1):
+        if is_prime[n]:
+            is_prime[n * n :: n] = [False] * len(range(n * n, limit + 1, n))
+    return [n for n in range(2, limit + 1) if is_prime[n]]
+
+
+def _poly_value(coeffs, x):
+    """(sum c_k x^k, its derivative) by Horner, coeffs lowest power first."""
+    value = deriv = 0
+    for c in reversed(coeffs):
+        deriv = deriv * x + value
+        value = value * x + c
+    return value, deriv
+
+
+def _root_in(coeffs, lo: Decimal, hi: Decimal, tiny: Decimal) -> Decimal:
+    """The one root of a polynomial with a sign change on (lo, hi): Newton
+    steps from the midpoint, a bisection where one leaves the bracket."""
+    sign_lo = _poly_value(coeffs, lo)[0] > 0
+    x = (lo + hi) / 2
+    while hi - lo > tiny:
+        value, deriv = _poly_value(coeffs, x)
+        if value == 0:
+            return x
+        if (value > 0) == sign_lo:
+            lo = x
+        else:
+            hi = x
+        step = value / deriv if deriv else None
+        if step is not None and lo < x - step < hi:
+            x -= step
+            if abs(step) <= tiny:
+                return x
+        else:
+            x = (lo + hi) / 2
+    return x
+
+
+def kronrod31_decimal(digits: int = 50) -> tuple[list[Decimal], list[Decimal]]:
+    """The 31-point Gauss-Kronrod rule on [-1, 1] in digits-digit decimal
+    arithmetic: (nodes, weights), nodes ascending.
+
+    With n = 15, the nodes are the zeros of the Legendre polynomial P_n and
+    of the Stieltjes polynomial E_(n+1), the monic polynomial of degree
+    n + 1 with int P_n E_(n+1) x^k dx = 0 for k <= n (Kronrod, 1965).
+    E_(n+1) is even and P_n odd, so only odd k constrain it, and its
+    coefficients solve that linear system exactly in fractions.  Both
+    polynomials are symmetric, so only the positive zeros are found: P_n's
+    one in each cell of a grid of step 1/1000 where it changes sign (its
+    zeros lie more than 0.05 apart), E_(n+1)'s one in each gap between 0,
+    P_n's positive zeros and 1, which they interlace; Newton steps finish
+    each.  With I = int P_n x^n dx, the interpolatory weights are
+    I / (P_n(xi) E'(xi)) at a zero xi of E_(n+1), and w_G + I / (P_n'(x) E(x))
+    at a zero x of P_n, w_G = 2 / ((1 - x^2) P_n'(x)^2) its Gauss-Legendre
+    weight.
+    """
+    from fractions import Fraction
+
+    n = 15
+    legendre = [[Fraction(1)], [Fraction(0), Fraction(1)]]  # P_0, P_1, lowest power first
+    for m in range(1, n):
+        nxt = [Fraction(0)] + [(2 * m + 1) * c for c in legendre[m]]
+        for k, c in enumerate(legendre[m - 1]):
+            nxt[k] -= m * c
+        legendre.append([c / (m + 1) for c in nxt])
+    pn = legendre[n]
+
+    def pn_moment(k):  # int_-1^1 P_n x^k dx
+        return sum(Fraction(2, j + k + 1) * c for j, c in enumerate(pn) if (j + k) % 2 == 0)
+
+    # E = x^(n+1) + sum_i e_i x^(2i), 2i < n + 1: one equation per odd k <= n
+    free = (n + 1) // 2
+    rows = [
+        [pn_moment(2 * i + k) for i in range(free)] + [-pn_moment(n + 1 + k)]
+        for k in range(1, n + 1, 2)
+    ]
+    for col in range(free):  # Gauss-Jordan elimination
+        piv = next(r for r in range(col, free) if rows[r][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(free):
+            if r != col:
+                rows[r] = [v - rows[r][col] * w for v, w in zip(rows[r], rows[col])]
+    stieltjes = [Fraction(0)] * (n + 2)
+    stieltjes[n + 1] = Fraction(1)
+    for i in range(free):
+        stieltjes[2 * i] = rows[i][free]
+
+    with localcontext() as ctx:
+        ctx.prec = digits + 20
+        tiny = Decimal(10) ** -(digits + 10)
+
+        def dec(c):
+            return Decimal(c.numerator) / Decimal(c.denominator)
+
+        p_dec, e_dec = [dec(c) for c in pn], [dec(c) for c in stieltjes]
+        grid = [Decimal(k) / 1000 for k in range(1, 1001)]
+        signs = [_poly_value(p_dec, x)[0] > 0 for x in grid]
+        gauss = [Decimal(0)] + [
+            _root_in(p_dec, grid[k], grid[k + 1], tiny)
+            for k in range(len(grid) - 1)
+            if signs[k] != signs[k + 1]
+        ]
+        assert len(gauss) == free
+        edges = gauss + [Decimal(1)]
+        kronrod = [_root_in(e_dec, lo, hi, tiny) for lo, hi in zip(edges, edges[1:])]
+        integral = dec(pn_moment(n))
+        half = []  # (node, weight) for the nodes >= 0
+        for x in gauss:
+            dp = _poly_value(p_dec, x)[1]
+            w_gauss = 2 / ((1 - x * x) * dp * dp)
+            half.append((x, w_gauss + integral / (dp * _poly_value(e_dec, x)[0])))
+        for xi in kronrod:
+            half.append((xi, integral / (_poly_value(p_dec, xi)[0] * _poly_value(e_dec, xi)[1])))
+        half.sort()
+        pairs = [(-x, w) for x, w in reversed(half[1:])] + half
+        return [+x for x, _ in pairs], [+w for _, w in pairs]

@@ -562,8 +562,8 @@ def test_compare_far_tail_thm2_finite_and_goswami_flagged():
 @pytest.mark.parametrize(
     "argv, reason",
     [
-        # y = 1e18: the prime sieve would need 444 PiB, beyond any address
-        # space, so the allocation is refused at once
+        # y = 1e18: the prime sieve's result array would need 215 PiB,
+        # beyond any address space, so the allocation is refused at once
         (("hval", "--sigma", "0.6", "--y", "1000000000000000000"), "Unable to allocate"),
         (("primesums", "--x", "1e18"), "Unable to allocate"),
         (("compare", "--grid-x", "1e30", "--grid-y", "1000000000000000000"), "Unable to allocate"),

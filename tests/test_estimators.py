@@ -180,22 +180,22 @@ def _perron_panels(monkeypatch, x, y, T):
 def test_perron_panel_count(monkeypatch, x, y, T, panels):
     # base panels one period of the fastest factor wide, 2 pi / max(log x,
     # log y): ceil(T max(log x, log y) / 2 pi) of them, none split, so one
-    # integrand call, one row of 46 nodes per panel
+    # integrand call, one row of the 31 Gauss-Kronrod nodes per panel
     _, calls = _perron_panels(monkeypatch, x, y, T)
-    assert [ts.shape for ts in calls] == [(panels, 46)]
+    assert [ts.shape for ts in calls] == [(panels, 31)]
     assert panels == math.ceil(T * max(math.log(x), math.log(y)) / (2 * math.pi))
 
 
 @pytest.mark.parametrize("x, y, T", _PERRON_CELLS)
 def test_perron_anchor_is_exact_and_matches_the_direct_line_product(monkeypatch, x, y, T):
-    # the integrand anchors each row at its 15-point middle node, the
-    # panel's midpoint: ts[0] - ts[0, 7] is exact and shared by every row,
+    # the integrand anchors each row at its middle node, column 15, the
+    # panel's midpoint: ts[0] - ts[0, 15] is exact and shared by every row,
     # so the anchored nodes are the panels' own, and log H there agrees
     # with the product at the nodes themselves
     res, calls = _perron_panels(monkeypatch, x, y, T)
     log_h = euler.h_log_line(res.alpha, y)
     for ts in calls:
-        d, mids = ts[0] - ts[0, 7], ts[:, 7]
+        d, mids = ts[0] - ts[0, 15], ts[:, 15]
         assert np.array_equal(ts, mids[:, None] + d)
         anchored, direct = log_h(d, mids), log_h(ts)
         assert anchored.shape == direct.shape == ts.shape
@@ -222,13 +222,13 @@ class _CountingNumpy:
 
 @pytest.mark.parametrize("x, y, T, panels", [(*_PERRON_CELLS[0], 110), (*_PERRON_CELLS[1], 238)])
 def test_perron_forms_the_offset_phase_factors_once_per_level(monkeypatch, x, y, T, panels):
-    # one level of panels: the 46 offsets' phase factors once, then one
+    # one level of panels: the 31 offsets' phase factors once, then one
     # complex exp per prime per panel midpoint
     counting = _CountingNumpy()
     monkeypatch.setattr(euler, "np", counting)
     _, calls = _perron_panels(monkeypatch, x, y, T)
     assert len(calls) == 1
-    assert counting.phase_exps == (46 + panels) * len(prime_table(y))
+    assert counting.phase_exps == (31 + panels) * len(prime_table(y))
 
 
 def test_perron_kept_phase_factors_equal_fresh_ones_bitwise():

@@ -21,7 +21,7 @@ from smoothcircle.numutil import (
     integrate_panels,
 )
 
-from oracles import prime_terms_whole_array
+from oracles import kronrod31_decimal, prime_terms_whole_array
 
 # Both sides of the small-array cutoff and of one extraction block, and a
 # block plus a short or a long partial block.
@@ -31,6 +31,9 @@ SIZES = [
     _CSUM_BLOCK + 65, 2 * _CSUM_BLOCK + 3, 3 * _CSUM_BLOCK - 5,
 ]
 ULP1 = 2.0**-52  # ulp of 1.0
+# The 31-point Gauss-Kronrod rule's nodes and weights from the decimal
+# oracle, rounded to floats.
+K31 = tuple(np.array([float(v) for v in part]) for part in kronrod31_decimal())
 # Examples of the csum property test; a deeper run sets this variable.
 CSUM_EXAMPLES = int(os.environ.get("SMOOTHCIRCLE_TEST_CSUM_EXAMPLES", "150"))
 
@@ -221,10 +224,19 @@ def test_bracketed_newton_doubles_toward_an_infinite_hi(monkeypatch):
         bracketed_newton(fdf, 1.0, ftol=0.0)
 
 
+def _k31_rules():
+    """(G15 nodes, G15 weights, K31 nodes, K31 weights) as floats: the
+    Kronrod rule from the decimal oracle, the Gauss rule its odd nodes with
+    leggauss(15)'s weights."""
+    nodes, weights = K31
+    return nodes[1::2], leggauss(15)[1], nodes, weights
+
+
 def _two_call_levels(f, a, b, panel_width):
-    """integrate_panels with one call of f per Gauss rule and level: the
+    """integrate_panels with one call of f per rule and level, G15's nodes
+    apart from K31's, and each panel's two sums formed on its own row: the
     reference the one-call form must reproduce bit for bit."""
-    gl_lo, gl_hi = leggauss(15), leggauss(31)
+    x15, w15, x31, w31 = _k31_rules()
     q = math.ulp(2.0 * max(abs(a), abs(b)))
 
     def on_grid(v):
@@ -236,24 +248,29 @@ def _two_call_levels(f, a, b, panel_width):
     hw = 0.5 * (b - a) / n_base
     done = []
     while mids.size:
-        coarse = hw * (f(mids[:, None] + on_grid(hw * gl_lo[0])) @ gl_lo[1])
-        fine = hw * (f(mids[:, None] + on_grid(hw * gl_hi[0])) @ gl_hi[1])
-        ok = np.abs(fine - coarse) <= np.maximum(1e-9, 1e-9 * np.abs(fine))
-        done.extend(fine[ok])
+        v15 = f(mids[:, None] + on_grid(hw * x15))
+        v31 = f(mids[:, None] + on_grid(hw * x31))
+        ok = []
+        for row15, row31 in zip(v15, v31):
+            coarse = hw * (np.ascontiguousarray(row15) * w15).sum()
+            fine = hw * (np.ascontiguousarray(row31) * w31).sum()
+            ok.append(abs(fine - coarse) <= max(1e-9, 1e-9 * abs(fine)))
+            if ok[-1]:
+                done.append(fine)
         hw *= 0.5
-        mids = (mids[~ok, None] + on_grid(np.array([-hw, hw]))).ravel()
+        mids = (mids[~np.array(ok), None] + on_grid(np.array([-hw, hw]))).ravel()
     return math.fsum(done)
 
 
 def _two_call_panels(f, a, b, panel_width, *, rtol=1e-9, atol=1e-9, max_splits=4000):
-    """integrate_panels as it was, a loop over panels with one call of f per
-    Gauss rule and nodes that are not rounded: the reference the level form
-    must match to rounding."""
-    gl_lo, gl_hi = leggauss(15), leggauss(31)
+    """integrate_panels as a loop over panels with one call of f per rule
+    and nodes that are not rounded: the reference the level form must
+    match to rounding."""
+    x15, w15, x31, w31 = _k31_rules()
 
     def rule(lo, hi, nodes, wts):
         mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        return hw * float(np.dot(wts, f(mid + hw * nodes)))
+        return hw * math.fsum(wts * f(mid + hw * nodes))
 
     n_base = max(1, math.ceil((b - a) / panel_width))
     edges = np.linspace(a, b, n_base + 1)
@@ -262,10 +279,10 @@ def _two_call_panels(f, a, b, panel_width, *, rtol=1e-9, atol=1e-9, max_splits=4
     splits = 0
     while work:
         lo, hi = work.pop()
-        coarse = rule(lo, hi, *gl_lo)
-        fine = rule(lo, hi, *gl_hi)
+        coarse = rule(lo, hi, x15, w15)
+        fine = rule(lo, hi, x31, w31)
         if abs(fine - coarse) <= max(atol, rtol * abs(fine)):
-            done.append((lo, fine))
+            done.append(fine)
             continue
         splits += 1
         if splits > max_splits:
@@ -273,8 +290,7 @@ def _two_call_panels(f, a, b, panel_width, *, rtol=1e-9, atol=1e-9, max_splits=4
         mid = 0.5 * (lo + hi)
         work.append((mid, hi))
         work.append((lo, mid))
-    done.sort(key=lambda t: t[0])
-    return math.fsum(v for _, v in done)
+    return math.fsum(done)
 
 
 INTEGRANDS = {
@@ -299,22 +315,22 @@ def _recording(f, calls):
 @pytest.mark.parametrize("name", sorted(INTEGRANDS))
 def test_integrate_panels_one_call_per_panel(name):
     # every panel is evaluated once, in one call per level of equal-width
-    # panels: one row each, the 15 nodes of the coarse rule, then the 31 of
-    # the fine one, both mapped to the same panel
+    # panels: one row each, the 31 Kronrod nodes mapped to the panel, whose
+    # odd columns are the 15 Gauss nodes and whose column 15 is its midpoint
     f, a, b, width = INTEGRANDS[name]
     calls = []
     integrate_panels(_recording(f, calls), a, b, width)
     rows = np.concatenate(calls)
     assert len({(float(r.min()), float(r.max())) for r in rows}) == len(rows)
-    x15, x31 = leggauss(15)[0], leggauss(31)[0]
+    x31 = K31[0]
     n_base = math.ceil((b - a) / width)
     hw = 0.5 * (b - a) / n_base
     for level, ts in enumerate(calls):
-        assert ts.ndim == 2 and ts.shape[1] == 46
+        assert ts.ndim == 2 and ts.shape[1] == 31
         assert ts.shape[0] == n_base if level == 0 else ts.shape[0] % 2 == 0  # each split adds two
-        mid = ts[:, 7:8]
-        assert ts[:, :15] == pytest.approx(mid + hw * x15, rel=1e-12, abs=1e-12)
-        assert ts[:, 15:] == pytest.approx(mid + hw * x31, rel=1e-12, abs=1e-12)
+        mid = ts[:, 15:16]
+        assert ts == pytest.approx(mid + hw * x31, rel=1e-12, abs=1e-12)
+        assert ts[:, 1::2] == pytest.approx(mid + hw * leggauss(15)[0], rel=1e-12, abs=1e-12)
         hw *= 0.5
     if name == "peaked":
         assert len(calls) > 1
@@ -328,7 +344,7 @@ _BISECTING = {
 
 @pytest.mark.parametrize("case", ["perron-1000", "perron-300", *_BISECTING])
 def test_integrate_panels_rows_are_midpoint_plus_shared_offsets(monkeypatch, case):
-    # every row of every call is its column 7, the panel's midpoint, plus
+    # every row of every call is its column 15, the panel's midpoint, plus
     # one offsets array shared by the call, bit for bit: on the diagnostics
     # workload's two Perron cells and on integrands that bisect
     calls = []
@@ -345,13 +361,13 @@ def test_integrate_panels_rows_are_midpoint_plus_shared_offsets(monkeypatch, cas
         assert len(calls) > 2
     assert calls
     for ts in calls:
-        assert np.array_equal(ts, ts[:, 7:8] + (ts[0] - ts[0, 7]))
+        assert np.array_equal(ts, ts[:, 15:16] + (ts[0] - ts[0, 15]))
 
 
 def test_integrate_panels_smooth_needs_no_split():
     calls = []
     integrate_panels(lambda ts: calls.append(ts.shape) or np.cos(ts), 0.0, 3.0, 1.0)
-    assert calls == [(3, 46)]
+    assert calls == [(3, 31)]
 
 
 def test_integrate_panels_split_budget_raises(monkeypatch):
@@ -387,8 +403,32 @@ def test_integrate_panels_matches_the_panel_loop(name):
 
 @pytest.mark.parametrize("name", sorted(INTEGRANDS))
 def test_integrate_panels_matches_two_calls_bitwise(name):
-    # both rules' nodes in one call give the floats of one call per rule
+    # both rules' nodes in one call, and both rules summed for every panel
+    # at once, give the floats of one call per rule and a sum per panel
     f, a, b, width = INTEGRANDS[name]
     got = integrate_panels(f, a, b, width)
     want = _two_call_levels(f, a, b, width)
     assert got.hex() == want.hex()
+
+
+def test_kronrod31_literals_match_the_oracle_bitwise():
+    assert numutil._K31_NODES.tobytes() == K31[0].tobytes()
+    assert numutil._K31_WEIGHTS.tobytes() == K31[1].tobytes()
+
+
+def test_kronrod31_integrates_monomials_to_degree_46():
+    # K31 is exact for polynomials of degree 3n + 1 = 46, n = 15
+    nodes, weights = numutil._K31_NODES, numutil._K31_WEIGHTS
+    for k in range(47):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(math.fsum(weights * nodes**k) - exact) <= 1e-15, k
+
+
+def test_kronrod31_extends_the_15_point_gauss_rule():
+    nodes, weights = numutil._K31_NODES, numutil._K31_WEIGHTS
+    # numpy's leggauss(15) rounds two of its nodes one ulp off the oracle's
+    # correctly rounded ones
+    np.testing.assert_array_max_ulp(nodes[1::2], leggauss(15)[0], maxulp=1)
+    assert nodes[15] == 0.0 and not math.copysign(1.0, nodes[15]) < 0
+    assert np.array_equal(nodes, -nodes[::-1]) and np.all(np.diff(nodes) > 0)
+    assert weights[15] == 0.10133000701479154  # QUADPACK qk31's wgk(16)

@@ -1,17 +1,25 @@
 import math
+import os
 import sys
 import threading
+import tracemalloc
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import PRIMES_BELOW_100
-from oracles import factorize
+from oracles import factorize, sieve_primes_plain
 from smoothcircle.errors import DomainError
 from smoothcircle import primes
 from smoothcircle.primes import prime_table, sieve_primes
+
+# Examples of the segment-boundary property test; a deeper run sets this
+# variable.
+SIEVE_EXAMPLES = int(os.environ.get("SMOOTHCIRCLE_TEST_SIEVE_EXAMPLES", "60"))
 
 
 def test_sieve_small():
@@ -25,6 +33,46 @@ def test_sieve_past_the_index_range_is_a_memory_error():
     # which would raise ValueError, is asked
     with pytest.raises(MemoryError, match="Unable to allocate"):
         sieve_primes(2 * int(np.iinfo(np.intp).max) + 1)
+
+
+def test_sieve_refuses_an_unallocatable_limit_before_the_base_primes(monkeypatch):
+    # the result array, 215 PiB at 1e18, is allocated first, so numpy's
+    # refusal comes before the primes to 1e9 are sieved
+    limits = []
+    sieve = primes._sieve
+
+    def counted(limit):
+        limits.append(limit)
+        return sieve(limit)
+
+    monkeypatch.setattr(primes, "_sieve", counted)
+    with pytest.raises(MemoryError, match="Unable to allocate"):
+        sieve_primes(10**18)
+    assert limits == [10**18]
+
+
+@st.composite
+def _segment_and_limit(draw):
+    """A segment length and a limit within 2 of a multiple of 2 segment
+    (a segment's odd slots cover 2 segment integers) or within 1 of the
+    square of a base prime, where that prime first strikes."""
+    segment = draw(st.sampled_from([1, 2, 7, 64]))
+    if draw(st.booleans()):
+        limit = 2 * segment * draw(st.integers(0, 300)) + draw(st.integers(-2, 2))
+    else:
+        limit = draw(st.sampled_from(PRIMES_BELOW_100[1:])) ** 2 + draw(st.integers(-1, 1))
+    return segment, max(limit, 0)
+
+
+@settings(max_examples=SIEVE_EXAMPLES, deadline=None)
+@given(_segment_and_limit())
+def test_segmented_sieve_matches_a_plain_sieve_at_segment_edges(case):
+    segment, limit = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "_SIEVE_SEGMENT", segment)
+        got = sieve_primes(limit)
+    assert got.dtype == np.int64
+    assert got.tolist() == sieve_primes_plain(limit)
 
 
 def test_sieve_against_trial_division():
@@ -93,6 +141,20 @@ def test_prime_table_prefixes_equal_fresh_tables_bitwise(monkeypatch):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (y, name)
             assert not got.flags.writeable
             assert np.shares_memory(got, getattr(big, name))
+
+
+def test_prime_table_build_peaks_near_its_own_arrays(monkeypatch):
+    # the sieve strikes one cache-sized segment at a time and writes the
+    # primes into one array; chi and log p are formed in their own arrays
+    monkeypatch.setattr(primes, "_largest", None)
+    tracemalloc.start()
+    try:
+        table = prime_table.__wrapped__(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = table.p.nbytes + table.chi.nbytes + table.logp.nbytes
+    assert peak <= 1.25 * own, peak / own
 
 
 def test_smaller_prime_table_after_a_larger_one_sieves_nothing(monkeypatch):
