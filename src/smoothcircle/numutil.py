@@ -201,8 +201,8 @@ _K31_HALF_WEIGHTS = (
 # All 31 nodes, ascending, and their weights.  The 15-point Gauss rule's
 # nodes are the odd columns, its middle one, column 15, is 0.0, and its
 # weights are leggauss(15)'s.
-_K31_NODES = np.array([-x for x in _K31_HALF_NODES[:-1]] + list(reversed(_K31_HALF_NODES)))
-_K31_WEIGHTS = np.array(_K31_HALF_WEIGHTS[:-1] + tuple(reversed(_K31_HALF_WEIGHTS)))
+_K31_NODES = np.concatenate((-np.array(_K31_HALF_NODES[:-1]), _K31_HALF_NODES[::-1]))
+_K31_WEIGHTS = np.concatenate((_K31_HALF_WEIGHTS[:-1], _K31_HALF_WEIGHTS[::-1]))
 _G15_WEIGHTS = leggauss(15)[1]
 # integrate_panels' budget of bisections, and of base panels, which
 # refuses perron --T 1e15 before any panel is allocated.

@@ -1,4 +1,5 @@
-"""Prime tables with the mod-4 character attached."""
+"""Prime tables with the mod-4 character and log p attached, sieved from the
+odd numbers in cache-sized segments."""
 
 from __future__ import annotations
 
@@ -59,11 +60,10 @@ def _sieve(limit: int) -> np.ndarray:
         while active < len(base) and nxt[active] < hi:
             active += 1
         for k in range(active):
-            j = nxt[k]
-            if j < hi:
-                p = base[k]
-                window[j - lo :: p] = False
-                nxt[k] = j + (hi - j + p - 1) // p * p
+            p, j = base[k], nxt[k]
+            window[j - lo :: p] = False
+            # the first slot >= hi; j < hi + p, so a j past this segment stays
+            nxt[k] = j + (hi - j + p - 1) // p * p
         idx = np.flatnonzero(window)
         dst = out[n : n + idx.size]
         np.multiply(idx, 2, out=dst)
