@@ -62,7 +62,7 @@ def _sieve(limit: int) -> np.ndarray:
         for k in range(active):
             p, j = base[k], nxt[k]
             window[j - lo :: p] = False
-            # the first slot >= hi; j < hi + p, so a j past this segment stays
+            # the first slot >= hi; a j past this segment (j < hi + p) stays
             nxt[k] = j + (hi - j + p - 1) // p * p
         idx = np.flatnonzero(window)
         dst = out[n : n + idx.size]

@@ -4,7 +4,9 @@ factorization, r(n) by a lattice scan, chi4, the Dickman rho interval
 series and xi(u) in decimal arithmetic, the text of the shipped rho table
 rendered from that series, the Euler kernel's per-prime terms
 evaluated over the whole prime array at once and in decimal arithmetic,
-and plain bracketed Newton with separate callbacks for f and f'."""
+plain bracketed Newton with separate callbacks for f and f', a plain
+sieve of Eratosthenes, and the 31-point Gauss-Kronrod rule in fractions
+and decimal arithmetic."""
 
 from __future__ import annotations
 

@@ -250,15 +250,12 @@ def _two_call_levels(f, a, b, panel_width):
     while mids.size:
         v15 = f(mids[:, None] + on_grid(hw * x15))
         v31 = f(mids[:, None] + on_grid(hw * x31))
-        ok = []
-        for row15, row31 in zip(v15, v31):
-            coarse = hw * (np.ascontiguousarray(row15) * w15).sum()
-            fine = hw * (np.ascontiguousarray(row31) * w31).sum()
-            ok.append(abs(fine - coarse) <= max(1e-9, 1e-9 * abs(fine)))
-            if ok[-1]:
-                done.append(fine)
+        coarse = np.array([hw * (row * w15).sum() for row in v15])
+        fine = np.array([hw * (row * w31).sum() for row in v31])
+        ok = np.abs(fine - coarse) <= np.maximum(1e-9, 1e-9 * np.abs(fine))
+        done.extend(fine[ok])
         hw *= 0.5
-        mids = (mids[~np.array(ok), None] + on_grid(np.array([-hw, hw]))).ravel()
+        mids = (mids[~ok, None] + on_grid(np.array([-hw, hw]))).ravel()
     return math.fsum(done)
 
 
