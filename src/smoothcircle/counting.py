@@ -261,7 +261,9 @@ def _chi4_prefix(v: np.ndarray) -> np.ndarray:
 
 
 # The small-m table: rows for the 31 primes below 128, columns m <= 2^14,
-# two int32 arrays of about 2 MB each.  The next prime, 131, has
+# two int16 arrays of about 1 MB each: the largest entries are W = 4 632
+# and C = 6 094, and every partial sum of a row, and every term added to
+# it, is at most the row's final value.  The next prime, 131, has
 # 131^2 > 2^14, so a node the table misses with m <= 2^14 has m <= p or
 # p^2 >= m: a closed form or a Buchstab leaf.
 _SMALL_PRIMES = 31
@@ -287,9 +289,9 @@ def _small_table() -> tuple[list[memoryview], list[memoryview]]:
     m // q: its entries 1, 2, ... each repeated q times.
     The rows are read-only memoryviews: indexing one gives a Python int.
     """
-    weight = np.empty((_SMALL_PRIMES, _SMALL_M + 1), dtype=np.int32)
+    weight = np.empty((_SMALL_PRIMES, _SMALL_M + 1), dtype=np.int16)
     count = np.empty_like(weight)
-    w_prev = c_prev = (np.arange(_SMALL_M + 1) >= 1).astype(np.int32)  # only k = 1
+    w_prev = c_prev = (np.arange(_SMALL_M + 1) >= 1).astype(np.int16)  # only k = 1
     for j, p in enumerate(sieve_primes(127).tolist()):
         w, c = weight[j], count[j]
         w[:], c[:] = w_prev, c_prev

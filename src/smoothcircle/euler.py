@@ -16,21 +16,24 @@ p^-ic p^-id for t = c + d, so a Perron quadrature level, whose panels
 share one offsets array, costs the offsets' phase factors once and one
 complex exp per prime per panel midpoint.
 
-prime_terms evaluates the primes in blocks of a few thousand: the heap
-reuses block-sized temporaries from call to call, while whole-array ones
-(628 KB each at y = 1e6) were faulted in again on every call, which cost
-more than the arithmetic.  One call can form several orders: the
-reciprocals are computed once per prime for all of them, so a Newton
-step's phi_1 and phi_2 (phi1_phi2) and all of phi_derivatives each cost
-one pass over the primes.
+The real-axis kernel forms the terms of a block of a few thousand primes
+at a time, in scratch rows allocated once per pass, and feeds each order's
+row of two blocks to its own certified accumulator
+(numutil.CertifiedAccumulator): the sums are csum's, bit for bit, with no
+pi(y)-sized array.  An order the
+accumulator cannot certify is summed as csum(prime_terms(...)), whose
+whole-array rows are that fallback and what the tests read.  One pass can
+form several orders: the reciprocals are computed once per prime for all
+of them, so a Newton step's phi_1 and phi_2 (phi1_phi2) and all of
+phi_derivatives each cost one pass over the primes.
 
 The real-axis evaluators sum each order once per point: they read the
-csums of the prime_terms rows of the last (sigma, y) evaluated from a
-one-point memo, and a call makes one pass for the orders it lacks.  The
-saddle terms read phi_0..phi_2 at one alpha from several calls, of which
-only the first at that alpha (the solve's last Newton step, phi_1 and
-phi_2) and the first that needs phi_0 make a pass.  The solve's
-small-prime model reads its sums through phi1_phi2 at y = 1000 too.
+sums of the last (sigma, y) evaluated from a one-point memo, and a call
+makes one pass for the orders it lacks.  The saddle terms read
+phi_0..phi_2 at one alpha from several calls, of which only the first at
+that alpha (the solve's last Newton step, phi_1 and phi_2) and the first
+that needs phi_0 make a pass.  The solve's small-prime model reads its
+sums through phi1_phi2 at y = 1000 too.
 """
 
 from __future__ import annotations
@@ -42,22 +45,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .numutil import csum
+from .numutil import CertifiedAccumulator, csum
 from .primes import prime_table
 
 
-# Primes per prime_terms block: temporaries of 32 KB, which the heap reuses
-# from call to call without page faults.  At y = 1e6 a call's transient
-# memory peaks at 1.3 to 1.7 times its output for one order, 1.3 times for
-# (1, 2) and 1.2 times for orders 0..4, against 5 to 9 times for the whole
-# array.
+# Primes per kernel block: scratch rows of 32 KB, which the heap reuses from
+# call to call without page faults.  A pass allocates its rows once and
+# reuses them for every block: _WORK_ROWS of them (chi4(p) as a float, r1,
+# c r2, a1, a2 and two temporaries), while prime_terms writes each order
+# into its output.
 _TERMS_BLOCK = 4096
+_WORK_ROWS = 7
+# Terms per accumulated block: a pass writes two kernel blocks into each
+# order's row before the row's accumulator sums it.  Each numpy call costs
+# about 0.5 us whatever its length, and an accumulator makes 11 per row: at
+# y = 1e6 a (1, 2) pass took 1.49 ms this way, 1.70 ms with a row per
+# kernel block (best of 30 on a 2-vCPU Xeon), and its tracemalloc peak is
+# 0.47 MB (rows, accumulator scratch and work rows).
+_ACC_BLOCK = 2 * _TERMS_BLOCK
+# A pass's accumulators take this multiple of the first row's largest
+# |term| as their bound: that row holds the smallest primes, whose terms
+# are the largest (each order's term falls as p^sigma grows).
+_BOUND_SLACK = 2.0
 
 
 def prime_terms(sigma: float, y: int, orders: Sequence[int]) -> list[np.ndarray]:
     """Per-prime terms of (-1)^k phi_k, the k-th sigma-derivative of log H(sigma; y),
     at real sigma > 0, one array for each order k in the sequence orders.
-    Every real-axis evaluator reaches sigma through here, so this is where
     sigma <= 0 or nan raises DomainError.
 
     k = 0: the log-factors -log(1 - 1/P) - log(1 - c/P) = log1p(r1) + log1p(c r2);
@@ -67,66 +81,133 @@ def prime_terms(sigma: float, y: int, orders: Sequence[int]) -> list[np.ndarray]
     terms keep full relative accuracy as sigma -> 0 (inf, unwarned, once
     1/expm1 overflows), and no power of P can overflow as sigma grows.
     One pass forms the reciprocals once per prime for every order, each
-    order's array bitwise what a call for it alone gives: separate arrays,
-    not one 2-D array, each the size the heap reuses for one-order calls.
+    order's array bitwise what a call for it alone gives.
 
     The primes go _TERMS_BLOCK at a time into their slice of the output:
     the floats of one whole-array expression, but with block-sized
-    temporaries, so a call's transient memory stays within a few blocks.
+    scratch, so a call's transient memory stays within a few blocks.  The
+    real-axis evaluators sum the terms block by block (_kernel_pass) and
+    call this only where that sum cannot be certified; the tests read it.
     """
     if not sigma > 0:
         raise DomainError(f"the Euler product needs sigma > 0, got {sigma}")
     table = prime_table(y)
     n = len(table)
     out = [np.empty(n) for _ in orders]
-    # r = 0 at P = inf; held here, since a with held across a yield leaks
-    with np.errstate(over="ignore"):
+    work = np.empty((_WORK_ROWS, min(n, _TERMS_BLOCK)))
+    with np.errstate(over="ignore"):  # r = 0 at P = inf
         for lo in range(0, n, _TERMS_BLOCK):
             hi = lo + _TERMS_BLOCK
-            terms = _block_terms(sigma, table.logp[lo:hi], table.chi[lo:hi], orders)
-            for row, block in zip(out, terms):
-                row[lo:hi] = block
+            rows = [row[lo:hi] for row in out]
+            _block_terms(sigma, table.logp[lo:hi], table.chi[lo:hi], orders, work, rows)
     return out
 
 
-def _block_terms(sigma, lp, chi4, orders):
-    """prime_terms on one block of primes: yields one array per order.
+def _kernel_pass(sigma: float, y: int, orders: tuple[int, ...]) -> list[float]:
+    """csum(prime_terms(sigma, y, (k,))[0]) for each k in orders, bitwise,
+    or inf where that csum overflows: one pass over the primes.
 
-    Each closed form keeps the order of operations of the whole-array
-    form; the reciprocals r1 = 1/(P - 1), r2 = 1/(P - chi4(p)) and, for
-    k >= 2, a = c r (1 + c r) are formed once for all orders.  At
-    chi4(p) = 0 (p = 2) the c = chi4(p) half reads 0.
+    The terms go _TERMS_BLOCK primes at a time into one row per order of
+    _ACC_BLOCK terms.  Primes that fit one row make whole arrays, which
+    csum sums.  Past one row, each order's row goes, in place, into its
+    own CertifiedAccumulator, whose bound is _BOUND_SLACK times the largest
+    |term| of the first row, so no pi(y)-sized array is formed.  An order
+    whose accumulator declines (a term past the bound, a non-finite term, a
+    sum it cannot certify) is summed from prime_terms by csum, in one more
+    pass for all such orders.  sigma <= 0 or nan raises DomainError.
     """
-    chi = chi4.astype(np.float64)
-    em1 = np.expm1(sigma * lp)
-    r1, r2 = 1.0 / em1, 1.0 / (em1 + (1.0 - chi))
-    cr = chi * r2
+    if not sigma > 0:
+        raise DomainError(f"the Euler product needs sigma > 0, got {sigma}")
+    table = prime_table(y)
+    n = len(table)
+    work = np.empty((_WORK_ROWS, min(n, _TERMS_BLOCK)))
+    terms = np.empty((len(orders), min(n, _ACC_BLOCK)))
+    accs: list[CertifiedAccumulator] = []
+    with np.errstate(over="ignore"):  # r = 0 at P = inf
+        for lo in range(0, n, _ACC_BLOCK):
+            rows = terms[:, : min(n - lo, _ACC_BLOCK)]
+            for j in range(0, rows.shape[1], _TERMS_BLOCK):
+                block = slice(lo + j, lo + j + _TERMS_BLOCK)
+                outs = rows[:, j : j + _TERMS_BLOCK]
+                _block_terms(sigma, table.logp[block], table.chi[block], orders, work, outs)
+            if n <= _ACC_BLOCK:  # the rows are the whole arrays
+                return [_csum_or_inf(row) for row in rows]
+            if not accs:
+                accs = [
+                    CertifiedAccumulator(n, _BOUND_SLACK * max(row.max(), -row.min()))
+                    for row in rows
+                ]
+            for acc, row in zip(accs, rows):
+                acc.add(row)
+    sums = [acc.result() for acc in accs]
+    declined = tuple(k for k, v in zip(orders, sums) if v is None)
+    if declined:
+        redo = iter(prime_terms(sigma, y, declined))
+        sums = [_csum_or_inf(next(redo)) if v is None else v for v in sums]
+    return sums
+
+
+def _csum_or_inf(terms: np.ndarray) -> float:
+    """csum(terms), or +inf where it overflows: every real-axis term is >= 0."""
+    try:
+        return csum(terms)
+    except OverflowError:
+        return math.inf
+
+
+def _block_terms(sigma, lp, chi4, orders, work, outs) -> None:
+    """prime_terms on one block of primes, written into outs, one array of
+    lp.size per order; work has _WORK_ROWS rows of at least lp.size.
+
+    Each closed form gives the floats of the whole-array form.  The
+    reciprocal r1 = 1/(P - 1), c r2 = c/(P - c) and, for k >= 2,
+    a = c r (1 + c r) (c = 1 in the first half) are formed once for all
+    orders.  c/(P - c) is one division, bitwise c * (1/(P - c)) as c is 0
+    or +-1, and r2 enters every term as c r2: the r2^2 of Li_-3 is
+    (c r2)^2 where c = +-1, and a2 = 0 where c = 0 (p = 2), whose second
+    half reads 0.
+    """
+    chi, t1, r1, cr, a1, a2, t2 = (row[: lp.size] for row in work[:_WORK_ROWS])
+    np.copyto(chi, chi4)  # int8 operands would cost a cast in each ufunc
+    np.expm1(np.multiply(sigma, lp, out=t1), out=t1)  # P - 1
+    np.divide(1.0, t1, out=r1)
+    np.divide(chi, np.add(t1, np.subtract(1.0, chi, out=cr), out=cr), out=cr)
     if max(orders) > 1:
-        a1, a2 = r1 * (1.0 + r1), cr * (1.0 + cr)
+        np.multiply(r1, np.add(1.0, r1, out=a1), out=a1)
+        np.multiply(cr, np.add(1.0, cr, out=a2), out=a2)
     # -log(1 - c/P) = log(P/(P - c)) = log1p(c r), Li_0(c/P) = c r, and
     # with a = c r (1 + c r):
     # Li_-1(c/P) = cP/(P - c)^2 = a,
     # Li_-2(c/P) = cP(P + c)/(P - c)^3 = a (1 + 2 c r),
     # Li_-3(c/P) = cP(P^2 + 4cP + c^2)/(P - c)^4 = a (1 + 6 c r + 6 r^2).
-    # At c = 1 the factor c is dropped: 1.0 * r is r.
-    for k in orders:
-        if k == 0:
-            yield np.log1p(r1) + np.log1p(cr)
-        elif k == 1:
-            yield lp * (r1 + cr)
-        elif k == 2:
-            yield np.square(lp) * (a1 + a2)
-        elif k == 3:
-            yield np.power(lp, 3) * (a1 * (1.0 + 2.0 * r1) + a2 * (1.0 + 2.0 * chi * r2))
-        else:
-            tail1 = 1.0 + 6.0 * r1 + 6.0 * r1 * r1
-            tail2 = 1.0 + 6.0 * chi * r2 + 6.0 * r2 * r2
-            yield np.power(lp, 4) * (a1 * tail1 + a2 * tail2)
+    # At c = 1 the factor c is dropped: 1.0 * r is r.  Every product
+    # below is rounded once, so its operands may come in either order.
+    for k, o in zip(orders, outs):
+        if k == 0:  # log1p(r1) + log1p(c r2)
+            np.add(np.log1p(r1, out=o), np.log1p(cr, out=t1), out=o)
+        elif k == 1:  # log p (r1 + c r2)
+            np.multiply(lp, np.add(r1, cr, out=o), out=o)
+        elif k == 2:  # (log p)^2 (a1 + a2)
+            np.multiply(np.square(lp, out=t1), np.add(a1, a2, out=o), out=o)
+        elif k == 3:  # (log p)^3 (a1 (1 + 2 r1) + a2 (1 + 2 c r2))
+            for a, r, t in ((a1, r1, t1), (a2, cr, t2)):
+                np.multiply(a, np.add(1.0, np.multiply(2.0, r, out=t), out=t), out=t)
+            np.multiply(np.power(lp, 3, out=o), np.add(t1, t2, out=t1), out=o)
+        else:  # (log p)^4 (a1 tail(r1) + a2 tail(c r2)), tail(r) = (1 + 6 r) + (6 r) r
+            for a, r, t in ((a1, r1, t1), (a2, cr, t2)):
+                np.multiply(6.0, r, out=t)
+                np.add(np.add(1.0, t, out=o), np.multiply(t, r, out=t), out=t)
+                np.multiply(a, t, out=t)
+            np.multiply(np.power(lp, 4, out=o), np.add(t1, t2, out=t1), out=o)
 
 
 # A block of the line product ends before the log-magnitude bound of its
 # factors passes this, well inside the exp(709) float range.
 _LINE_BLOCK_LOG = 600.0
+
+# _line_starts cuts up to this many blocks by one searchsorted call each,
+# and more from a table of every prime's next start.
+_LINE_WALK_BLOCKS = 64
 
 # Bytes of each complex temporary of an h_log_line chunk, (centers x
 # offsets x primes) factors of 16 bytes: as many offsets as fit, then as
@@ -176,13 +257,7 @@ def h_log_line(sigma: float, y: int) -> Callable[..., np.ndarray]:
         a = np.exp(-sigma * lp)
         per_prime = (1.0 + np.abs(table.chi)) * np.log1p(1.0 / np.expm1(sigma * lp))
     b = table.chi * a
-    bound = np.cumsum(np.minimum(per_prime, _LINE_BLOCK_LOG))
-    starts = []
-    lo, base = 0, 0.0
-    while lo < lp.size:
-        starts.append(lo)
-        lo = max(lo + 1, int(np.searchsorted(bound, base + _LINE_BLOCK_LOG, side="right")))
-        base = bound[lo - 1]
+    starts = _line_starts(np.cumsum(np.minimum(per_prime, _LINE_BLOCK_LOG)))
     rows = max(1, _LINE_CHUNK_BYTES // (16 * lp.size))  # nodes per chunk
 
     def log_h(offsets: np.ndarray, centers: float | np.ndarray = 0.0) -> np.ndarray:
@@ -206,6 +281,36 @@ def h_log_line(sigma: float, y: int) -> Callable[..., np.ndarray]:
     return log_h
 
 
+def _line_starts(bound: np.ndarray) -> list[int]:
+    """The block starts of the line product, greedily: a block starting at
+    lo ends at the last i with bound[i] <= base + _LINE_BLOCK_LOG, base
+    being bound[lo - 1] (0 at lo = 0), and holds at least one prime.
+
+    Two blocks in a row pass _LINE_BLOCK_LOG, so there are at most
+    2 bound[-1] / _LINE_BLOCK_LOG + 1 of them.  Up to _LINE_WALK_BLOCKS,
+    each start costs one searchsorted call; past it, one searchsorted over
+    every possible start gives the next start after each, and a walk over
+    that list picks the starts (78 498 blocks at sigma = 1e-76, y = 1e6).
+    """
+    n = bound.size
+    if 2.0 * bound[-1] / _LINE_BLOCK_LOG + 1.0 <= _LINE_WALK_BLOCKS:
+        starts = []
+        lo, base = 0, 0.0
+        while lo < n:
+            starts.append(lo)
+            lo = max(lo + 1, int(np.searchsorted(bound, base + _LINE_BLOCK_LOG, side="right")))
+            base = bound[lo - 1]
+        return starts
+    bases = np.concatenate(([0.0], bound[:-1]))
+    nxt = np.searchsorted(bound, bases + _LINE_BLOCK_LOG, side="right")
+    nxt = np.maximum(nxt, np.arange(1, n + 1), out=nxt).tolist()
+    starts, lo = [], 0
+    while lo < n:
+        starts.append(lo)
+        lo = nxt[lo]
+    return starts
+
+
 def h_value(s: complex, y: int) -> complex:
     """H(s; y) = exp(log H), log H from h_log_real on the real axis and from
     h_log_line off it; Re s > 0, and |Im s| log y within float range.
@@ -224,7 +329,7 @@ def h_value(s: complex, y: int) -> complex:
         return complex(np.exp(log_h))
 
 
-# The memo: the real-axis point (sigma, y) evaluated last, and the csums of
+# The memo: the real-axis point (sigma, y) evaluated last, and the sums of
 # its prime_terms rows by order k.  Floats only, so it keeps no
 # array alive.  A dict is only ever filled for its own point, so a thread
 # that finds the memo replaced under it still reads its own point's sums.
@@ -235,9 +340,8 @@ def _order_sums(sigma: float, y: int, orders: tuple[int, ...]) -> list[float]:
     """csum(prime_terms(sigma, y, (k,))[0]) for each k in orders, bitwise,
     or inf where that csum overflows.
 
-    The orders the memo lacks at (sigma, y) come from one prime_terms
-    pass, which also checks sigma; a call at another point replaces the
-    memo.  The point is compared with ==, so nan never matches.
+    The orders the memo lacks at (sigma, y) come from one _kernel_pass,
+    which also checks sigma; a call at another point replaces the memo.  The point is compared with ==, so nan never matches.
     """
     global _memo
     memo = _memo
@@ -246,11 +350,7 @@ def _order_sums(sigma: float, y: int, orders: tuple[int, ...]) -> list[float]:
     sums = memo[2]
     missing = tuple(k for k in orders if k not in sums)
     if missing:
-        for k, terms in zip(missing, prime_terms(sigma, y, missing)):
-            try:
-                sums[k] = csum(terms)
-            except OverflowError:  # every term is >= 0: the sum is +inf
-                sums[k] = math.inf
+        sums.update(zip(missing, _kernel_pass(sigma, y, missing)))
     return [sums[k] for k in orders]
 
 

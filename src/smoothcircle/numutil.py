@@ -19,9 +19,17 @@ below u sigma_2, whose float sum is within gamma_(n-1) n u sigma_2 of their
 exact sum, gamma_m = m u / (1 - m u) (Higham, Accuracy and Stability of
 Numerical Algorithms, sec. 4.2), in any summation order.  The sum is then
 accepted only when that bound proves it rounds to the same float as the
-exact sum.  Every other case -- small or non-array input, non-finite
-values, sums near zero or near overflow, a bound that cannot decide -- goes
-to math.fsum, so values, nan, inf and exceptions are math.fsum's own.
+exact sum.
+
+sigma needs only n and a bound on max|x| known before the first value, so
+CertifiedAccumulator takes the values block by block, as online exact
+summation does (Zhu and Hayes, ACM TOMS 37, 2010): the Euler kernel and the
+prime sums stream their terms through it with no whole array, and fall
+back to csum only where it declines.  csum runs certified_sum, one
+accumulator over an array, and sends every other case -- small or
+non-array input, non-finite values, sums near zero or near overflow, a
+bound that cannot decide -- to math.fsum, so values, nan, inf and
+exceptions are math.fsum's own.
 """
 
 from __future__ import annotations
@@ -44,9 +52,9 @@ EULER_GAMMA = 0.5772156649015329
 # 1 229); the extraction runs _CSUM_BLOCK values at a time, which bounds
 # its scratch memory; an array of n values with n + 2 above
 # _CSUM_EXTRACT_LIMIT = 2^26 goes to math.fsum, since two extractions leave
-# a bound that grows like 2^(4M) and stops deciding near there; max|x| in
-# (_CSUM_TINY, _CSUM_LIMIT / n) keeps every unit of extraction normal and
-# every partial sum, here and in math.fsum, far from overflow.
+# a bound that grows like 2^(4M) and stops deciding near there; a bound on
+# max|x| in (_CSUM_TINY, _CSUM_LIMIT / n) keeps every unit of extraction
+# normal and every partial sum, here and in math.fsum, far from overflow.
 _CSUM_MIN = 512
 _CSUM_BLOCK = 1 << 15
 _CSUM_EXTRACT_LIMIT = 1 << 26
@@ -61,7 +69,9 @@ def csum(terms) -> float:
 
     A 1-D float64 array of at least _CSUM_MIN values is summed by
     certified_sum; when that cannot certify its rounding, and for any other
-    input, the sum is math.fsum's.
+    input, the sum is math.fsum's.  The package's kernels sum through a
+    CertifiedAccumulator block by block and call this only where it
+    declines.
     """
     if (
         isinstance(terms, np.ndarray)
@@ -83,9 +93,27 @@ def _two_sum(a: float, b: float) -> tuple[float, float]:
 
 
 def certified_sum(x: np.ndarray) -> float | None:
-    """math.fsum(x) for a 1-D float64 array, or None where it cannot certify.
+    """math.fsum(x) for a 1-D float64 array, or None where it cannot certify:
+    a CertifiedAccumulator of x.size values with the bound max|x|, fed
+    copies of x's _CSUM_BLOCK-value blocks.  None also for an array that
+    holds nan or inf, or is empty or all zero.
+    """
+    n = x.size
+    acc = CertifiedAccumulator(n, max(x.max(initial=0.0), -x.min(initial=0.0)))
+    buf = np.empty(min(n, _CSUM_BLOCK))
+    for lo in range(0, n, _CSUM_BLOCK):
+        block = buf[: min(n - lo, _CSUM_BLOCK)]
+        np.copyto(block, x[lo : lo + _CSUM_BLOCK])
+        acc.add(block)
+    return acc.result()
 
-    sigma is the least power of two with max|x| <= 2^-M sigma, n + 2 <= 2^M,
+
+class CertifiedAccumulator:
+    """math.fsum of up to n float64 values, given block by block, each
+    |value| <= bound: the sum is exact whatever the blocks' sizes, so a
+    caller need never hold all n values at once.
+
+    sigma is the least power of two with bound <= 2^-M sigma, n + 2 <= 2^M,
     and sigma_2 = 2^M u sigma.  Block by block, the first extraction splits
     x into q + x' and the second splits x' into q2 + x''; tau1 = sum(q) and
     tau2 = sum(q2) are exact floats (see the module docstring), and
@@ -101,40 +129,74 @@ def certified_sum(x: np.ndarray) -> float | None:
     the correctly rounded sum, in any tie-breaking rule, once
     fl(|t| + D) < gap/2, gap the distance from r to its nearer float
     neighbour: gap/2 is a power of two and rounding is monotone, so the
-    float test implies the exact one.  None when that fails, when x holds
-    nan or inf or is empty or all zero, when max|x| is below _CSUM_TINY or
-    n max|x| reaches _CSUM_LIMIT, when n + 2 > _CSUM_EXTRACT_LIMIT, and when
-    |r| <= 1e-290, where the gap nears the subnormals.
+    float test implies the exact one.
+
+    result() is that r, or None: when a block holds a value above bound in
+    magnitude, or nan or inf, or the blocks bring more than n values; when
+    bound is below _CSUM_TINY or n bound reaches _CSUM_LIMIT; when
+    n + 2 > _CSUM_EXTRACT_LIMIT; when |r| <= 1e-290, where the gap nears
+    the subnormals; and when the test above fails.  Once a block breaks
+    the bound, later blocks are not summed.  Each block is extracted in
+    place, so one scratch array the size of the largest block serves.
     """
-    n = x.size
-    top = max(x.max(initial=0.0), -x.min(initial=0.0))
-    if not (_CSUM_TINY < top < _CSUM_LIMIT / max(n, 1) and n + 2 <= _CSUM_EXTRACT_LIMIT):
+
+    def __init__(self, n: int, bound: float) -> None:
+        self._n = n
+        self._bound = bound
+        self._ok = _CSUM_TINY < bound < _CSUM_LIMIT / max(n, 1) and n + 2 <= _CSUM_EXTRACT_LIMIT
+        if self._ok:
+            m = (n + 1).bit_length()  # n + 2 <= 2^m
+            self._sigma = math.ldexp(1.0, m + math.frexp(bound)[1])  # bound < 2^frexp exponent
+            self._sigma2 = math.ldexp(self._sigma, m - 53)
+        self._seen = 0
+        self._tau1 = self._tau2 = self._s3 = 0.0
+        self._q = np.empty(0)
+
+    def add(self, block: np.ndarray) -> None:
+        """Sum one 1-D float64 block into the total.  A block within the
+        bound is overwritten by its remainders: pass a copy of values still
+        needed.
+
+        The reductions are the ufuncs' own, which ndarray.sum, min and max
+        wrap: the same floats, without a Python call per block.
+        """
+        size = block.size
+        self._seen += size
+        if not size or not self._ok:
+            return
+        if not (
+            self._seen <= self._n
+            and -self._bound <= np.minimum.reduce(block)  # False at nan
+            and np.maximum.reduce(block) <= self._bound
+        ):
+            self._ok = False
+            return
+        if self._q.size < size:
+            self._q = np.empty(size)
+        qb = self._q[:size]
+        sigma, sigma2 = self._sigma, self._sigma2
+        np.subtract(np.add(block, sigma, out=qb), sigma, out=qb)
+        self._tau1 += float(np.add.reduce(qb))
+        np.subtract(block, qb, out=block)  # x'
+        np.subtract(np.add(block, sigma2, out=qb), sigma2, out=qb)
+        self._tau2 += float(np.add.reduce(qb))
+        self._s3 += float(np.add.reduce(np.subtract(block, qb, out=block)))  # x''
+
+    def result(self) -> float | None:
+        """The correctly rounded sum of the blocks added, or None."""
+        if not self._ok:
+            return None
+        a, e = _two_sum(self._tau1, self._tau2)
+        c = e + self._s3
+        r, t = _two_sum(a, c)
+        if not (math.isfinite(r) and abs(r) > 1e-290):
+            return None
+        n = self._n
+        bound = _U * abs(c) + 2.0 * float(n * n) * _U * _U * self._sigma2
+        gap = min(r - math.nextafter(r, -math.inf), math.nextafter(r, math.inf) - r)
+        if abs(t) + bound < 0.5 * gap:
+            return r
         return None
-    m = (n + 1).bit_length()  # n + 2 <= 2^m
-    sigma = math.ldexp(1.0, m + math.frexp(top)[1])  # top < 2^frexp exponent
-    sigma2 = math.ldexp(sigma, m - 53)
-    size = min(n, _CSUM_BLOCK)
-    q, rest = np.empty(size), np.empty(size)
-    tau1 = tau2 = s3 = 0.0
-    for lo in range(0, n, _CSUM_BLOCK):
-        xb = x[lo : lo + _CSUM_BLOCK]
-        qb, rb = q[: xb.size], rest[: xb.size]
-        np.subtract(np.add(xb, sigma, out=qb), sigma, out=qb)
-        tau1 += float(qb.sum())
-        np.subtract(xb, qb, out=rb)
-        np.subtract(np.add(rb, sigma2, out=qb), sigma2, out=qb)
-        tau2 += float(qb.sum())
-        s3 += float(np.subtract(rb, qb, out=rb).sum())
-    a, e = _two_sum(tau1, tau2)
-    c = e + s3
-    r, t = _two_sum(a, c)
-    if not (math.isfinite(r) and abs(r) > 1e-290):
-        return None
-    bound = _U * abs(c) + 2.0 * float(n * n) * _U * _U * sigma2
-    gap = min(r - math.nextafter(r, -math.inf), math.nextafter(r, math.inf) - r)
-    if abs(t) + bound < 0.5 * gap:
-        return r
-    return None
 
 
 # bracketed_newton's iteration budget: xi runs to float stagnation in at

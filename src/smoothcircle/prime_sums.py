@@ -1,8 +1,9 @@
 """The weighted prime sum over primes up to a threshold, with the mod-4 twist.
 
-The sum is accumulated with compensated summation.  Its main-term column
-follows the classical first-order approximation so that deviations can be
-monitored empirically.
+The sum is math.fsum's correctly rounded one, accumulated block by block
+(numutil.CertifiedAccumulator), so no pi(x)-sized array is formed.  Its
+main-term column follows the classical first-order approximation so that
+deviations can be monitored empirically.
 """
 
 from __future__ import annotations
@@ -13,9 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numutil import csum
+from .numutil import CertifiedAccumulator, csum
 from .primes import prime_table
 
+# Primes per block of the sum: a terms row, which the accumulator overwrites,
+# and its scratch row, 64 KB each, which the heap reuses from call to call.
+_SUM_BLOCK = 1 << 13
 SIGMA_SLACK = 2.0  # admissible sigma range is [0, 1 + slack/log x]
 
 
@@ -42,14 +46,16 @@ def weighted_prime_sum(x: float, sigma: float, twist: bool = False) -> PrimeSumR
             f"sigma={sigma} outside [0, 1 + {SIGMA_SLACK}/log x] for x={x}"
         )
     table = prime_table(int(x))
-    # log p exp(-sigma log p), formed in one array.  chi is 0 or +-1, so
-    # multiplying it in last is exact: the same floats as (chi log p) exp(...).
-    terms = np.multiply(table.logp, -sigma)
-    np.exp(terms, out=terms)
-    terms *= table.logp
-    if twist:
-        terms *= table.chi
-    value = csum(terms)
+    n = len(table)
+    # For sigma >= 0, |chi log p exp(-sigma log p)| <= log p <= log p_max.
+    acc = CertifiedAccumulator(n, float(table.logp[-1]))
+    row = np.empty(min(n, _SUM_BLOCK))
+    for lo in range(0, n, _SUM_BLOCK):
+        hi = lo + _SUM_BLOCK
+        acc.add(_terms(table.logp[lo:hi], table.chi[lo:hi], sigma, twist, row))
+    value = acc.result()
+    if value is None:  # not certified: math.fsum's value, from the whole array
+        value = csum(_terms(table.logp, table.chi, sigma, twist, np.empty(n)))
     if twist:
         main = 0.0
     elif sigma == 1.0:
@@ -57,3 +63,15 @@ def weighted_prime_sum(x: float, sigma: float, twist: bool = False) -> PrimeSumR
     else:
         main = (x ** (1.0 - sigma) - 1.0) / (1.0 - sigma)
     return PrimeSumReport(x=x, value=value, main_term=main, deviation=value - main)
+
+
+def _terms(logp, chi, sigma, twist, out):
+    """log p exp(-sigma log p), times chi4(p) if twist, in out[:logp.size].
+    chi is 0 or +-1, so multiplying it in last is exact: the same floats
+    as (chi log p) exp(...)."""
+    terms = np.multiply(logp, -sigma, out=out[: logp.size])
+    np.exp(terms, out=terms)
+    terms *= logp
+    if twist:
+        terms *= chi
+    return terms

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smoothcircle import cli, euler
+from smoothcircle import cli, euler, prime_sums
 from smoothcircle.cli import main
 from smoothcircle.euler import h_value
 
@@ -382,15 +382,43 @@ def test_hval_on_axis_is_h_value(sigma):
 
 def test_hval_on_axis_makes_one_kernel_pass(monkeypatch):
     calls = []
-    prime_terms = euler.prime_terms
+    kernel_pass = euler._kernel_pass
 
     def counting(*args):
         calls.append(args)
-        return prime_terms(*args)
+        return kernel_pass(*args)
 
-    monkeypatch.setattr(euler, "prime_terms", counting)
+    monkeypatch.setattr(euler, "_kernel_pass", counting)
     assert run_cli("hval", "--sigma", "0.6", "--y", "1000000")[0] == 0
     assert len(calls) == 1
+
+
+def test_benchmark_invocations_sum_without_the_fallback(monkeypatch):
+    # The nine estimates cells, hval on the axis and both primesums
+    # invocations: every kernel order and every prime sum past one block is
+    # certified block by block, so neither prime_terms nor the prime sums'
+    # whole-array csum runs.
+    fallbacks = []
+
+    def recording(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            fallbacks.append((module.__name__, name))
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((euler, "prime_terms"), (prime_sums, "csum")):
+        recording(module, name)
+    for argv in (
+        ["compare", "--grid-x", "1e12,1e30,1e300", "--grid-y", "100,10000,1000000"],
+        ["hval", "--sigma", "0.6", "--y", "1000000"],
+        ["primesums", "--x", "1e6,1e7", "--sigma", "0.5"],
+        ["primesums", "--x", "1e7", "--sigma", "0.9", "--twist"],
+    ):
+        assert run_cli(*argv)[0] == 0, argv
+    assert fallbacks == []
 
 
 def test_format_before_subcommand():

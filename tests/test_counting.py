@@ -426,6 +426,28 @@ def test_small_table_rows_match_brute_force():
         assert np.asarray(count[j]).tolist() == np.cumsum(smooth).tolist()
 
 
+def test_small_table_is_int16_and_equals_an_int64_build():
+    # The rows as int64 cumulative sums of r(k)/4 and of 1 over the smooth k
+    # (nothing overflows there): the int16 table holds the same values, its
+    # largest 4 632 and 6 094, and takes 2 bytes an entry.
+    m = counting._SMALL_M
+    lpf = np.ones(m + 1, dtype=np.int64)
+    for p in sieve_primes(m).tolist():
+        lpf[p::p] = p
+    r4 = lattice_r_table(m) // 4
+    r4[0] = 0
+    smooth = (np.arange(m + 1) >= 1) & (lpf <= np.array(sieve_primes(127))[:, None])
+    want_w = np.cumsum(r4 * smooth, axis=1, dtype=np.int64)
+    want_c = np.cumsum(smooth, axis=1, dtype=np.int64)
+    weight, count = counting._small_table()
+    for rows, want in ((weight, want_w), (count, want_c)):
+        got = np.array([np.asarray(row) for row in rows])
+        assert got.dtype == np.int16 and got.itemsize == 2
+        assert np.array_equal(got.astype(np.int64), want)
+    assert (want_w.max(), want_c.max()) == (4632, 6094)
+    assert isinstance(weight[-1][m], int) and weight[-1][m] == 4632
+
+
 @pytest.mark.parametrize("y", [2, 3, 113, 127, 131, 5000])
 def test_table_edges_match_sieve(y):
     m = counting._SMALL_M

@@ -348,15 +348,15 @@ def test_compare_cell_sums_each_order_once_at_alpha(monkeypatch):
 
     def counting(s, y, k):
         passes.append((y, k))
-        return prime_terms(s, y, k)
+        return kernel_pass(s, y, k)
 
     cells = WORKLOAD_CELLS[:9]
     iters = [solve_alpha(x, y).iters for x, y in cells]
     # 4 passes there: 6 from the closed-form seed, 9 before the memo
     assert dict(zip(cells, iters))[1e30, 10**6] == 3
     euler._memo = (math.nan, 0, {})
-    prime_terms = euler.prime_terms
-    monkeypatch.setattr(euler, "prime_terms", counting)
+    kernel_pass = euler._kernel_pass
+    monkeypatch.setattr(euler, "_kernel_pass", counting)
     for (x, y), n in zip(cells, iters):
         passes.clear()
         compare_cell(x, y, False)

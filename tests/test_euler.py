@@ -124,12 +124,13 @@ def test_evaluators_are_the_direct_sums_in_every_call_order(sigma, y):
 
 def test_evaluators_sum_each_order_once_per_point(monkeypatch):
     passes = []
+    kernel_pass = euler._kernel_pass
 
     def counting(s, y, k):
         passes.append(k)
-        return prime_terms(s, y, k)
+        return kernel_pass(s, y, k)
 
-    monkeypatch.setattr(euler, "prime_terms", counting)
+    monkeypatch.setattr(euler, "_kernel_pass", counting)
     phi1_phi2(0.7, 1000)
     phi1_closed(0.7, 1000)
     phi_derivatives(0.7, 1000, kmax=2)
@@ -474,3 +475,103 @@ def test_prime_terms_keep_full_precision_at_small_sigma(sigma, k):
     want = prime_terms_decimal(sigma, 1000, k)
     worst = max(abs(Decimal(g) / w - 1) for g, w in zip(got.tolist(), want))
     assert worst <= Decimal("2e-15")
+
+
+def _csum_or_inf(row):
+    """csum(row), or inf where it overflows: the kernel's whole-array sum."""
+    try:
+        return csum(row)
+    except OverflowError:
+        return math.inf
+
+
+_STREAM_SIGMAS = [1e-6, 1e-4, 1e-2, 0.05, 0.3, 0.6, 0.95, 1.0, 2.0, 5.0]
+
+
+# pi(y) one short of an accumulated row, one row, one over, and a row and
+# a kernel block and one
+_ROW_EDGE_YS = [
+    _y_with_prime_count(n)
+    for n in (euler._ACC_BLOCK - 1, euler._ACC_BLOCK, euler._ACC_BLOCK + 1,
+              euler._ACC_BLOCK + _BLOCK + 1)
+]
+
+
+@pytest.mark.parametrize("y", [600, *_BLOCK_EDGE_YS[1:3], 10**4, *_ROW_EDGE_YS, 10**6])
+def test_streamed_sums_equal_whole_array_csums_bitwise(y):
+    # Orders 0..4, summed as one row's whole arrays or row by row, are csum
+    # of each prime_terms row.
+    for sigma in _STREAM_SIGMAS:
+        want = [_csum_or_inf(row) for row in prime_terms(sigma, y, range(5))]
+        euler._memo = (math.nan, 0, {})
+        got = euler._order_sums(sigma, y, (0, 1, 2, 3, 4))
+        assert [v.hex() for v in got] == [v.hex() for v in want], sigma
+        assert [v.hex() for v in euler._kernel_pass(sigma, y, (3, 1))] == [
+            want[3].hex(), want[1].hex()
+        ]
+
+
+@pytest.mark.parametrize("y", [_ROW_EDGE_YS[2], 10**5])
+def test_declined_orders_are_summed_from_prime_terms(y, monkeypatch):
+    # A bound below the first row's largest term is broken at once: every
+    # order falls back to csum(prime_terms(...)), in one pass, and the sums
+    # do not move.
+    want = {sigma: euler._kernel_pass(sigma, y, (0, 1, 2, 3, 4)) for sigma in (1e-4, 0.6, 5.0)}
+    passes = []
+
+    def counting(s, yy, orders):
+        passes.append(tuple(orders))
+        return prime_terms(s, yy, orders)
+
+    monkeypatch.setattr(euler, "_BOUND_SLACK", 0.5)
+    monkeypatch.setattr(euler, "prime_terms", counting)
+    for sigma, sums in want.items():
+        passes.clear()
+        got = euler._kernel_pass(sigma, y, (0, 1, 2, 3, 4))
+        assert [v.hex() for v in got] == [v.hex() for v in sums]
+        assert passes == [(0, 1, 2, 3, 4)]
+
+
+def test_overflowing_orders_read_inf():
+    # At sigma = 1e-76 the order-4 terms pass 1e300 and math.fsum overflows:
+    # the accumulator declines and the fallback reads inf, as csum did.
+    got = euler._kernel_pass(1e-76, 10**6, (3, 4))
+    assert got[1] == math.inf
+    assert got[0] == _csum_or_inf(prime_terms(1e-76, 10**6, (3,))[0])
+
+
+def test_kernel_pass_memory_is_a_few_blocks():
+    # One (1, 2) pass at y = 1e6 holds scratch rows of 4096 and 8192 primes,
+    # not the 628 KB of one whole-array row.
+    prime_table(10**6)  # cached before tracing: the table is not transient
+    tracemalloc.start()
+    try:
+        euler._kernel_pass(0.6, 10**6, (1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**19
+
+
+def _greedy_line_starts(bound):
+    """The line product's block starts, one searchsorted per block."""
+    starts, lo, base = [], 0, 0.0
+    while lo < bound.size:
+        starts.append(lo)
+        lo = max(lo + 1, int(np.searchsorted(bound, base + euler._LINE_BLOCK_LOG, side="right")))
+        base = bound[lo - 1]
+    return starts
+
+
+@pytest.mark.parametrize("sigma", [1e-76, 1e-20, 1e-4, 0.6, 5.0])
+@pytest.mark.parametrize("walk_blocks", [0, euler._LINE_WALK_BLOCKS, 10**9])
+def test_line_starts_are_the_greedy_starts(sigma, walk_blocks, monkeypatch):
+    # Whether cut by one searchsorted per block or from the next-start
+    # table, the starts are the greedy loop's.
+    table = prime_table(10**6)
+    with np.errstate(over="ignore"):
+        per_prime = (1.0 + np.abs(table.chi)) * np.log1p(1.0 / np.expm1(sigma * table.logp))
+    bound = np.cumsum(np.minimum(per_prime, euler._LINE_BLOCK_LOG))
+    monkeypatch.setattr(euler, "_LINE_WALK_BLOCKS", walk_blocks)
+    for n in (1, 2, 1000, bound.size):
+        assert euler._line_starts(bound[:n]) == _greedy_line_starts(bound[:n]), n

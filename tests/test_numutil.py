@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from smoothcircle.euler import prime_terms
 from smoothcircle.numutil import (
     _CSUM_BLOCK,
     _CSUM_MIN,
+    CertifiedAccumulator,
     bracketed_newton,
     certified_sum,
     csum,
@@ -36,6 +38,8 @@ ULP1 = 2.0**-52  # ulp of 1.0
 K31 = tuple(np.array([float(v) for v in part]) for part in kronrod31_decimal())
 # Examples of the csum property test; a deeper run sets this variable.
 CSUM_EXAMPLES = int(os.environ.get("SMOOTHCIRCLE_TEST_CSUM_EXAMPLES", "150"))
+# Examples of the accumulator property test; a deeper run sets this variable.
+ACCUMULATOR_EXAMPLES = int(os.environ.get("SMOOTHCIRCLE_TEST_ACCUMULATOR_EXAMPLES", "150"))
 
 
 def _same_as_fsum(x):
@@ -205,6 +209,106 @@ def test_fast_path_certifies_strided_complex_parts():
     terms = prime_terms_whole_array(complex(0.6, 40.0), 10**6, 0)
     for part in (terms.real, terms.imag):
         assert certified_sum(part) == math.fsum(part)
+
+
+def _accumulate(x, n, bound, cuts):
+    """CertifiedAccumulator(n, bound) fed copies of x cut at the sorted
+    positions cuts (add overwrites a block with its remainders)."""
+    acc = CertifiedAccumulator(n, bound)
+    for block in np.split(x, sorted(cuts)):
+        acc.add(block.copy())
+    return acc.result()
+
+
+@given(
+    kind=st.sampled_from(KINDS),
+    n=st.integers(3, 3000) | st.sampled_from(SIZES),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.integers(-900, 900),
+    cut_fracs=st.lists(st.floats(0.0, 1.0), max_size=12),
+    how=st.sampled_from(["tight", "loose", "broken"]),
+    log2_slack=st.integers(0, 80),
+)
+@settings(max_examples=ACCUMULATOR_EXAMPLES, deadline=None)
+@example(kind="tie", n=_CSUM_MIN, seed=0, scale=0, cut_fracs=[0.5], how="tight", log2_slack=0)
+@example(kind="wide", n=5001, seed=3, scale=0, cut_fracs=[0.1, 0.9], how="loose", log2_slack=1)
+@example(kind="subnormal", n=_CSUM_MIN + 1, seed=0, scale=0, cut_fracs=[], how="tight",
+         log2_slack=0)
+@example(kind="cancel", n=_CSUM_BLOCK + 65, seed=5, scale=900, cut_fracs=[0.3], how="broken",
+         log2_slack=0)
+def test_accumulator_is_fsum_bitwise_or_none(kind, n, seed, scale, cut_fracs, how, log2_slack):
+    # Any cut of the values into blocks (empty blocks too), any bound at or
+    # above max|x|: math.fsum's float or None.  A bound one float below
+    # max|x| is broken by the block that holds it: always None.
+    x = _array(kind, n, seed, scale)
+    top = float(np.abs(x).max())
+    bound = {
+        "tight": top,
+        "loose": top * 2.0**log2_slack * 1.25,  # inf past the float range
+        "broken": math.nextafter(top, 0.0),
+    }[how]
+    got = _accumulate(x, n, bound, [int(f * n) for f in cut_fracs])
+    if how == "broken" and top > 0.0:
+        assert got is None
+        return
+    try:
+        want = math.fsum(x)
+    except OverflowError:
+        assert got is None
+        return
+    assert got is None or got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("block", [1, 7, _CSUM_MIN, 4096, _CSUM_BLOCK])
+def test_accumulator_blocks_give_certified_sums_bits(block):
+    # Kernel-like sums certify at any block size, to certified_sum's bits.
+    x = prime_terms(0.6, 10**5, (1,))[0]
+    want = certified_sum(x)
+    assert want is not None
+    got = _accumulate(x, x.size, 2.0 * float(x.max()), range(block, x.size, block))
+    assert got is not None and got.hex() == want.hex()
+
+
+def test_accumulator_declines_what_it_cannot_certify():
+    x = np.linspace(-1.0, 3.0, 5000) ** 3
+    top = float(np.abs(x).max())
+    assert _accumulate(x, x.size, top, [2500]) == math.fsum(x)
+    assert _accumulate(x, x.size + 7, top, [2500]) == math.fsum(x)  # fewer values than n
+    assert _accumulate(x, x.size - 1, top, [2500]) is None  # more values than n
+    for bad in (math.nan, math.inf, -math.inf):
+        y = x.copy()
+        y[4000] = bad
+        assert _accumulate(y, y.size, top, [2500]) is None
+    for bound in (0.0, 2.0**-801, math.inf, math.nan, 2.0**1000 / x.size):
+        assert _accumulate(x, x.size, bound, [2500]) is None
+    assert _accumulate(np.zeros(5000), 5000, 1.0, []) is None  # |r| too near zero
+    assert CertifiedAccumulator(10, 1.0).result() is None  # no values: a zero sum
+
+
+def test_accumulator_scratch_is_block_sized():
+    # Blocks of 4096 values use one scratch array of 4096 floats, however
+    # many blocks come: 32 KB of transient memory for 2^20 values.  Each
+    # block is left holding its remainders.
+    x = np.random.default_rng(0).standard_normal(1 << 20)
+    want = math.fsum(x)
+    acc = CertifiedAccumulator(x.size, float(np.abs(x).max()))
+    tracemalloc.start()
+    try:
+        for lo in range(0, x.size, 4096):
+            acc.add(x[lo : lo + 4096])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4096 * 8 + 4096
+    assert acc.result() == want
+    assert float(np.abs(x).max()) < 1e-9  # remainders, not the values
+
+
+def test_certified_sum_leaves_its_input_alone():
+    x = np.random.default_rng(1).standard_normal(3 * _CSUM_BLOCK + 5)
+    before = x.copy()
+    assert certified_sum(x) == math.fsum(before)
+    assert np.array_equal(x, before)
 
 
 def test_bracketed_newton_doubles_toward_an_infinite_hi(monkeypatch):

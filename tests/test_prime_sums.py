@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from smoothcircle.config import (
     WEIGHTED_DEV_ABS,
     WEIGHTED_DEV_COEF,
 )
+from smoothcircle import prime_sums
 from smoothcircle.errors import DomainError
 from smoothcircle.euler import h_log_real
 from smoothcircle.numutil import EULER_GAMMA
@@ -121,3 +123,69 @@ def test_mertens_ratio_improves():
         assert err <= MERTENS_RATIO_SLACK / math.log(x)
         errs.append(err)
     assert errs == sorted(errs, reverse=True)
+
+
+def _whole_array_sum(x, sigma, twist):
+    """math.fsum of every term at once: (chi) log p exp(-sigma log p)."""
+    tab = prime_table(int(x))
+    terms = tab.logp * np.exp(tab.logp * -sigma)
+    if twist:
+        terms = terms * tab.chi
+    return math.fsum(terms)
+
+
+_STREAM_XS = [2, 3, 10, 1000, 65537, 10**6 + 3, 10**7]
+
+
+@pytest.mark.parametrize("twist", [False, True])
+@pytest.mark.parametrize("sigma", [0.0, 0.05, 0.5, 0.9, 1.0, 1.1])
+def test_streamed_prime_sum_is_the_whole_array_sum(sigma, twist):
+    for x in _STREAM_XS:
+        got = weighted_prime_sum(x, sigma, twist).value
+        assert got.hex() == _whole_array_sum(x, sigma, twist).hex(), x
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_streamed_prime_sum_bound_holds_past_the_first_block(sigma, monkeypatch):
+    # At small sigma |term| grows with p, so the largest term lies past the
+    # first block: the bound is log p_max, not the first block's maximum,
+    # and the accumulator certifies without the whole-array fallback.
+    tab = prime_table(10**6)
+    terms = tab.logp * np.exp(tab.logp * -sigma)
+    assert int(np.argmax(terms)) >= prime_sums._SUM_BLOCK
+    calls = []
+    csum = prime_sums.csum
+
+    def counting(arr):
+        calls.append(arr.size)
+        return csum(arr)
+
+    monkeypatch.setattr(prime_sums, "csum", counting)
+    for twist in (False, True):
+        got = weighted_prime_sum(10**6, sigma, twist).value
+        assert got.hex() == _whole_array_sum(10**6, sigma, twist).hex()
+    assert calls == []
+
+
+@pytest.mark.parametrize("twist", [False, True])
+def test_uncertified_prime_sum_falls_back_to_the_whole_array(twist, monkeypatch):
+    class Declines(prime_sums.CertifiedAccumulator):
+        def result(self):
+            return None
+
+    monkeypatch.setattr(prime_sums, "CertifiedAccumulator", Declines)
+    for x in (10, 10**5):
+        got = weighted_prime_sum(x, 0.5, twist).value
+        assert got.hex() == _whole_array_sum(x, 0.5, twist).hex()
+
+
+def test_prime_sum_memory_is_a_few_blocks():
+    # 5.3 MB of terms at x = 1e7 as one array; blocks of 8192 primes here.
+    prime_table(10**7)  # cached before tracing: the table is not transient
+    tracemalloc.start()
+    try:
+        weighted_prime_sum(1e7, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20

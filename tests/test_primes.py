@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import sys
@@ -215,3 +216,11 @@ def test_factorize():
         assert all(p in primes for p, _ in fac)
     with pytest.raises(DomainError):
         factorize(0)
+
+
+def test_prime_table_holds_three_arrays():
+    # p, chi4 and log p only: a float64 copy of chi, or of 1 - chi, would
+    # add 5.3 MB per column at y = 1e7.
+    table = prime_table(1000)
+    assert [f.name for f in dataclasses.fields(primes.PrimeTable)] == ["y_limit", "p", "chi", "logp"]
+    assert (table.p.dtype, table.chi.dtype, table.logp.dtype) == (np.int64, np.int8, np.float64)

@@ -126,10 +126,10 @@ def test_each_iteration_is_one_kernel_pass(monkeypatch):
 
     def counting_terms(s, y, k):
         passes.append((y, k))
-        return prime_terms(s, y, k)
+        return kernel_pass(s, y, k)
 
-    prime_terms = euler.prime_terms
-    monkeypatch.setattr(euler, "prime_terms", counting_terms)
+    kernel_pass = euler._kernel_pass
+    monkeypatch.setattr(euler, "_kernel_pass", counting_terms)
     res = solve_alpha(1e30, 10**6)
     model = len(passes) - res.iters
     assert model >= 1
