@@ -20,9 +20,10 @@ The real-axis kernel forms the terms of a block of a few thousand primes
 at a time, in scratch rows allocated once per pass, and feeds each order's
 row of two blocks to its own certified accumulator
 (numutil.CertifiedAccumulator): the sums are csum's, bit for bit, with no
-pi(y)-sized array.  An order the
-accumulator cannot certify is summed as csum(prime_terms(...)), whose
-whole-array rows are that fallback and what the tests read.  One pass can
+pi(y)-sized array.  A table of one row is a whole array, which csum sums
+as it is.  An order the accumulator cannot certify is summed as
+csum(prime_terms(...)), whose whole-array rows are that fallback and what
+the tests read.  One pass can
 form several orders: the reciprocals are computed once per prime for all
 of them, so a Newton step's phi_1 and phi_2 (phi1_phi2) and all of
 phi_derivatives each cost one pass over the primes.
@@ -109,8 +110,12 @@ def _kernel_pass(sigma: float, y: int, orders: tuple[int, ...]) -> list[float]:
 
     The terms go _TERMS_BLOCK primes at a time into one row per order of
     _ACC_BLOCK terms.  Primes that fit one row make whole arrays, which
-    csum sums.  Past one row, each order's row goes, in place, into its
-    own CertifiedAccumulator, whose bound is _BOUND_SLACK times the largest
+    csum sums: math.fsum below its _CSUM_MIN values, certified_sum above.
+    An accumulator per order would cost more there: a (1, 2) pass took
+    24, 42 and 61 us at y = 100, 1000 and 1e4 this way, and 49, 52 and
+    69 us through the accumulators (best of 21 x 300 on a 2-vCPU Xeon).
+    Past one row, each order's row goes, in place, into its own
+    CertifiedAccumulator, whose bound is _BOUND_SLACK times the largest
     |term| of the first row, so no pi(y)-sized array is formed.  An order
     whose accumulator declines (a term past the bound, a non-finite term, a
     sum it cannot certify) is summed from prime_terms by csum, in one more
@@ -205,10 +210,6 @@ def _block_terms(sigma, lp, chi4, orders, work, outs) -> None:
 # factors passes this, well inside the exp(709) float range.
 _LINE_BLOCK_LOG = 600.0
 
-# _line_starts cuts up to this many blocks by one searchsorted call each,
-# and more from a table of every prime's next start.
-_LINE_WALK_BLOCKS = 64
-
 # Bytes of each complex temporary of an h_log_line chunk, (centers x
 # offsets x primes) factors of 16 bytes: as many offsets as fit, then as
 # many centers.  A level of 110 Perron panels at y = 1000 (31 offsets,
@@ -286,24 +287,18 @@ def _line_starts(bound: np.ndarray) -> list[int]:
     lo ends at the last i with bound[i] <= base + _LINE_BLOCK_LOG, base
     being bound[lo - 1] (0 at lo = 0), and holds at least one prime.
 
-    Two blocks in a row pass _LINE_BLOCK_LOG, so there are at most
-    2 bound[-1] / _LINE_BLOCK_LOG + 1 of them.  Up to _LINE_WALK_BLOCKS,
-    each start costs one searchsorted call; past it, one searchsorted over
-    every possible start gives the next start after each, and a walk over
-    that list picks the starts (78 498 blocks at sigma = 1e-76, y = 1e6).
+    One searchsorted over every possible start gives the next start after
+    each, and a walk over that table picks the starts: no numpy call per
+    block, of which there are 78 498 at sigma = 1e-76, y = 1e6.  The walk
+    reads the table through a memoryview, whose items are Python ints, so
+    it converts only the entries it visits: at y = 1e6 one block took
+    0.6 ms this way and 2.6 ms from the table's list, 78 498 blocks 6 ms
+    either way (best of 9 on a 2-vCPU Xeon).
     """
     n = bound.size
-    if 2.0 * bound[-1] / _LINE_BLOCK_LOG + 1.0 <= _LINE_WALK_BLOCKS:
-        starts = []
-        lo, base = 0, 0.0
-        while lo < n:
-            starts.append(lo)
-            lo = max(lo + 1, int(np.searchsorted(bound, base + _LINE_BLOCK_LOG, side="right")))
-            base = bound[lo - 1]
-        return starts
     bases = np.concatenate(([0.0], bound[:-1]))
     nxt = np.searchsorted(bound, bases + _LINE_BLOCK_LOG, side="right")
-    nxt = np.maximum(nxt, np.arange(1, n + 1), out=nxt).tolist()
+    nxt = memoryview(np.maximum(nxt, np.arange(1, n + 1), out=nxt))
     starts, lo = [], 0
     while lo < n:
         starts.append(lo)
@@ -341,7 +336,8 @@ def _order_sums(sigma: float, y: int, orders: tuple[int, ...]) -> list[float]:
     or inf where that csum overflows.
 
     The orders the memo lacks at (sigma, y) come from one _kernel_pass,
-    which also checks sigma; a call at another point replaces the memo.  The point is compared with ==, so nan never matches.
+    which also checks sigma; a call at another point replaces the memo.
+    The point is compared with ==, so nan never matches.
     """
     global _memo
     memo = _memo

@@ -23,13 +23,13 @@ exact sum.
 
 sigma needs only n and a bound on max|x| known before the first value, so
 CertifiedAccumulator takes the values block by block, as online exact
-summation does (Zhu and Hayes, ACM TOMS 37, 2010): the Euler kernel and the
-prime sums stream their terms through it with no whole array, and fall
-back to csum only where it declines.  csum runs certified_sum, one
-accumulator over an array, and sends every other case -- small or
-non-array input, non-finite values, sums near zero or near overflow, a
-bound that cannot decide -- to math.fsum, so values, nan, inf and
-exceptions are math.fsum's own.
+summation does (Zhu and Hayes, ACM TOMS 37, 2010): the prime sums, and
+the Euler kernel past one row of terms, stream their terms through it with
+no whole array, and fall back to csum only where it declines.  csum runs
+certified_sum, one accumulator over an array, and sends every other case
+-- small or non-array input, non-finite values, sums near zero or near
+overflow, a bound that cannot decide -- to math.fsum, so values, nan, inf
+and exceptions are math.fsum's own.
 """
 
 from __future__ import annotations
@@ -69,9 +69,10 @@ def csum(terms) -> float:
 
     A 1-D float64 array of at least _CSUM_MIN values is summed by
     certified_sum; when that cannot certify its rounding, and for any other
-    input, the sum is math.fsum's.  The package's kernels sum through a
-    CertifiedAccumulator block by block and call this only where it
-    declines.
+    input, the sum is math.fsum's.  The Euler kernel sums the whole
+    arrays of a table of one row (y < 84 047) by this; past that, and in
+    the prime sums, the terms go through a CertifiedAccumulator block by
+    block, and this sums them only where it declines.
     """
     if (
         isinstance(terms, np.ndarray)
@@ -94,17 +95,19 @@ def _two_sum(a: float, b: float) -> tuple[float, float]:
 
 def certified_sum(x: np.ndarray) -> float | None:
     """math.fsum(x) for a 1-D float64 array, or None where it cannot certify:
-    a CertifiedAccumulator of x.size values with the bound max|x|, fed
-    copies of x's _CSUM_BLOCK-value blocks.  None also for an array that
-    holds nan or inf, or is empty or all zero.
+    a CertifiedAccumulator of x.size values with the bound max|x|, which
+    extracts x's _CSUM_BLOCK-value blocks into scratch remainders, leaving
+    x alone.  max|x| bounds every block, so none is checked again.  None
+    also for an array that holds nan or inf (max|x| is then nan or inf),
+    or is empty or all zero.
     """
     n = x.size
     acc = CertifiedAccumulator(n, max(x.max(initial=0.0), -x.min(initial=0.0)))
-    buf = np.empty(min(n, _CSUM_BLOCK))
-    for lo in range(0, n, _CSUM_BLOCK):
-        block = buf[: min(n - lo, _CSUM_BLOCK)]
-        np.copyto(block, x[lo : lo + _CSUM_BLOCK])
-        acc.add(block)
+    if acc._ok:
+        rest = np.empty(min(n, _CSUM_BLOCK))
+        for lo in range(0, n, _CSUM_BLOCK):
+            block = x[lo : lo + _CSUM_BLOCK]
+            acc._extract(block, rest[: block.size])
     return acc.result()
 
 
@@ -171,16 +174,22 @@ class CertifiedAccumulator:
         ):
             self._ok = False
             return
+        self._extract(block, block)
+
+    def _extract(self, block: np.ndarray, rest: np.ndarray) -> None:
+        """Sum a block within the bound into the total, its remainders
+        written to rest, an array of block.size that may be block itself."""
+        size = block.size
         if self._q.size < size:
             self._q = np.empty(size)
         qb = self._q[:size]
         sigma, sigma2 = self._sigma, self._sigma2
         np.subtract(np.add(block, sigma, out=qb), sigma, out=qb)
         self._tau1 += float(np.add.reduce(qb))
-        np.subtract(block, qb, out=block)  # x'
-        np.subtract(np.add(block, sigma2, out=qb), sigma2, out=qb)
+        np.subtract(block, qb, out=rest)  # x'
+        np.subtract(np.add(rest, sigma2, out=qb), sigma2, out=qb)
         self._tau2 += float(np.add.reduce(qb))
-        self._s3 += float(np.add.reduce(np.subtract(block, qb, out=block)))  # x''
+        self._s3 += float(np.add.reduce(np.subtract(rest, qb, out=rest)))  # x''
 
     def result(self) -> float | None:
         """The correctly rounded sum of the blocks added, or None."""

@@ -497,10 +497,12 @@ _ROW_EDGE_YS = [
 ]
 
 
-@pytest.mark.parametrize("y", [600, *_BLOCK_EDGE_YS[1:3], 10**4, *_ROW_EDGE_YS, 10**6])
+@pytest.mark.parametrize(
+    "y", [2, 100, 600, *_BLOCK_EDGE_YS[1:3], 10**4, *_ROW_EDGE_YS, 10**6]
+)
 def test_streamed_sums_equal_whole_array_csums_bitwise(y):
-    # Orders 0..4, summed as one row's whole arrays or row by row, are csum
-    # of each prime_terms row.
+    # Orders 0..4, summed row by row through their accumulators, are csum
+    # of each prime_terms row, for one prime, one short row and many rows.
     for sigma in _STREAM_SIGMAS:
         want = [_csum_or_inf(row) for row in prime_terms(sigma, y, range(5))]
         euler._memo = (math.nan, 0, {})
@@ -564,14 +566,12 @@ def _greedy_line_starts(bound):
 
 
 @pytest.mark.parametrize("sigma", [1e-76, 1e-20, 1e-4, 0.6, 5.0])
-@pytest.mark.parametrize("walk_blocks", [0, euler._LINE_WALK_BLOCKS, 10**9])
-def test_line_starts_are_the_greedy_starts(sigma, walk_blocks, monkeypatch):
-    # Whether cut by one searchsorted per block or from the next-start
-    # table, the starts are the greedy loop's.
+def test_line_starts_are_the_greedy_starts(sigma):
+    # The starts walked from the next-start table are the greedy loop's,
+    # for one block, a few and tens of thousands.
     table = prime_table(10**6)
     with np.errstate(over="ignore"):
         per_prime = (1.0 + np.abs(table.chi)) * np.log1p(1.0 / np.expm1(sigma * table.logp))
     bound = np.cumsum(np.minimum(per_prime, euler._LINE_BLOCK_LOG))
-    monkeypatch.setattr(euler, "_LINE_WALK_BLOCKS", walk_blocks)
     for n in (1, 2, 1000, bound.size):
         assert euler._line_starts(bound[:n]) == _greedy_line_starts(bound[:n]), n
