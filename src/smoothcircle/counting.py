@@ -50,6 +50,17 @@ that are final once the stepped primes are done and that no prime past the
 cut writes.  Those primes' steps therefore commute, and one scatter-subtract
 over every pair (j, p) with p^2 <= x // j applies them all at once.
 
+There is one table per x, not one per cell.  Its limit is x wherever
+x <= 16 y^2 and sqrt x is within _QUOTIENT_CAP, and elsewhere the walk's
+own reach: min(x, y^2), and at most the cap once sqrt x passes it.  Below
+the ratio 16 a table to x costs a table to y^2 at most 16 more large
+entries and the primes in (y, 4y], and the cells at one x then share it;
+each walk still reads only the quotients up to its own reach.  The last
+table built is cached, its arrays read-only, and stays alive until a cell
+asks for another (x, limit): about 32 MB at x = 10^12.  Its rows are
+pi(v) and the chi4 sums at the quotients of x, which no cell changes, so
+no result depends on the cache.
+
 Leaves wait in a batch, and a flush closes the batch's leaves together in
 numpy: one gather from the Lucy table of the quotients m // k of every
 leaf, per-leaf sums by np.add.reduceat, and S4(m) for the leaves past the
@@ -79,7 +90,7 @@ import numpy as np
 
 from .config import Config
 from .errors import DomainError, ResourceBudgetError
-from .primes import prime_table, sieve_primes
+from .primes import prime_table
 
 _SEGMENT_SIZE = 1 << 20  # integers per sieve segment: 8 MB per int64 array
 
@@ -159,7 +170,7 @@ class _QuotientPrimes:
 
     Quotients up to min(sqrt x, limit) are indexed by v, larger ones by
     j = x // v.  With limit <= sqrt x every v <= limit is a quotient and the
-    rows are prefix sums over sieve_primes(limit).  Otherwise one
+    rows are prefix sums over prime_table(limit).  Otherwise one
     Lucy-Legendre pass over the primes up to sqrt(limit) (`primes` must hold
     them, ascending) fills them; the set of quotients <= limit is closed
     under v -> v // p, so the pass never needs a value it does not hold.
@@ -169,13 +180,18 @@ class _QuotientPrimes:
     A later prime p writes only large entries v >= p^2 > sqrt x and reads
     only v // p < p^2 (as p^3 > limit) and S(p - 1), none of which a later
     prime writes, so the batch gives the rows the steps would.
+
+    The walk reads one table per x, from _quotient_table: to limit = x
+    where x <= 16 y^2 and sqrt x <= _QUOTIENT_CAP, else to its own reach.
+    The cached table stays alive until the next x, about 32 MB at
+    x = 10^12; its rows depend on x alone, so no result depends on the cache.
     """
 
     def __init__(self, x: int, limit: int, primes: np.ndarray) -> None:
         r = isqrt(x)
         self.x = x
         if limit <= r:
-            ps = sieve_primes(limit)
+            ps = prime_table(limit).p if limit >= 2 else np.empty(0, dtype=np.int64)
             marks = np.zeros((2, limit + 1), dtype=np.int64)
             marks[0, ps] = 1
             marks[1, ps] = 2 - ps % 4  # chi4(p): 0 at p = 2, else +-1
@@ -276,6 +292,31 @@ _QUOTIENT_CAP = 1 << 20
 # many int64 elements (their quotients m // k, and the square roots of S4(m)
 # past the prefix table), which bounds the flush's temporaries.
 _LEAF_BATCH = 1 << 15
+# Where x <= _SHARED_RATIO y^2 (and sqrt x is within the cap) the quotient
+# table reaches x, so every such y at one x reads the same table.
+_SHARED_RATIO = 16
+# The one cached quotient table, (x, limit, table), or None.
+_quotient_cache: tuple[int, int, _QuotientPrimes] | None = None
+
+
+def _quotient_table(x: int, limit: int) -> _QuotientPrimes:
+    """The _QuotientPrimes of (x, limit) over the primes up to sqrt(limit),
+    its arrays read-only, cached until the next (x, limit) asks for a table.
+
+    The last table is dropped before the next one is built, so at most one
+    is alive; a table's rows are pi(v) and the chi4 sums at the quotients of
+    x, which no cell changes, so no result depends on the cache.
+    """
+    global _quotient_cache
+    held = _quotient_cache
+    if held is not None and held[:2] == (x, limit):
+        return held[2]
+    _quotient_cache = None
+    table = _QuotientPrimes(x, limit, prime_table(isqrt(limit)).p)
+    table.small.setflags(write=False)
+    table.large.setflags(write=False)
+    _quotient_cache = (x, limit, table)
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -292,7 +333,7 @@ def _small_table() -> tuple[list[memoryview], list[memoryview]]:
     weight = np.empty((_SMALL_PRIMES, _SMALL_M + 1), dtype=np.int16)
     count = np.empty_like(weight)
     w_prev = c_prev = (np.arange(_SMALL_M + 1) >= 1).astype(np.int16)  # only k = 1
-    for j, p in enumerate(sieve_primes(127).tolist()):
+    for j, p in enumerate(prime_table(127).p.tolist()):
         w, c = weight[j], count[j]
         w[:], c[:] = w_prev, c_prev
         q, e = p, 1
@@ -319,11 +360,16 @@ def _exact_recursive(x: int, y: int, node_budget: int) -> tuple[int, int, int]:
     s4_arr = np.cumsum(r4)
     s4 = s4_arr.tolist()
     small_w, small_c = _small_table()
-    reach = min(x, y * y)
-    if isqrt(x) > _QUOTIENT_CAP:
+    reach = min(x, y * y)  # the largest m a leaf reads
+    capped = isqrt(x) > _QUOTIENT_CAP
+    if capped:
         reach = min(reach, _QUOTIENT_CAP)
     # With no prime past the table, every node a leaf could close is a lookup.
-    quot = _QuotientPrimes(x, reach, table.p) if len(ps) > _SMALL_PRIMES else None
+    if len(ps) > _SMALL_PRIMES:
+        near = x <= _SHARED_RATIO * y * y and not capped
+        quot = _quotient_table(x, x if near else reach)
+    else:
+        quot = None
     total = 0
     terms = 0
     nodes = 1  # the root
@@ -488,7 +534,10 @@ def exact_circle_sum(
     budget than the sieve.  "sieve", the independent cross-check, factors
     [1, x] segment by segment and refuses x > node_budget.  Both routes
     agree bit for bit; terms is the number of y-smooth n <= x, and nodes
-    what the call charged.
+    what the call charged.  The recursive route keeps one quotient table
+    per x, to x where x <= 16 y^2 (see the module docstring), which the
+    next cell at that x reuses; it stays alive until a cell at another x,
+    about 32 MB at x = 10^12, and no result depends on it.
     """
     if x < 1:
         raise DomainError(f"exact_circle_sum needs x >= 1, got {x}")

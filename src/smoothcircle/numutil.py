@@ -38,7 +38,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvergenceError
 
@@ -269,12 +268,17 @@ _K31_HALF_WEIGHTS = (
     0.07684968075772038, 0.08308050282313302, 0.08856444305621176, 0.09312659817082532,
     0.09664272698362368, 0.09917359872179196, 0.10076984552387559, 0.10133000701479154,
 )
+# The 15-point Gauss-Legendre weights of K31's odd nodes >= 0, in the same
+# order, correctly rounded: the same oracle and test hold them.
+_G15_HALF_WEIGHTS = (
+    0.03075324199611727, 0.07036604748810812, 0.10715922046717194, 0.13957067792615432,
+    0.16626920581699392, 0.1861610000155622, 0.19843148532711158, 0.2025782419255613,
+)
 # All 31 nodes, ascending, and their weights.  The 15-point Gauss rule's
-# nodes are the odd columns, its middle one, column 15, is 0.0, and its
-# weights are leggauss(15)'s.
+# nodes are the odd columns, its middle one, column 15, is 0.0.
 _K31_NODES = np.concatenate((-np.array(_K31_HALF_NODES[:-1]), _K31_HALF_NODES[::-1]))
 _K31_WEIGHTS = np.concatenate((_K31_HALF_WEIGHTS[:-1], _K31_HALF_WEIGHTS[::-1]))
-_G15_WEIGHTS = leggauss(15)[1]
+_G15_WEIGHTS = np.concatenate((_G15_HALF_WEIGHTS[:-1], _G15_HALF_WEIGHTS[::-1]))
 # integrate_panels' budget of bisections, and of base panels, which
 # refuses perron --T 1e15 before any panel is allocated.
 _MAX_SPLITS = 4000

@@ -359,9 +359,10 @@ def _root_in(coeffs, lo: Decimal, hi: Decimal, tiny: Decimal) -> Decimal:
     return x
 
 
-def kronrod31_decimal(digits: int = 50) -> tuple[list[Decimal], list[Decimal]]:
+def kronrod31_decimal(digits: int = 50) -> tuple[list[Decimal], list[Decimal], list[Decimal]]:
     """The 31-point Gauss-Kronrod rule on [-1, 1] in digits-digit decimal
-    arithmetic: (nodes, weights), nodes ascending.
+    arithmetic: the nodes ascending, their weights, and the 15-point
+    Gauss-Legendre weights of the odd nodes in the same order.
 
     With n = 15, the nodes are the zeros of the Legendre polynomial P_n and
     of the Stieltjes polynomial E_(n+1), the monic polynomial of degree
@@ -429,12 +430,15 @@ def kronrod31_decimal(digits: int = 50) -> tuple[list[Decimal], list[Decimal]]:
         kronrod = [_root_in(e_dec, lo, hi, tiny) for lo, hi in zip(edges, edges[1:])]
         integral = dec(pn_moment(n))
         half = []  # (node, weight) for the nodes >= 0
+        half_gauss = []  # the Gauss weights of gauss's nodes, 0 first
         for x in gauss:
             dp = _poly_value(p_dec, x)[1]
             w_gauss = 2 / ((1 - x * x) * dp * dp)
+            half_gauss.append(w_gauss)
             half.append((x, w_gauss + integral / (dp * _poly_value(e_dec, x)[0])))
         for xi in kronrod:
             half.append((xi, integral / (_poly_value(p_dec, xi)[0] * _poly_value(e_dec, xi)[1])))
         half.sort()
         pairs = [(-x, w) for x, w in reversed(half[1:])] + half
-        return [+x for x, _ in pairs], [+w for _, w in pairs]
+        w_g15 = half_gauss[:0:-1] + half_gauss
+        return [+x for x, _ in pairs], [+w for _, w in pairs], [+w for w in w_g15]

@@ -197,23 +197,39 @@ def test_exact_count_is_plain_int():
     assert c.value % 4 == 0
 
 
-@given(st.integers(1, 2 * 10**5), st.integers(2, 5000), st.sampled_from([None, 1, 7, 64]))
+@given(
+    st.integers(1, 2 * 10**5), st.integers(2, 5000), st.integers(2, 5000),
+    st.sampled_from([None, 1, 7, 64]),
+)
 @settings(max_examples=ROUTES_EXAMPLES, deadline=None)
-@example(1000, 5000, None)  # y >= x: the root is a leaf, every n <= x counts
-@example(1009, 5000, None)  # x prime, y >= x: the root is a closed form
-@example(2, 2, None)
-@example(127, 11, None)  # x below the Buchstab-leaf bound
-@example(961, 31, None)  # m = p^2 exactly at the root
-@example(10201, 101, None)
-@example(10201, 102, 1)
-def test_routes_agree_in_value_and_terms(x, y, batch):
-    # batch, when drawn, is the leaf batch's flush bound in place of the default
-    a = exact_circle_sum(x, y, "sieve")
+@example(1000, 5000, 40, None)  # y >= x: the root is a leaf, every n <= x counts
+@example(1009, 5000, 1009, None)  # x prime, y >= x: the root is a closed form
+@example(2, 2, 3, None)
+@example(127, 11, 2, None)  # x below the Buchstab-leaf bound
+@example(961, 31, 961, None)  # m = p^2 exactly at the root
+@example(10201, 101, 5000, None)
+@example(10201, 102, 131, 1)
+# y^2 < x <= 16 y^2 for both: the second cell reads the table of x the
+# first one built
+@example(2 * 10**5, 131, 400, None)
+@example(2 * 10**5 + 3, 400, 131, 7)
+# x > 16 y^2 for one cell or both: each builds its table to y^2, which
+# replaces the one cached for the other cell
+@example(300007, 131, 600, None)
+@example(300007, 600, 131, None)
+@example(300007, 136, 131, 64)
+def test_routes_agree_in_value_and_terms(x, y, y2, batch):
+    # Two cells at the same x, the recursive route run on both before either
+    # is checked, so the second may read the quotient table the first one
+    # left; batch, when drawn, is the leaf batch's flush bound in place of
+    # the default.
     with pytest.MonkeyPatch.context() as mp:
         if batch is not None:
             mp.setattr(counting, "_LEAF_BATCH", batch)
-        b = exact_circle_sum(x, y, "recursive")
-    assert (a.value, a.terms) == (b.value, b.terms)
+        got = [exact_circle_sum(x, v, "recursive") for v in (y, y2)]
+    for v, b in zip((y, y2), got):
+        a = exact_circle_sum(x, v, "sieve")
+        assert (a.value, a.terms) == (b.value, b.terms)
 
 
 @pytest.mark.parametrize("x", [1, 2, 3, 10, 10**5 + 3])
@@ -325,6 +341,7 @@ def test_quotient_table_is_capped_for_huge_x(monkeypatch):
         limits.append(limit)
         raise Built
 
+    monkeypatch.setattr(counting, "_quotient_cache", None)
     monkeypatch.setattr(counting, "_QuotientPrimes", record)
     with pytest.raises(Built):
         exact_circle_sum(10**30, 10**5, "recursive", node_budget=10)
@@ -347,6 +364,54 @@ def test_pinned_value_at_1e9():
     # Computed once by both routes; the budget enforces < 1M nodes.
     got = exact_circle_sum(10**9, 10**3, node_budget=10**6)
     assert (got.value, got.terms) == (174522924, 59244184)
+
+
+@pytest.mark.parametrize(
+    "x, y, value, terms, nodes",
+    [
+        (2 * 10**7, 2000, 14552916, 4870685, 9242),
+        (10**8, 3000, 62521164, 20856447, 37018),
+        (10**9, 10**4, 669797360, 222597530, 318350),
+        (4 * 10**9, 2 * 10**4, 2737746432, 908067247, 1021170),
+    ],
+)
+def test_pinned_cells_whose_table_reaches_x(x, y, value, terms, nodes):
+    # y^2 < x <= 16 y^2: the quotient table reaches x, not y^2 as the walk
+    # does; computed when it reached y^2, and the walk is the same.
+    got = exact_circle_sum(x, y)
+    assert (got.value, got.terms, got.nodes) == (value, terms, nodes)
+
+
+@pytest.mark.parametrize("x", [10**6, 10**7])
+@pytest.mark.parametrize("ys", [(10**3, 10**4), (10**4, 10**3)])
+def test_one_quotient_table_per_x(monkeypatch, x, ys):
+    # Both cells have x <= 16 y^2, so they share one table to x, built by
+    # whichever comes first; each result equals a run with no table cached.
+    fresh = []
+    for y in ys:
+        monkeypatch.setattr(counting, "_quotient_cache", None)
+        fresh.append(exact_circle_sum(x, y))
+    built = []
+    build = counting._QuotientPrimes
+
+    def record(x, limit, primes):
+        built.append((x, limit))
+        return build(x, limit, primes)
+
+    monkeypatch.setattr(counting, "_quotient_cache", None)
+    monkeypatch.setattr(counting, "_QuotientPrimes", record)
+    got = [exact_circle_sum(x, y) for y in ys]
+    assert built == [(x, x)]
+    assert [(c.value, c.terms, c.nodes) for c in got] == [(c.value, c.terms, c.nodes) for c in fresh]
+    held_x, limit, table = counting._quotient_cache
+    assert (held_x, limit) == (x, x)
+    for rows in (table.small, table.large):
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[...] = 0
+    # the next x replaces the table
+    exact_circle_sum(3 * x, 10**4)
+    assert built == [(x, x), (3 * x, 3 * x)] and counting._quotient_cache[0] == 3 * x
 
 
 @pytest.mark.parametrize(

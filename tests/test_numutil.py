@@ -33,9 +33,9 @@ SIZES = [
     _CSUM_BLOCK + 65, 2 * _CSUM_BLOCK + 3, 3 * _CSUM_BLOCK - 5,
 ]
 ULP1 = 2.0**-52  # ulp of 1.0
-# The 31-point Gauss-Kronrod rule's nodes and weights from the decimal
-# oracle, rounded to floats.
-K31 = tuple(np.array([float(v) for v in part]) for part in kronrod31_decimal())
+# The 31-point Gauss-Kronrod rule's nodes and weights, and the 15-point
+# Gauss rule's weights, from the decimal oracle, rounded to floats.
+*K31, G15_WEIGHTS = (np.array([float(v) for v in part]) for part in kronrod31_decimal())
 # Examples of the csum property test; a deeper run sets this variable.
 CSUM_EXAMPLES = int(os.environ.get("SMOOTHCIRCLE_TEST_CSUM_EXAMPLES", "150"))
 # Examples of the accumulator property test; a deeper run sets this variable.
@@ -329,11 +329,11 @@ def test_bracketed_newton_doubles_toward_an_infinite_hi(monkeypatch):
 
 
 def _k31_rules():
-    """(G15 nodes, G15 weights, K31 nodes, K31 weights) as floats: the
-    Kronrod rule from the decimal oracle, the Gauss rule its odd nodes with
-    leggauss(15)'s weights."""
+    """(G15 nodes, G15 weights, K31 nodes, K31 weights) as floats, all from
+    the decimal oracle: the Gauss rule is the Kronrod rule's odd nodes with
+    their Gauss-Legendre weights."""
     nodes, weights = K31
-    return nodes[1::2], leggauss(15)[1], nodes, weights
+    return nodes[1::2], G15_WEIGHTS, nodes, weights
 
 
 def _two_call_levels(f, a, b, panel_width):
@@ -515,6 +515,7 @@ def test_integrate_panels_matches_two_calls_bitwise(name):
 def test_kronrod31_literals_match_the_oracle_bitwise():
     assert numutil._K31_NODES.tobytes() == K31[0].tobytes()
     assert numutil._K31_WEIGHTS.tobytes() == K31[1].tobytes()
+    assert numutil._G15_WEIGHTS.tobytes() == G15_WEIGHTS.tobytes()
 
 
 def test_kronrod31_integrates_monomials_to_degree_46():
@@ -533,3 +534,9 @@ def test_kronrod31_extends_the_15_point_gauss_rule():
     assert nodes[15] == 0.0 and not math.copysign(1.0, nodes[15]) < 0
     assert np.array_equal(nodes, -nodes[::-1]) and np.all(np.diff(nodes) > 0)
     assert weights[15] == 0.10133000701479154  # QUADPACK qk31's wgk(16)
+    # G15 on the odd nodes is exact for polynomials of degree 2n - 1 = 29
+    x15, w15 = nodes[1::2], numutil._G15_WEIGHTS
+    assert np.array_equal(w15, w15[::-1]) and w15[7] == 0.2025782419255613  # qk31's wg(8)
+    for k in range(30):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(math.fsum(w15 * x15**k) - exact) <= 1e-15, k
