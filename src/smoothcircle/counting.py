@@ -203,6 +203,7 @@ class _QuotientPrimes:
         big = x // np.arange(j0, r + 1, dtype=np.int64)
         small = np.stack([np.maximum(v - 1, 0), _chi4_prefix(v)])
         large = np.stack([big - 1, _chi4_prefix(big)])
+        self.s, self.j0, self.small, self.large = r, j0, small, large
         cut = max(_icbrt(limit), isqrt(r))
         ncut, nps = np.searchsorted(primes, [cut, isqrt(limit)], side="right")
         for p in primes[:ncut].tolist():
@@ -226,8 +227,8 @@ class _QuotientPrimes:
         if nps > ncut:
             # The primes past the cut in one batch over the pairs (j, p) with
             # p^2 <= x // j, grouped by j: each j's primes are a prefix of
-            # `late`.  v // p = x // (j p) is read from `large` while j p <= r,
-            # else from `small` (read clipped for the others, then replaced),
+            # `late`.  v // p = x // (j p) is read through counts (at v = r,
+            # small[r] and, where x < r^2 + r, large[j = r] both hold S(r)),
             # and each j sums its prefix of S(p - 1).  Runs of j with at most
             # r / 2 + len(late) pairs keep the temporaries within about twice
             # the table's size.
@@ -243,13 +244,9 @@ class _QuotientPrimes:
                 k = np.arange(int(nj.sum())) - np.repeat(start, nj)  # late[k] is the pair's p
                 jp = np.repeat(np.arange(j0 + a, j0 + b, dtype=np.int64), nj)
                 jp *= late[k]
-                from_large = np.flatnonzero(jp <= r)
-                inner = np.take(large, jp[from_large] - j0, axis=1)
-                got = np.take(small, np.floor_divide(x, jp, out=jp), axis=1, mode="clip")
-                got[:, from_large] = inner
+                got = self.counts(np.floor_divide(x, jp, out=jp))
                 got[1] *= f[1, k]
                 large[:, a:b] -= np.add.reduceat(got, start, axis=1) - below[:, nj - 1]
-        self.s, self.j0, self.small, self.large = r, j0, small, large
 
     def counts(self, vs: np.ndarray) -> np.ndarray:
         """Rows (pi(v), sum chi4(p) over p <= v) for an array of quotients

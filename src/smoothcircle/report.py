@@ -5,7 +5,8 @@ column order from the first row's keys, so a new column is a new key (for
 a dataclass result, a new field).  Floats are written with 17 significant
 digits (round-trip safe); every report opens with a '#' comment line
 carrying the tool version and the config hash, so identical invocations
-produce identical bytes.
+give identical bytes on one numpy build and SIMD dispatch level (the cli
+docstring says which columns move across levels, and how far).
 """
 
 from __future__ import annotations

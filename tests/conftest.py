@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -6,6 +7,12 @@ import pytest
 from smoothcircle import euler
 from smoothcircle.counting import lattice_r_table
 from smoothcircle.primes import prime_table
+
+
+def example_count(tier1: int, deep: int) -> int:
+    """A property test's example count: deep where SMOOTHCIRCLE_TEST_DEEP=1
+    is set, for a deep run of every property test at once, else tier1."""
+    return deep if os.environ.get("SMOOTHCIRCLE_TEST_DEEP") == "1" else tier1
 
 
 @pytest.fixture(autouse=True)

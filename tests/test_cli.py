@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import example_count
 from smoothcircle import cli, euler, prime_sums
 from smoothcircle.cli import main
 from smoothcircle.euler import h_value
@@ -632,8 +633,6 @@ def test_compare_huge_u_keeps_the_row():
     assert "underflow-logspace" in flags
 
 
-# Examples of the exit-contract property test; a deeper run sets this variable.
-CLI_EXAMPLES = int(os.environ.get("SMOOTHCIRCLE_TEST_CLI_EXAMPLES", "100"))
 # Option values at the extremes.  Every y is at most 1e6, or at least 1e20,
 # which is refused before anything is allocated; exact, perron and
 # diffcheck take small x only, so that no example counts for long.
@@ -695,7 +694,7 @@ def _non_finite(value) -> bool:
         return False
 
 
-@settings(max_examples=CLI_EXAMPLES, deadline=None)
+@settings(max_examples=example_count(100, 2000), deadline=None)
 @given(_cli_argv())
 @example(["hval", "--sigma=1e-76", "--y=1000000"])
 @example(["hval", "--sigma=1e-300", "--y=2"])  # phi_2..phi_4 inf, H finite
@@ -705,9 +704,10 @@ def _non_finite(value) -> bool:
 @example(["diffcheck", "--x=1", "--y=0", "--z=1"])
 @example(["estimate", "--u=0.5", "--y=-7"])  # y**u would be complex
 def test_exit_contract(argv):
-    # whatever the options: exit 0, 1 or 2 with no exception, and on 0
-    # every float column is finite or its row carries a flag; alpha's
-    # bracket_hi reads inf while no iterate has passed alpha, by design
+    """Whatever the options, drawn from pools of extremes: exit 0, 1 or 2
+    with no exception, and on 0 every float column is finite or its row
+    carries a flag; alpha's bracket_hi reads inf while no iterate has passed
+    alpha, by design."""
     code, out, err = run_cli(*argv)
     assert code in (0, 1, 2), (argv, code, err)
     if code != 0:

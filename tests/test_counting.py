@@ -1,5 +1,4 @@
 import math
-import os
 import tracemalloc
 from bisect import bisect_right
 
@@ -9,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smoothcircle import counting
+from conftest import example_count
 from oracles import chi4, factorize, lattice_r, r_over_4
 from smoothcircle.counting import (
     ExactCount,
@@ -20,9 +20,6 @@ from smoothcircle.counting import (
 )
 from smoothcircle.errors import DomainError, ResourceBudgetError
 from smoothcircle.primes import prime_table, sieve_primes
-
-# Examples of the route-agreement property test; a deeper run sets this variable.
-ROUTES_EXAMPLES = int(os.environ.get("SMOOTHCIRCLE_TEST_ROUTES_EXAMPLES", "60"))
 
 
 def _plain_dfs(x, y):
@@ -201,7 +198,7 @@ def test_exact_count_is_plain_int():
     st.integers(1, 2 * 10**5), st.integers(2, 5000), st.integers(2, 5000),
     st.sampled_from([None, 1, 7, 64]),
 )
-@settings(max_examples=ROUTES_EXAMPLES, deadline=None)
+@settings(max_examples=example_count(60, 1000), deadline=None)
 @example(1000, 5000, 40, None)  # y >= x: the root is a leaf, every n <= x counts
 @example(1009, 5000, 1009, None)  # x prime, y >= x: the root is a closed form
 @example(2, 2, 3, None)
@@ -219,10 +216,15 @@ def test_exact_count_is_plain_int():
 @example(300007, 600, 131, None)
 @example(300007, 136, 131, 64)
 def test_routes_agree_in_value_and_terms(x, y, y2, batch):
-    # Two cells at the same x, the recursive route run on both before either
-    # is checked, so the second may read the quotient table the first one
-    # left; batch, when drawn, is the leaf batch's flush bound in place of
-    # the default.
+    """The sieve and the recursive route agree in value and terms.  Each
+    example draws one x and two y and runs the recursive route on both cells
+    before it checks either, so the second cell reads the quotient table of
+    x that the first left where both have x <= 16 y^2.  The pinned examples
+    hold such pairs with y^2 < x <= 16 y^2 (x = 200 000 and 200 003,
+    y = 131 and 400) and pairs with x > 16 y^2 for one cell or both
+    (x = 300 007, y = 131, 136 and 600).  Each example also draws the leaf
+    batch's flush bound, _LEAF_BATCH, from {default, 1, 7, 64}, so that
+    flushes fall at every leaf and in the middle of a walked node's loop."""
     with pytest.MonkeyPatch.context() as mp:
         if batch is not None:
             mp.setattr(counting, "_LEAF_BATCH", batch)
@@ -258,6 +260,10 @@ def test_quotient_prime_counts(x):
         (3 * 10**6 + 1, 9 * 10**4, 14, 48),
         (10**6, 1200, 11, 0),  # no prime in (cut, sqrt limit] = (31, 34]
         (10**6, 10**4, 11, 14),  # cut = isqrt(r) = 31, above icbrt(limit) = 21
+        # r = 202 = 2 * 101 with 101 past the cut of 34: the batch reads
+        # v = r, held by small[r] and large[j = r], at x = r^2 and r^2 + r - 1
+        (40804, 40804, 11, 35),
+        (41005, 41005, 11, 35),
     ],
 )
 def test_quotient_rows_at_benchmark_scale(x, limit, stepped, batched):

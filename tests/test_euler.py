@@ -330,6 +330,12 @@ def test_h_abs_ratio_matches_complex_route():
     assert h_abs_ratios(alpha, 300, [0.0])[0] == pytest.approx(1.0, rel=1e-12)
 
 
+# The (0.9, 1e6) case fails at numpy's baseline SIMD dispatch, where the
+# real part at t = 0.3 reads 1.006e-12 relative from the per-prime sum,
+# against the bound of 1e-12: numpy's baseline complex exp and log round the
+# one-block line product differently.  The CI step at that level deselects
+# it by node id until log|H| on the line is accurate to about 1e-14 at every
+# level (ROADMAP.md, direction 17, stage b).
 @pytest.mark.parametrize("y", [10, 300, 1000, 10**6])
 @pytest.mark.parametrize("sigma", [0.05, 0.6, 0.9])
 def test_h_log_line_matches_per_prime_logs(y, sigma):

@@ -1,5 +1,4 @@
 import math
-import os
 import re
 import tracemalloc
 
@@ -23,6 +22,7 @@ from smoothcircle.numutil import (
     integrate_panels,
 )
 
+from conftest import example_count
 from oracles import kronrod31_decimal, prime_terms_whole_array
 
 # Both sides of the small-array cutoff and of one extraction block, and a
@@ -36,10 +36,6 @@ ULP1 = 2.0**-52  # ulp of 1.0
 # The 31-point Gauss-Kronrod rule's nodes and weights, and the 15-point
 # Gauss rule's weights, from the decimal oracle, rounded to floats.
 *K31, G15_WEIGHTS = (np.array([float(v) for v in part]) for part in kronrod31_decimal())
-# Examples of the csum property test; a deeper run sets this variable.
-CSUM_EXAMPLES = int(os.environ.get("SMOOTHCIRCLE_TEST_CSUM_EXAMPLES", "150"))
-# Examples of the accumulator property test; a deeper run sets this variable.
-ACCUMULATOR_EXAMPLES = int(os.environ.get("SMOOTHCIRCLE_TEST_ACCUMULATOR_EXAMPLES", "150"))
 
 
 def _same_as_fsum(x):
@@ -92,12 +88,15 @@ KINDS = ["wide", "cancel", "tie", "binade", "subnormal", "zero"]
     seed=st.integers(0, 2**32 - 1),
     scale=st.integers(-900, 900),
 )
-@settings(max_examples=CSUM_EXAMPLES, deadline=None)
+@settings(max_examples=example_count(150, 2000), deadline=None)
 @example(kind="tie", n=_CSUM_MIN, seed=0, scale=0)
 @example(kind="tie", n=_CSUM_BLOCK + 1, seed=1, scale=0)
 @example(kind="binade", n=_CSUM_BLOCK, seed=0, scale=0)
 @example(kind="subnormal", n=_CSUM_MIN + 1, seed=0, scale=0)
 def test_csum_is_fsum_bitwise(kind, n, seed, scale):
+    """csum is math.fsum bit for bit, and certified_sum is fsum's float or
+    None, on arrays of each hard shape at both sides of the small-array
+    cutoff and of the extraction blocks."""
     x = _array(kind, n, seed, scale)
     _same_as_fsum(x)
     got = certified_sum(x)  # certifies or declines, never a different float
@@ -229,7 +228,7 @@ def _accumulate(x, n, bound, cuts):
     how=st.sampled_from(["tight", "loose", "broken"]),
     log2_slack=st.integers(0, 80),
 )
-@settings(max_examples=ACCUMULATOR_EXAMPLES, deadline=None)
+@settings(max_examples=example_count(150, 2000), deadline=None)
 @example(kind="tie", n=_CSUM_MIN, seed=0, scale=0, cut_fracs=[0.5], how="tight", log2_slack=0)
 @example(kind="wide", n=5001, seed=3, scale=0, cut_fracs=[0.1, 0.9], how="loose", log2_slack=1)
 @example(kind="subnormal", n=_CSUM_MIN + 1, seed=0, scale=0, cut_fracs=[], how="tight",
@@ -237,9 +236,11 @@ def _accumulate(x, n, bound, cuts):
 @example(kind="cancel", n=_CSUM_BLOCK + 65, seed=5, scale=900, cut_fracs=[0.3], how="broken",
          log2_slack=0)
 def test_accumulator_is_fsum_bitwise_or_none(kind, n, seed, scale, cut_fracs, how, log2_slack):
-    # Any cut of the values into blocks (empty blocks too), any bound at or
-    # above max|x|: math.fsum's float or None.  A bound one float below
-    # max|x| is broken by the block that holds it: always None.
+    """The block-by-block certified accumulator against math.fsum: any cut
+    of the values into blocks (empty blocks too), any bound at or above
+    max|x| (tight or loose), gives fsum's float or None.  A bound one float
+    below max|x| (broken) is broken by the block that holds it: always
+    None."""
     x = _array(kind, n, seed, scale)
     top = float(np.abs(x).max())
     bound = {

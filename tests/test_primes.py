@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import os
 import sys
 import threading
 import tracemalloc
@@ -12,15 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PRIMES_BELOW_100
+from conftest import PRIMES_BELOW_100, example_count
 from oracles import factorize, sieve_primes_plain
 from smoothcircle.errors import DomainError
 from smoothcircle import primes
 from smoothcircle.primes import prime_table, sieve_primes
-
-# Examples of the segment-boundary property test; a deeper run sets this
-# variable.
-SIEVE_EXAMPLES = int(os.environ.get("SMOOTHCIRCLE_TEST_SIEVE_EXAMPLES", "60"))
 
 
 def test_sieve_small():
@@ -65,9 +60,12 @@ def _segment_and_limit(draw):
     return segment, max(limit, 0)
 
 
-@settings(max_examples=SIEVE_EXAMPLES, deadline=None)
+@settings(max_examples=example_count(60, 1000), deadline=None)
 @given(_segment_and_limit())
 def test_segmented_sieve_matches_a_plain_sieve_at_segment_edges(case):
+    """The segmented sieve against a plain one at limits within 2 of a
+    segment edge or within 1 of a base prime's square, with segments of 1,
+    2, 7 and 64 odd numbers."""
     segment, limit = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(primes, "_SIEVE_SEGMENT", segment)
