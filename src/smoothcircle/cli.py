@@ -105,7 +105,8 @@ def _add_x_or_u(sp: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> _Parser:
-    p = _Parser(prog="smoothcircle", description=__doc__, parents=[_global_flags(None)])
+    description = __doc__.split("\n\n")[0]  # the contract stays in the source
+    p = _Parser(prog="smoothcircle", description=description, parents=[_global_flags(None)])
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
     # The subparser copies write a flag only when it is given after the
     # subcommand; a None default there would erase one given before it.

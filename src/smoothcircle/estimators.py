@@ -126,7 +126,7 @@ def perron_verify(
     """
     if float(x).is_integer():
         raise DomainError(f"perron_verify needs non-integer x; shift to {x} + 0.5")
-    if T <= 0:
+    if not T > 0:
         raise DomainError(f"perron_verify needs T > 0, got {T}")
     res = solve_alpha(x, y)
     a = res.alpha

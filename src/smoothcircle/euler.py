@@ -3,7 +3,7 @@ and the derivatives of its logarithm.
 
 H is the Dirichlet series of r(n)/4 over y-smooth n.  Each quantity has one
 evaluator.  On the real axis every quantity is a sum over p <= y of the
-per-prime terms formed by one real kernel, prime_terms: log H = phi in log
+per-prime terms of one real kernel (prime_terms): log H = phi in log
 space (no overflow for large y) and its sigma-derivatives phi_1..phi_4, all
 exact closed forms in the reciprocals 1/(p^sigma - 1) and
 1/(p^sigma - chi4(p)).  Off the axis, h_log_line
@@ -16,14 +16,12 @@ p^-ic p^-id for t = c + d, so a Perron quadrature level, whose panels
 share one offsets array, costs the offsets' phase factors once and one
 complex exp per prime per panel midpoint.
 
-The real-axis kernel forms the terms of a block of a few thousand primes
-at a time, in scratch rows allocated once per pass, and feeds each order's
-row of two blocks to its own certified accumulator
-(numutil.CertifiedAccumulator): the sums are csum's, bit for bit, with no
-pi(y)-sized array.  A table of one row is a whole array, which csum sums
-as it is.  An order the accumulator cannot certify is summed as
-csum(prime_terms(...)), whose whole-array rows are that fallback and what
-the tests read.  One pass can
+The real-axis kernel (_term_rows) forms the terms one block of primes and
+one order at a time, in scratch rows allocated once per pass; the
+evaluators feed each order's rows to its own numutil.CertifiedAccumulator,
+so the sums are math.fsum's, bit for bit, with no pi(y)-sized array.
+csum sums a table too short to pay for an accumulator, and, from
+prime_terms' whole arrays, an order the accumulator declines.  One pass can
 form several orders: the reciprocals are computed once per prime for all
 of them, so a Newton step's phi_1 and phi_2 (phi1_phi2) and all of
 phi_derivatives each cost one pass over the primes.
@@ -50,22 +48,17 @@ from .numutil import CertifiedAccumulator, csum
 from .primes import prime_table
 
 
-# Primes per kernel block: scratch rows of 32 KB, which the heap reuses from
-# call to call without page faults.  A pass allocates its rows once and
-# reuses them for every block: _WORK_ROWS of them (chi4(p) as a float, r1,
-# c r2, a1, a2 and two temporaries), while prime_terms writes each order
-# into its output.
-_TERMS_BLOCK = 4096
-_WORK_ROWS = 7
-# Terms per accumulated block: a pass writes two kernel blocks into each
-# order's row before the row's accumulator sums it.  Each numpy call costs
-# about 0.5 us whatever its length, and an accumulator makes 11 per row: at
-# y = 1e6 a (1, 2) pass took 1.49 ms this way, 1.70 ms with a row per
-# kernel block (best of 30 on a 2-vCPU Xeon), and its tracemalloc peak is
-# 0.47 MB (rows, accumulator scratch and work rows).
-_ACC_BLOCK = 2 * _TERMS_BLOCK
-# A pass's accumulators take this multiple of the first row's largest
-# |term| as their bound: that row holds the smallest primes, whose terms
+# Primes per kernel block: scratch rows of 64 KB, as the prime sums'
+# _SUM_BLOCK.  A (1, 2) pass at y = 1e6 took 1.21 ms so, 1.50 ms with
+# blocks of 4096 and 1.05 ms with twice the scratch, blocks of 16 384.
+_BLOCK = 8192
+# Tables of fewer primes are one block, whose rows csum sums: a (1, 2)
+# pass took 37 us so at 168 primes against 49 us through accumulators, 80
+# against 58 at 511 (the two cross near 250), 169 against 64 at 1 229.
+# Timings best of 15 on a 2-vCPU Xeon.
+_FSUM_MIN = 512
+# A pass's accumulators take this multiple of the first block's largest
+# |term| as their bound: that block holds the smallest primes, whose terms
 # are the largest (each order's term falls as p^sigma grows).
 _BOUND_SLACK = 2.0
 
@@ -84,23 +77,19 @@ def prime_terms(sigma: float, y: int, orders: Sequence[int]) -> list[np.ndarray]
     One pass forms the reciprocals once per prime for every order, each
     order's array bitwise what a call for it alone gives.
 
-    The primes go _TERMS_BLOCK at a time into their slice of the output:
-    the floats of one whole-array expression, but with block-sized
-    scratch, so a call's transient memory stays within a few blocks.  The
-    real-axis evaluators sum the terms block by block (_kernel_pass) and
-    call this only where that sum cannot be certified; the tests read it.
+    The rows of _term_rows are copied into their slices of the output: the
+    floats of one whole-array expression, but with block-sized scratch, so
+    a call's transient memory stays within a few blocks.  The real-axis
+    evaluators sum those rows as they come (_kernel_pass) and call this
+    only where that sum cannot be certified; the tests read it.
     """
     if not sigma > 0:
         raise DomainError(f"the Euler product needs sigma > 0, got {sigma}")
     table = prime_table(y)
-    n = len(table)
-    out = [np.empty(n) for _ in orders]
-    work = np.empty((_WORK_ROWS, min(n, _TERMS_BLOCK)))
+    out = [np.empty(len(table)) for _ in orders]
     with np.errstate(over="ignore"):  # r = 0 at P = inf
-        for lo in range(0, n, _TERMS_BLOCK):
-            hi = lo + _TERMS_BLOCK
-            rows = [row[lo:hi] for row in out]
-            _block_terms(sigma, table.logp[lo:hi], table.chi[lo:hi], orders, work, rows)
+        for lo, j, row in _term_rows(sigma, table, orders):
+            out[j][lo : lo + row.size] = row
     return out
 
 
@@ -108,15 +97,10 @@ def _kernel_pass(sigma: float, y: int, orders: tuple[int, ...]) -> list[float]:
     """csum(prime_terms(sigma, y, (k,))[0]) for each k in orders, bitwise,
     or inf where that csum overflows: one pass over the primes.
 
-    The terms go _TERMS_BLOCK primes at a time into one row per order of
-    _ACC_BLOCK terms.  Primes that fit one row make whole arrays, which
-    csum sums: math.fsum below its _CSUM_MIN values, certified_sum above.
-    An accumulator per order would cost more there: a (1, 2) pass took
-    24, 42 and 61 us at y = 100, 1000 and 1e4 this way, and 49, 52 and
-    69 us through the accumulators (best of 21 x 300 on a 2-vCPU Xeon).
-    Past one row, each order's row goes, in place, into its own
+    A table of fewer than _FSUM_MIN primes is one block, whose rows csum
+    sums.  Past that, each order's rows go, in place, into its own
     CertifiedAccumulator, whose bound is _BOUND_SLACK times the largest
-    |term| of the first row, so no pi(y)-sized array is formed.  An order
+    |term| of the first block, so no pi(y)-sized array is formed.  An order
     whose accumulator declines (a term past the bound, a non-finite term, a
     sum it cannot certify) is summed from prime_terms by csum, in one more
     pass for all such orders.  sigma <= 0 or nan raises DomainError.
@@ -125,25 +109,15 @@ def _kernel_pass(sigma: float, y: int, orders: tuple[int, ...]) -> list[float]:
         raise DomainError(f"the Euler product needs sigma > 0, got {sigma}")
     table = prime_table(y)
     n = len(table)
-    work = np.empty((_WORK_ROWS, min(n, _TERMS_BLOCK)))
-    terms = np.empty((len(orders), min(n, _ACC_BLOCK)))
     accs: list[CertifiedAccumulator] = []
     with np.errstate(over="ignore"):  # r = 0 at P = inf
-        for lo in range(0, n, _ACC_BLOCK):
-            rows = terms[:, : min(n - lo, _ACC_BLOCK)]
-            for j in range(0, rows.shape[1], _TERMS_BLOCK):
-                block = slice(lo + j, lo + j + _TERMS_BLOCK)
-                outs = rows[:, j : j + _TERMS_BLOCK]
-                _block_terms(sigma, table.logp[block], table.chi[block], orders, work, outs)
-            if n <= _ACC_BLOCK:  # the rows are the whole arrays
-                return [_csum_or_inf(row) for row in rows]
-            if not accs:
-                accs = [
-                    CertifiedAccumulator(n, _BOUND_SLACK * max(row.max(), -row.min()))
-                    for row in rows
-                ]
-            for acc, row in zip(accs, rows):
-                acc.add(row)
+        rows = _term_rows(sigma, table, orders)
+        if n < _FSUM_MIN:  # one block, whose rows are the whole arrays
+            return [_csum_or_inf(row) for _, _, row in rows]
+        for lo, j, row in rows:
+            if not lo:
+                accs.append(CertifiedAccumulator(n, _BOUND_SLACK * max(row.max(), -row.min())))
+            accs[j].add(row)
     sums = [acc.result() for acc in accs]
     declined = tuple(k for k, v in zip(orders, sums) if v is None)
     if declined:
@@ -160,50 +134,62 @@ def _csum_or_inf(terms: np.ndarray) -> float:
         return math.inf
 
 
-def _block_terms(sigma, lp, chi4, orders, work, outs) -> None:
-    """prime_terms on one block of primes, written into outs, one array of
-    lp.size per order; work has _WORK_ROWS rows of at least lp.size.
+def _term_rows(sigma, table, orders):
+    """Yield (lo, j, row) for each block of _BLOCK primes from index lo and
+    each order k = orders[j]: the block's order-k terms (see prime_terms),
+    always in one scratch row, which the next yield overwrites.  The caller
+    holds np.errstate(over="ignore"): 1/expm1 and the terms reach inf at
+    small sigma.
 
     Each closed form gives the floats of the whole-array form.  The
     reciprocal r1 = 1/(P - 1), c r2 = c/(P - c) and, for k >= 2,
-    a = c r (1 + c r) (c = 1 in the first half) are formed once for all
-    orders.  c/(P - c) is one division, bitwise c * (1/(P - c)) as c is 0
-    or +-1, and r2 enters every term as c r2: the r2^2 of Li_-3 is
+    a = c r (1 + c r) (c = 1 in the first half) are formed once per block
+    for all orders.  c/(P - c) is one division, bitwise c * (1/(P - c)) as
+    c is 0 or +-1, and r2 enters every term as c r2: the r2^2 of Li_-3 is
     (c r2)^2 where c = +-1, and a2 = 0 where c = 0 (p = 2), whose second
-    half reads 0.
+    half reads 0.  The rows a pass needs: the output, t1, r1 and c r2; a1
+    and a2 past order 1; t2 past order 2.
     """
-    chi, t1, r1, cr, a1, a2, t2 = (row[: lp.size] for row in work[:_WORK_ROWS])
-    np.copyto(chi, chi4)  # int8 operands would cost a cast in each ufunc
-    np.expm1(np.multiply(sigma, lp, out=t1), out=t1)  # P - 1
-    np.divide(1.0, t1, out=r1)
-    np.divide(chi, np.add(t1, np.subtract(1.0, chi, out=cr), out=cr), out=cr)
-    if max(orders) > 1:
-        np.multiply(r1, np.add(1.0, r1, out=a1), out=a1)
-        np.multiply(cr, np.add(1.0, cr, out=a2), out=a2)
-    # -log(1 - c/P) = log(P/(P - c)) = log1p(c r), Li_0(c/P) = c r, and
-    # with a = c r (1 + c r):
-    # Li_-1(c/P) = cP/(P - c)^2 = a,
-    # Li_-2(c/P) = cP(P + c)/(P - c)^3 = a (1 + 2 c r),
-    # Li_-3(c/P) = cP(P^2 + 4cP + c^2)/(P - c)^4 = a (1 + 6 c r + 6 r^2).
-    # At c = 1 the factor c is dropped: 1.0 * r is r.  Every product
-    # below is rounded once, so its operands may come in either order.
-    for k, o in zip(orders, outs):
-        if k == 0:  # log1p(r1) + log1p(c r2)
-            np.add(np.log1p(r1, out=o), np.log1p(cr, out=t1), out=o)
-        elif k == 1:  # log p (r1 + c r2)
-            np.multiply(lp, np.add(r1, cr, out=o), out=o)
-        elif k == 2:  # (log p)^2 (a1 + a2)
-            np.multiply(np.square(lp, out=t1), np.add(a1, a2, out=o), out=o)
-        elif k == 3:  # (log p)^3 (a1 (1 + 2 r1) + a2 (1 + 2 c r2))
-            for a, r, t in ((a1, r1, t1), (a2, cr, t2)):
-                np.multiply(a, np.add(1.0, np.multiply(2.0, r, out=t), out=t), out=t)
-            np.multiply(np.power(lp, 3, out=o), np.add(t1, t2, out=t1), out=o)
-        else:  # (log p)^4 (a1 tail(r1) + a2 tail(c r2)), tail(r) = (1 + 6 r) + (6 r) r
-            for a, r, t in ((a1, r1, t1), (a2, cr, t2)):
-                np.multiply(6.0, r, out=t)
-                np.add(np.add(1.0, t, out=o), np.multiply(t, r, out=t), out=t)
-                np.multiply(a, t, out=t)
-            np.multiply(np.power(lp, 4, out=o), np.add(t1, t2, out=t1), out=o)
+    top = max(orders, default=0)
+    work = np.empty((4 + 2 * (top > 1) + (top > 2), min(len(table), _BLOCK)))
+    for lo in range(0, len(table), _BLOCK):
+        lp = table.logp[lo : lo + _BLOCK]
+        o, t1, r1, cr, a1, a2, t2 = (*work[:, : lp.size], None, None, None)[:7]
+        np.expm1(np.multiply(sigma, lp, out=t1), out=t1)  # P - 1
+        # c as a float (int8 operands would cost a cast in each ufunc),
+        # then c/(P - c) = c/((P - 1) + (1 - c))
+        np.copyto(cr, table.chi[lo : lo + _BLOCK])
+        np.add(t1, np.subtract(1.0, cr, out=r1), out=r1)
+        np.divide(cr, r1, out=cr)
+        np.divide(1.0, t1, out=r1)
+        if top > 1:
+            np.multiply(r1, np.add(1.0, r1, out=a1), out=a1)
+            np.multiply(cr, np.add(1.0, cr, out=a2), out=a2)
+        # -log(1 - c/P) = log(P/(P - c)) = log1p(c r), Li_0(c/P) = c r, and
+        # with a = c r (1 + c r):
+        # Li_-1(c/P) = cP/(P - c)^2 = a,
+        # Li_-2(c/P) = cP(P + c)/(P - c)^3 = a (1 + 2 c r),
+        # Li_-3(c/P) = cP(P^2 + 4cP + c^2)/(P - c)^4 = a (1 + 6 c r + 6 r^2).
+        # At c = 1 the factor c is dropped: 1.0 * r is r.  Every product
+        # below is rounded once, so its operands may come in either order.
+        for j, k in enumerate(orders):
+            if k == 0:  # log1p(r1) + log1p(c r2)
+                np.add(np.log1p(r1, out=o), np.log1p(cr, out=t1), out=o)
+            elif k == 1:  # log p (r1 + c r2)
+                np.multiply(lp, np.add(r1, cr, out=o), out=o)
+            elif k == 2:  # (log p)^2 (a1 + a2)
+                np.multiply(np.square(lp, out=t1), np.add(a1, a2, out=o), out=o)
+            elif k == 3:  # (log p)^3 (a1 (1 + 2 r1) + a2 (1 + 2 c r2))
+                for a, r, t in ((a1, r1, t1), (a2, cr, t2)):
+                    np.multiply(a, np.add(1.0, np.multiply(2.0, r, out=t), out=t), out=t)
+                np.multiply(np.power(lp, 3, out=o), np.add(t1, t2, out=t1), out=o)
+            else:  # (log p)^4 (a1 tail(r1) + a2 tail(c r2)), tail(r) = (1 + 6 r) + (6 r) r
+                for a, r, t in ((a1, r1, t1), (a2, cr, t2)):
+                    np.multiply(6.0, r, out=t)
+                    np.add(np.add(1.0, t, out=o), np.multiply(t, r, out=t), out=t)
+                    np.multiply(a, t, out=t)
+                np.multiply(np.power(lp, 4, out=o), np.add(t1, t2, out=t1), out=o)
+            yield lo, j, o
 
 
 # A block of the line product ends before the log-magnitude bound of its

@@ -1,11 +1,14 @@
 """Small numerical helpers: exact sums, safeguarded root finding,
 panel-based Gauss-Kronrod quadrature.
 
-csum returns exactly what math.fsum returns -- the correctly rounded sum --
-but sums a large float64 array in numpy, by the error-free ExtractVector
-transformation (Rump, Ogita and Oishi, "Accurate floating-point summation,
-Part I: faithful rounding", SIAM J. Sci. Comput. 30, 2008).  With
-u = 2^-53, sigma = 2^k and n + 2 <= 2^M, every |x_i| <= 2^-M sigma gives
+Every sum of prime terms is math.fsum's float -- the correctly rounded
+sum -- formed by one engine, CertifiedAccumulator, which takes the terms
+block by block through add, as online exact summation does (Zhu and
+Hayes, ACM TOMS 37, 2010), and extracts them by the error-free
+ExtractVector transformation (Rump, Ogita and Oishi, "Accurate
+floating-point summation, Part I: faithful rounding", SIAM J. Sci.
+Comput. 30, 2008).  With u = 2^-53, sigma = 2^k and n + 2 <= 2^M, every
+|x_i| <= 2^-M sigma gives
 
     q_i = fl(fl(sigma + x_i) - sigma),    x_i' = x_i - q_i,
 
@@ -22,14 +25,9 @@ accepted only when that bound proves it rounds to the same float as the
 exact sum.
 
 sigma needs only n and a bound on max|x| known before the first value, so
-CertifiedAccumulator takes the values block by block, as online exact
-summation does (Zhu and Hayes, ACM TOMS 37, 2010): the prime sums, and
-the Euler kernel past one row of terms, stream their terms through it with
-no whole array, and fall back to csum only where it declines.  csum runs
-certified_sum, one accumulator over an array, and sends every other case
--- small or non-array input, non-finite values, sums near zero or near
-overflow, a bound that cannot decide -- to math.fsum, so values, nan, inf
-and exceptions are math.fsum's own.
+the Euler kernel and the prime sums stream their terms through add with
+no whole array.  The one fallback, where an accumulator declines or a
+table is too short to pay for one, is math.fsum, called as csum.
 """
 
 from __future__ import annotations
@@ -45,17 +43,11 @@ from .errors import ConvergenceError
 EULER_GAMMA = 0.5772156649015329
 
 
-# csum's fast path: arrays shorter than _CSUM_MIN go to math.fsum, which is
-# as fast there (best of 3 x 3000 calls on a 2-vCPU Xeon: 21 us against
-# certified_sum's 24 at 256 values, 29 against 17 at 512, 72 against 18 at
-# 1 229); the extraction runs _CSUM_BLOCK values at a time, which bounds
-# its scratch memory; an array of n values with n + 2 above
-# _CSUM_EXTRACT_LIMIT = 2^26 goes to math.fsum, since two extractions leave
-# a bound that grows like 2^(4M) and stops deciding near there; a bound on
+# CertifiedAccumulator's limits: n values with n + 2 above
+# _CSUM_EXTRACT_LIMIT = 2^26 are declined, since two extractions leave a
+# bound that grows like 2^(4M) and stops deciding near there; a bound on
 # max|x| in (_CSUM_TINY, _CSUM_LIMIT / n) keeps every unit of extraction
 # normal and every partial sum, here and in math.fsum, far from overflow.
-_CSUM_MIN = 512
-_CSUM_BLOCK = 1 << 15
 _CSUM_EXTRACT_LIMIT = 1 << 26
 _CSUM_TINY = 2.0**-800
 _CSUM_LIMIT = 2.0**1000
@@ -63,25 +55,11 @@ _U = 2.0**-53
 
 
 def csum(terms) -> float:
-    """The correctly rounded sum of an iterable or array: math.fsum(terms), bit
-    for bit, with the same nan, inf, OverflowError and ValueError.
-
-    A 1-D float64 array of at least _CSUM_MIN values is summed by
-    certified_sum; when that cannot certify its rounding, and for any other
-    input, the sum is math.fsum's.  The Euler kernel sums the whole
-    arrays of a table of one row (y < 84 047) by this; past that, and in
-    the prime sums, the terms go through a CertifiedAccumulator block by
-    block, and this sums them only where it declines.
+    """math.fsum(terms), the fallback of every certified sum.  It keeps a
+    name of its own only because bench/spans.py wraps euler.csum and
+    prime_sums.csum to count the sums that reach it; ROADMAP direction 8
+    retires the name.
     """
-    if (
-        isinstance(terms, np.ndarray)
-        and terms.ndim == 1
-        and terms.dtype == np.float64
-        and terms.size >= _CSUM_MIN
-    ):
-        value = certified_sum(terms)
-        if value is not None:
-            return value
     return math.fsum(terms)
 
 
@@ -90,24 +68,6 @@ def _two_sum(a: float, b: float) -> tuple[float, float]:
     s = a + b
     bb = s - a
     return s, (a - (s - bb)) + (b - bb)
-
-
-def certified_sum(x: np.ndarray) -> float | None:
-    """math.fsum(x) for a 1-D float64 array, or None where it cannot certify:
-    a CertifiedAccumulator of x.size values with the bound max|x|, which
-    extracts x's _CSUM_BLOCK-value blocks into scratch remainders, leaving
-    x alone.  max|x| bounds every block, so none is checked again.  None
-    also for an array that holds nan or inf (max|x| is then nan or inf),
-    or is empty or all zero.
-    """
-    n = x.size
-    acc = CertifiedAccumulator(n, max(x.max(initial=0.0), -x.min(initial=0.0)))
-    if acc._ok:
-        rest = np.empty(min(n, _CSUM_BLOCK))
-        for lo in range(0, n, _CSUM_BLOCK):
-            block = x[lo : lo + _CSUM_BLOCK]
-            acc._extract(block, rest[: block.size])
-    return acc.result()
 
 
 class CertifiedAccumulator:
@@ -138,8 +98,7 @@ class CertifiedAccumulator:
     bound is below _CSUM_TINY or n bound reaches _CSUM_LIMIT; when
     n + 2 > _CSUM_EXTRACT_LIMIT; when |r| <= 1e-290, where the gap nears
     the subnormals; and when the test above fails.  Once a block breaks
-    the bound, later blocks are not summed.  Each block is extracted in
-    place, so one scratch array the size of the largest block serves.
+    the bound, later blocks are not summed.
     """
 
     def __init__(self, n: int, bound: float) -> None:
@@ -152,15 +111,12 @@ class CertifiedAccumulator:
             self._sigma2 = math.ldexp(self._sigma, m - 53)
         self._seen = 0
         self._tau1 = self._tau2 = self._s3 = 0.0
-        self._q = np.empty(0)
 
     def add(self, block: np.ndarray) -> None:
         """Sum one 1-D float64 block into the total.  A block within the
         bound is overwritten by its remainders: pass a copy of values still
-        needed.
-
-        The reductions are the ufuncs' own, which ndarray.sum, min and max
-        wrap: the same floats, without a Python call per block.
+        needed.  q and q2 share one scratch array of the block's size.  The
+        reductions are the ufuncs' own, which ndarray.sum, min and max wrap.
         """
         size = block.size
         self._seen += size
@@ -173,22 +129,14 @@ class CertifiedAccumulator:
         ):
             self._ok = False
             return
-        self._extract(block, block)
-
-    def _extract(self, block: np.ndarray, rest: np.ndarray) -> None:
-        """Sum a block within the bound into the total, its remainders
-        written to rest, an array of block.size that may be block itself."""
-        size = block.size
-        if self._q.size < size:
-            self._q = np.empty(size)
-        qb = self._q[:size]
         sigma, sigma2 = self._sigma, self._sigma2
-        np.subtract(np.add(block, sigma, out=qb), sigma, out=qb)
-        self._tau1 += float(np.add.reduce(qb))
-        np.subtract(block, qb, out=rest)  # x'
-        np.subtract(np.add(rest, sigma2, out=qb), sigma2, out=qb)
-        self._tau2 += float(np.add.reduce(qb))
-        self._s3 += float(np.add.reduce(np.subtract(rest, qb, out=rest)))  # x''
+        q = np.add(block, sigma)
+        np.subtract(q, sigma, out=q)
+        self._tau1 += float(np.add.reduce(q))
+        np.subtract(block, q, out=block)  # x'
+        np.subtract(np.add(block, sigma2, out=q), sigma2, out=q)
+        self._tau2 += float(np.add.reduce(q))
+        self._s3 += float(np.add.reduce(np.subtract(block, q, out=block)))  # x''
 
     def result(self) -> float | None:
         """The correctly rounded sum of the blocks added, or None."""

@@ -1,9 +1,10 @@
 """The weighted prime sum over primes up to a threshold, with the mod-4 twist.
 
-The sum is math.fsum's correctly rounded one, accumulated block by block
-(numutil.CertifiedAccumulator), so no pi(x)-sized array is formed.  Its
-main-term column follows the classical first-order approximation so that
-deviations can be monitored empirically.
+The sum is math.fsum's correctly rounded one, streamed block by block
+through numutil.CertifiedAccumulator.add, so no pi(x)-sized array is
+formed; where the accumulator declines, csum, which is math.fsum, sums
+the whole array.  Its main-term column follows the classical first-order
+approximation so that deviations can be monitored empirically.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ def weighted_prime_sum(x: float, sigma: float, twist: bool = False) -> PrimeSumR
     The untwisted main term is the integral of u^(-sigma) over [1, x]
     (log x when sigma = 1); the twisted sum has cancellation, main term 0.
     """
+    if not math.isfinite(x):
+        raise DomainError(f"weighted_prime_sum needs a finite x, got {x}")
     if x < 2:
         raise DomainError(f"weighted_prime_sum needs x >= 2, got {x}")
     if not 0.0 <= sigma <= 1.0 + SIGMA_SLACK / math.log(x):

@@ -422,6 +422,23 @@ def test_benchmark_invocations_sum_without_the_fallback(monkeypatch):
     assert fallbacks == []
 
 
+def test_help_prints_the_first_paragraph_and_the_subcommands(capsys):
+    # --help exits 0 with argparse's usage, the docstring's first paragraph
+    # and every subcommand; the reproducibility contract stays in the source.
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: smoothcircle")
+    assert cli.__doc__.split("\n\n")[0] in out
+    for name in ("exact", "alpha", "hval", "estimate", "compare", "perron", "xi", "rho",
+                 "primesums", "diffcheck"):
+        assert f"    {name} " in out, name
+    words = " ".join(out.split())  # argparse reflows the description
+    assert "Identical invocations" in " ".join(cli.__doc__.split())
+    assert "Identical invocations" not in words
+
+
 def test_format_before_subcommand():
     before = run_cli("--format", "json", "xi", "--u", "2")
     after = run_cli("xi", "--u", "2", "--format", "json")

@@ -142,6 +142,14 @@ def test_perron_rejects_integer_x():
         perron_verify(100.5, 100, 0.0)
 
 
+@pytest.mark.parametrize("T", [0.0, -1.0, -math.inf, math.nan])
+def test_perron_rejects_bad_T(T):
+    # A T that is not > 0, nan included, is a bad input, not a budget
+    # failure of the quadrature.
+    with pytest.raises(DomainError, match="T > 0"):
+        perron_verify(1.5, 10, T)
+
+
 @pytest.mark.parametrize(
     "x, y, T, integral",
     [

@@ -22,6 +22,7 @@ from smoothcircle.numutil import csum
 from smoothcircle.primes import prime_table, sieve_primes
 from smoothcircle.saddle import solve_alpha
 
+from conftest import WORKLOAD_CELLS
 from oracles import prime_terms_decimal, prime_terms_whole_array
 
 
@@ -423,15 +424,17 @@ def _y_with_prime_count(n: int) -> int:
     return int(p[n]) - 1
 
 
-_BLOCK = euler._TERMS_BLOCK
+_BLOCK = euler._BLOCK
 # pi(y) one short of a block, one block, one over, and two blocks and one
 _BLOCK_EDGE_YS = [_y_with_prime_count(n) for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)]
+# pi(y) about half a block: one short block, or a short last block
+_HALF_BLOCK_YS = [_y_with_prime_count(n) for n in (_BLOCK // 2 - 1, _BLOCK // 2, _BLOCK // 2 + 1)]
 
 
 _KERNEL_CASES = [(sigma, k) for sigma in (0.05, 0.6, 2.0, 60.0) for k in range(5)]
 
 
-@pytest.mark.parametrize("y", [2, 1000, *_BLOCK_EDGE_YS, 10**6])
+@pytest.mark.parametrize("y", [2, 1000, *_HALF_BLOCK_YS, *_BLOCK_EDGE_YS, 10**6])
 def test_prime_terms_blocks_equal_the_whole_array_bitwise(y):
     for s, k in _KERNEL_CASES:
         [got] = prime_terms(s, y, (k,))
@@ -440,7 +443,7 @@ def test_prime_terms_blocks_equal_the_whole_array_bitwise(y):
         assert np.array_equal(got, want), (s, k)
 
 
-@pytest.mark.parametrize("y", [*_BLOCK_EDGE_YS, 10**6])
+@pytest.mark.parametrize("y", [*_HALF_BLOCK_YS, *_BLOCK_EDGE_YS, 10**6])
 def test_prime_terms_orders_equal_the_whole_array_bitwise(y):
     # One pass for several orders gives each order's row bit for bit, at
     # block edges.
@@ -494,32 +497,46 @@ def _csum_or_inf(row):
 _STREAM_SIGMAS = [1e-6, 1e-4, 1e-2, 0.05, 0.3, 0.6, 0.95, 1.0, 2.0, 5.0]
 
 
-# pi(y) one short of an accumulated row, one row, one over, and a row and
-# a kernel block and one
-_ROW_EDGE_YS = [
-    _y_with_prime_count(n)
-    for n in (euler._ACC_BLOCK - 1, euler._ACC_BLOCK, euler._ACC_BLOCK + 1,
-              euler._ACC_BLOCK + _BLOCK + 1)
+# pi(y) one short of the csum cut, at it and one over
+_FSUM_EDGE_YS = [
+    _y_with_prime_count(n) for n in (euler._FSUM_MIN - 1, euler._FSUM_MIN, euler._FSUM_MIN + 1)
 ]
 
 
 @pytest.mark.parametrize(
-    "y", [2, 100, 600, *_BLOCK_EDGE_YS[1:3], 10**4, *_ROW_EDGE_YS, 10**6]
+    "y",
+    [
+        2, 100, 600, *_FSUM_EDGE_YS, *_HALF_BLOCK_YS[1:3], 10**4, *_BLOCK_EDGE_YS[:3],
+        _y_with_prime_count(_BLOCK + _BLOCK // 2 + 1), _BLOCK_EDGE_YS[3], 10**6,
+    ],
 )
-def test_streamed_sums_equal_whole_array_csums_bitwise(y):
-    # Orders 0..4, summed row by row through their accumulators, are csum
-    # of each prime_terms row, for one prime, one short row and many rows.
+def test_streamed_sums_equal_whole_array_csums_bitwise(y, monkeypatch):
+    # Orders 0..4, summed block by block through their accumulators, are
+    # csum of each prime_terms row: for one prime and tables summed by
+    # csum, on both sides of the _FSUM_MIN cut, and for one short block, a
+    # block and many blocks, the last one full, short or of one prime.
+    # csum sums a table below the cut, and past it only a sum that
+    # overflows.
+    n = len(prime_table(y))
+    calls = []
+    csum_ = euler.csum
+    monkeypatch.setattr(euler, "csum", lambda terms: calls.append(terms.size) or csum_(terms))
     for sigma in _STREAM_SIGMAS:
         want = [_csum_or_inf(row) for row in prime_terms(sigma, y, range(5))]
         euler._memo = (math.nan, 0, {})
+        calls.clear()
         got = euler._order_sums(sigma, y, (0, 1, 2, 3, 4))
         assert [v.hex() for v in got] == [v.hex() for v in want], sigma
+        if n < euler._FSUM_MIN:
+            assert calls == [n] * 5, sigma
+        else:
+            assert len(calls) == sum(v == math.inf for v in want), sigma
         assert [v.hex() for v in euler._kernel_pass(sigma, y, (3, 1))] == [
             want[3].hex(), want[1].hex()
         ]
 
 
-@pytest.mark.parametrize("y", [_ROW_EDGE_YS[2], 10**5])
+@pytest.mark.parametrize("y", [_BLOCK_EDGE_YS[2], 10**5])
 def test_declined_orders_are_summed_from_prime_terms(y, monkeypatch):
     # A bound below the first row's largest term is broken at once: every
     # order falls back to csum(prime_terms(...)), in one pass, and the sums
@@ -548,9 +565,31 @@ def test_overflowing_orders_read_inf():
     assert got[0] == _csum_or_inf(prime_terms(1e-76, 10**6, (3,))[0])
 
 
+def test_no_accumulator_declines_at_the_workload_alphas(monkeypatch):
+    # At the saddle point alpha of every benchmark compare cell, each order
+    # 0..4 of a table of _FSUM_MIN primes or more is certified block by
+    # block: no cell's sums reach the prime_terms fallback.
+    results = []
+
+    class Recording(euler.CertifiedAccumulator):
+        def result(self):
+            results.append(super().result())
+            return results[-1]
+
+    monkeypatch.setattr(euler, "CertifiedAccumulator", Recording)
+    for x, y in WORKLOAD_CELLS:
+        alpha = solve_alpha(x, y).alpha
+        results.clear()
+        euler._kernel_pass(alpha, y, (0, 1, 2, 3, 4))
+        streamed = len(prime_table(y)) >= euler._FSUM_MIN
+        assert len(results) == (5 if streamed else 0), (x, y)
+        assert None not in results, (x, y, alpha)
+
+
 def test_kernel_pass_memory_is_a_few_blocks():
-    # One (1, 2) pass at y = 1e6 holds scratch rows of 4096 and 8192 primes,
-    # not the 628 KB of one whole-array row.
+    # One (1, 2) pass at y = 1e6 holds six scratch rows of _BLOCK primes and
+    # an accumulator's scratch row, 7 x 64 KB, not the 628 KB of one
+    # whole-array row.
     prime_table(10**6)  # cached before tracing: the table is not transient
     tracemalloc.start()
     try:

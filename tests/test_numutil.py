@@ -11,26 +11,23 @@ from numpy.polynomial.legendre import leggauss
 
 from smoothcircle import estimators, numutil
 from smoothcircle.errors import ConvergenceError
-from smoothcircle.euler import prime_terms
+from smoothcircle.euler import _BLOCK, _FSUM_MIN, prime_terms
 from smoothcircle.numutil import (
-    _CSUM_BLOCK,
-    _CSUM_MIN,
     CertifiedAccumulator,
     bracketed_newton,
-    certified_sum,
     csum,
     integrate_panels,
 )
 
 from conftest import example_count
-from oracles import kronrod31_decimal, prime_terms_whole_array
+from oracles import kronrod31_decimal
 
-# Both sides of the small-array cutoff and of one extraction block, and a
-# block plus a short or a long partial block.
+# Both sides of the Euler kernel's csum cut and of one kernel block, and
+# sums of four to twelve blocks.
 SIZES = [
-    _CSUM_MIN - 1, _CSUM_MIN, _CSUM_MIN + 1, 5001,
-    _CSUM_BLOCK - 1, _CSUM_BLOCK, _CSUM_BLOCK + 1,
-    _CSUM_BLOCK + 65, 2 * _CSUM_BLOCK + 3, 3 * _CSUM_BLOCK - 5,
+    _FSUM_MIN - 1, _FSUM_MIN, _FSUM_MIN + 1, 5001,
+    _BLOCK - 1, _BLOCK, _BLOCK + 1,
+    4 * _BLOCK + 65, 8 * _BLOCK + 3, 12 * _BLOCK - 5,
 ]
 ULP1 = 2.0**-52  # ulp of 1.0
 # The 31-point Gauss-Kronrod rule's nodes and weights, and the 15-point
@@ -38,17 +35,28 @@ ULP1 = 2.0**-52  # ulp of 1.0
 *K31, G15_WEIGHTS = (np.array([float(v) for v in part]) for part in kronrod31_decimal())
 
 
+def _certified(x):
+    """x summed as one block by a CertifiedAccumulator with the tight bound
+    max|x|: math.fsum's float or None.  x is left alone."""
+    return _accumulate(x, x.size, float(np.abs(x).max(initial=0.0)), [])
+
+
 def _same_as_fsum(x):
-    """csum(x) is math.fsum(x) bit for bit, or raises what it raises."""
+    """csum(x) is math.fsum(x) bit for bit, or raises what it raises; an
+    array summed by _certified gives fsum's float or None, and None where
+    fsum raises."""
+    certified = _certified(x) if isinstance(x, np.ndarray) else None
     try:
         want = math.fsum(x)
     except (OverflowError, ValueError) as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             csum(x)
+        assert certified is None
         return
     got = csum(x)
     assert type(got) is float
     assert got.hex() == want.hex()
+    assert certified is None or certified.hex() == want.hex()
 
 
 def _array(kind: str, n: int, seed: int, scale: int) -> np.ndarray:
@@ -89,22 +97,20 @@ KINDS = ["wide", "cancel", "tie", "binade", "subnormal", "zero"]
     scale=st.integers(-900, 900),
 )
 @settings(max_examples=example_count(150, 2000), deadline=None)
-@example(kind="tie", n=_CSUM_MIN, seed=0, scale=0)
-@example(kind="tie", n=_CSUM_BLOCK + 1, seed=1, scale=0)
-@example(kind="binade", n=_CSUM_BLOCK, seed=0, scale=0)
-@example(kind="subnormal", n=_CSUM_MIN + 1, seed=0, scale=0)
+@example(kind="tie", n=_FSUM_MIN, seed=0, scale=0)
+@example(kind="tie", n=4 * _BLOCK + 1, seed=1, scale=0)
+@example(kind="binade", n=4 * _BLOCK, seed=0, scale=0)
+@example(kind="subnormal", n=_FSUM_MIN + 1, seed=0, scale=0)
 def test_csum_is_fsum_bitwise(kind, n, seed, scale):
-    """csum is math.fsum bit for bit, and certified_sum is fsum's float or
-    None, on arrays of each hard shape at both sides of the small-array
-    cutoff and of the extraction blocks."""
-    x = _array(kind, n, seed, scale)
-    _same_as_fsum(x)
-    got = certified_sum(x)  # certifies or declines, never a different float
-    assert got is None or got.hex() == math.fsum(x).hex()
+    """csum is math.fsum bit for bit, and one block of a CertifiedAccumulator
+    with a tight bound (_certified, which _same_as_fsum runs) is fsum's
+    float or None, on arrays of each hard shape at both sides of the
+    kernel's csum cut and of its blocks."""
+    _same_as_fsum(_array(kind, n, seed, scale))
 
 
-# below the fast path's cutoff, at it, further inside the first block, and past it
-@pytest.mark.parametrize("n", [2, _CSUM_MIN, 2048, _CSUM_BLOCK + 1])
+# below the kernel's csum cut, at it, inside one kernel block, and past four
+@pytest.mark.parametrize("n", [2, _FSUM_MIN, 2048, 4 * _BLOCK + 1])
 @pytest.mark.parametrize(
     "head",
     [
@@ -135,10 +141,10 @@ def test_csum_hand_made_cases(head, n):
         [math.inf, -math.inf],  # ValueError
         [1e308, 1e308],  # OverflowError
         [1e308, 0.0, 1e308, -1e308],  # overflows in math.fsum's order only
-        [1e300] * 3000,  # finite, but n max|x| is past the fast path's limit
+        [1e300] * 3000,  # finite, but n max|x| is past the accumulator's limit
     ],
 )
-@pytest.mark.parametrize("n", [_CSUM_MIN, 2048, _CSUM_BLOCK + 7])
+@pytest.mark.parametrize("n", [_FSUM_MIN, 2048, 4 * _BLOCK + 7])
 def test_csum_non_finite_and_overflow_as_fsum(special, n):
     x = np.full(max(n, len(special)), 0.25)
     x[: len(special)] = special
@@ -153,20 +159,18 @@ def test_csum_other_inputs_go_to_fsum():
     assert csum(x.astype(np.float32)) == math.fsum(x.astype(np.float32))
     assert csum(x.reshape(30, 100).T[0]) == math.fsum(x.reshape(30, 100).T[0])
     assert csum(np.empty(0)) == 0.0
-    assert certified_sum(np.empty(0)) is None
-    assert certified_sum(np.zeros(5000)) is None
 
 
 @pytest.mark.parametrize("sigma", [0.1, 0.3, 0.6, 0.95, 2.0])
 @pytest.mark.parametrize("k", range(5))
 def test_fast_path_certifies_kernel_sums(sigma, k):
     [terms] = prime_terms(sigma, 10**6, (k,))
-    got = certified_sum(terms)
+    got = _certified(terms)
     assert got is not None
     assert got == math.fsum(terms)
 
 
-@pytest.mark.parametrize("n", [5001, _CSUM_BLOCK + 1, 78498])
+@pytest.mark.parametrize("n", [5001, 4 * _BLOCK + 1, 78498])
 @pytest.mark.parametrize("log2_cond", [16, 28])
 def test_csum_certifies_sums_that_need_the_second_extraction(n, log2_cond):
     # The sum is about 2^-log2_cond, far below max|x|.  One extraction
@@ -186,28 +190,22 @@ def test_csum_certifies_sums_that_need_the_second_extraction(n, log2_cond):
     one_pass_bound = n * n * 2.0 ** (m - 106) * 2.0 * top
     want = math.fsum(x)
     assert one_pass_bound > 0.5 * math.ulp(want)
-    got = certified_sum(x)
+    got = _certified(x)
     assert got is not None
     assert got.hex() == want.hex()
 
 
 def test_csum_extraction_limit_goes_to_fsum(monkeypatch):
-    # n + 2 above the limit is declined, and csum returns math.fsum's float;
-    # the limit itself is checked with a small patched value, not a 2^26 array.
+    # n + 2 above the limit is declined, and csum, the fallback, returns
+    # math.fsum's float; the limit itself is checked with a small patched
+    # value, not a 2^26 array.
     x = np.linspace(-1.0, 3.0, 5000) ** 3
-    assert certified_sum(x) == math.fsum(x)
+    assert _certified(x) == math.fsum(x)
     monkeypatch.setattr(numutil, "_CSUM_EXTRACT_LIMIT", x.size + 2)
-    assert certified_sum(x) == math.fsum(x)
+    assert _certified(x) == math.fsum(x)
     monkeypatch.setattr(numutil, "_CSUM_EXTRACT_LIMIT", x.size + 1)
-    assert certified_sum(x) is None
+    assert _certified(x) is None
     assert csum(x).hex() == math.fsum(x).hex()
-
-
-def test_fast_path_certifies_strided_complex_parts():
-    # the per-prime complex logs of H(0.6 + 40i; 1e6)
-    terms = prime_terms_whole_array(complex(0.6, 40.0), 10**6, 0)
-    for part in (terms.real, terms.imag):
-        assert certified_sum(part) == math.fsum(part)
 
 
 def _accumulate(x, n, bound, cuts):
@@ -229,11 +227,11 @@ def _accumulate(x, n, bound, cuts):
     log2_slack=st.integers(0, 80),
 )
 @settings(max_examples=example_count(150, 2000), deadline=None)
-@example(kind="tie", n=_CSUM_MIN, seed=0, scale=0, cut_fracs=[0.5], how="tight", log2_slack=0)
+@example(kind="tie", n=_FSUM_MIN, seed=0, scale=0, cut_fracs=[0.5], how="tight", log2_slack=0)
 @example(kind="wide", n=5001, seed=3, scale=0, cut_fracs=[0.1, 0.9], how="loose", log2_slack=1)
-@example(kind="subnormal", n=_CSUM_MIN + 1, seed=0, scale=0, cut_fracs=[], how="tight",
+@example(kind="subnormal", n=_FSUM_MIN + 1, seed=0, scale=0, cut_fracs=[], how="tight",
          log2_slack=0)
-@example(kind="cancel", n=_CSUM_BLOCK + 65, seed=5, scale=900, cut_fracs=[0.3], how="broken",
+@example(kind="cancel", n=4 * _BLOCK + 65, seed=5, scale=900, cut_fracs=[0.3], how="broken",
          log2_slack=0)
 def test_accumulator_is_fsum_bitwise_or_none(kind, n, seed, scale, cut_fracs, how, log2_slack):
     """The block-by-block certified accumulator against math.fsum: any cut
@@ -260,12 +258,13 @@ def test_accumulator_is_fsum_bitwise_or_none(kind, n, seed, scale, cut_fracs, ho
     assert got is None or got.hex() == want.hex()
 
 
-@pytest.mark.parametrize("block", [1, 7, _CSUM_MIN, 4096, _CSUM_BLOCK])
+@pytest.mark.parametrize("block", [1, 7, _FSUM_MIN, 4096, _BLOCK, 4 * _BLOCK])
 def test_accumulator_blocks_give_certified_sums_bits(block):
-    # Kernel-like sums certify at any block size, to certified_sum's bits.
+    # Kernel-like sums certify at any block size, with a loose bound, to
+    # the bits of one block with a tight bound, which are math.fsum's.
     x = prime_terms(0.6, 10**5, (1,))[0]
-    want = certified_sum(x)
-    assert want is not None
+    want = _certified(x)
+    assert want is not None and want == math.fsum(x)
     got = _accumulate(x, x.size, 2.0 * float(x.max()), range(block, x.size, block))
     assert got is not None and got.hex() == want.hex()
 
@@ -287,9 +286,9 @@ def test_accumulator_declines_what_it_cannot_certify():
 
 
 def test_accumulator_scratch_is_block_sized():
-    # Blocks of 4096 values use one scratch array of 4096 floats, however
-    # many blocks come: 32 KB of transient memory for 2^20 values.  Each
-    # block is left holding its remainders.
+    # Each block of 4096 values uses one scratch array of 4096 floats, freed
+    # before the next block comes: 32 KB of transient memory for 2^20
+    # values.  Each block is left holding its remainders.
     x = np.random.default_rng(0).standard_normal(1 << 20)
     want = math.fsum(x)
     acc = CertifiedAccumulator(x.size, float(np.abs(x).max()))
@@ -303,13 +302,6 @@ def test_accumulator_scratch_is_block_sized():
     assert peak <= 4096 * 8 + 4096
     assert acc.result() == want
     assert float(np.abs(x).max()) < 1e-9  # remainders, not the values
-
-
-def test_certified_sum_leaves_its_input_alone():
-    x = np.random.default_rng(1).standard_normal(3 * _CSUM_BLOCK + 5)
-    before = x.copy()
-    assert certified_sum(x) == math.fsum(before)
-    assert np.array_equal(x, before)
 
 
 def test_bracketed_newton_doubles_toward_an_infinite_hi(monkeypatch):

@@ -101,6 +101,23 @@ def test_weighted_prime_sum_domain():
     weighted_prime_sum(100, 1.0 + 1.9 / math.log(100))
 
 
+@pytest.mark.parametrize(
+    "x, match",
+    [
+        (math.nan, "finite x"),
+        (math.inf, "finite x"),
+        (-math.inf, "finite x"),
+        (1.5, "x >= 2"),
+        (-3.0, "x >= 2"),
+    ],
+)
+def test_weighted_prime_sum_rejects_bad_x(x, match):
+    # x is checked before sigma's range, which reads log x, and before the
+    # prime table, which reads int(x): a DomainError that names x.
+    with pytest.raises(DomainError, match=match):
+        weighted_prime_sum(x, 0.5)
+
+
 @pytest.mark.parametrize("sigma", [0.5, 0.75, 1.0])
 def test_weighted_prime_sum_deviation_envelope(sigma):
     x = 10**6
